@@ -3,8 +3,8 @@
 cheap insertion order (children before parents) and the adversarial one
 (two balanced subtrees fed alternately across a long path).
 
-Prints one table per regime with messages, bits, and table-cell touches
-(the proxy for merge work), plus the fitted log-log slope of the messages.
+Prints one table per regime with messages and bits, plus the fitted
+log-log slope of the messages.
 
 Usage: python scripts/incremental_scaling.py [--sizes 50,100,200,400,800]
 """
@@ -23,13 +23,13 @@ def main() -> None:
     for kind in ("best", "worst"):
         points = []
         print(f"# {kind} case")
-        print("n messages bits cell_ops messages/n")
+        print("n messages bits messages/n")
         for n in sizes:
             edges = (best_case_instance(n) if kind == "best"
                      else worst_case_instance(n))
             c = measure_counters(edges, n)
             points.append((n, c.messages))
-            print(f"{n} {c.messages} {c.bits} {c.cell_ops} {c.messages / n:.2f}")
+            print(f"{n} {c.messages} {c.bits} {c.messages / n:.2f}")
         print(f"slope={loglog_slope(points):.3f}")
         print()
 

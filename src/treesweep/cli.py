@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .dynamic import run_script
 from .forest import (ArgumentError, Forest, GraphError, enumerate_trees,
                      gen_tree, parse_edge_list, serialize)
-from .hd import ContractError, ParamVariant
+from .hd import ContractError, ParamVariant, rooted_value
 from .oracle import (es_exact, gap_characterization_check, ns_exact, pn_exact,
                      pathwidth_exact, stable_exact)
 from .protocol import Schedule, default_scheme, run_static
@@ -89,10 +89,15 @@ def _check_values(payload) -> list[str]:
     tree = parse_edge_list(text)
     bad = []
     for name in (("pn", "ns", "es") if param == "all" else (param,)):
-        got = run_static(tree, VARIANT_FOR[name]).value
+        variant = VARIANT_FOR[name]
+        got = run_static(tree, variant).value
         want = ORACLE_FOR[name](tree)
         if got != want:
             bad.append(f"{name}: got={got} want={want}\n{text}")
+        for root in tree.vertices:
+            got = rooted_value(tree, root, variant)
+            if got != want:
+                bad.append(f"{name} rooted at {root}: got={got} want={want}\n{text}")
     return bad
 
 
@@ -173,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--stats", action="store_true")
     d.set_defaults(func=cmd_dynamic)
 
-    s = sub.add_parser("conformance", help="sweep all small trees against the oracles")
+    s = sub.add_parser("conformance",
+                       help="sweep all small trees, at every root, against the oracles")
     s.add_argument("--max-n", type=int, default=8)
     s.add_argument("--param", choices=("pn", "ns", "es", "all", "relations", "gap"),
                    default="all")

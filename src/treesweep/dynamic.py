@@ -2,23 +2,22 @@
 incremental builder that grows a forest edge by edge from isolated vertices.
 
 Each node permanently stores the descriptor received from every neighbour
-except its father plus the running sum of those tables, which is exactly
-the state the change-root walk needs: the old root drops the entry toward
-the new root, re-merges, and the corrected descriptors ripple down the path
-while father pointers flip.  Every dynamic message carries the leading flag
-bit (0 replace-entry, 1 change-root notification), costing one extra bit
-per frame.
+except its father, which is exactly the state the change-root walk needs:
+the old root drops the entry toward the new root, re-merges, and the
+corrected descriptors ripple down the path while father pointers flip.
+Every dynamic message carries the leading flag bit (0 replace-entry,
+1 change-root notification), costing one extra bit per frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import (REPLACE_FLAG, KnownSize, Scheme, UnknownSize, decode,
-                    encode, notification)
+from .codec import REPLACE_FLAG, Scheme, decode, encode, notification
 from .forest import ArgumentError, Forest, StructureError
 from .hd import HDescriptor, ParamVariant, evaluate, merge
-from .protocol import CostCounters, NodeState, Schedule, elect_root, run_static
+from .protocol import (CostCounters, NodeState, Schedule, default_scheme,
+                       elect_root, run_static)
 
 
 @dataclass
@@ -39,7 +38,7 @@ class DynamicForest:
                  encoding: str = "known", early_stop: bool = False) -> "DynamicForest":
         if n < 1:
             raise ArgumentError("need at least one vertex")
-        scheme = KnownSize.for_tree(n, variant) if encoding == "known" else UnknownSize()
+        scheme = default_scheme(n, variant, encoding)
         forest = Forest(range(n))
         states = {v: NodeState(set()) for v in range(n)}
         df = cls(forest, variant, scheme, states, early_stop=early_stop)
@@ -52,8 +51,8 @@ class DynamicForest:
     def from_tree(cls, tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                   encoding: str = "known", early_stop: bool = False) -> "DynamicForest":
         """Adopt the per-node state left behind by a static run."""
+        scheme = default_scheme(tree.n, variant, encoding)
         run = run_static(tree, variant, schedule=Schedule(0))
-        scheme = KnownSize.for_tree(tree.n, variant) if encoding == "known" else UnknownSize()
         df = cls(tree.copy(), variant, scheme, run.states, early_stop=early_stop)
         df.roots[run.root] = run.value
         return df
@@ -79,21 +78,16 @@ class DynamicForest:
             if self.wire_log is not None:
                 self.wire_log.append(("notify", None, frame))
 
-    def _send(self, sender: int, receiver: int, hd: HDescriptor,
-              replace: bool) -> None:
+    def _send(self, sender: int, receiver: int, hd: HDescriptor) -> None:
         wire = encode(hd, self.scheme, dyn_flag=REPLACE_FLAG)
         self.counters.add_message(wire)
         if self.wire_log is not None:
             self.wire_log.append(("replace", hd, wire))
-        st = self.states[receiver]
-        if replace and sender in st.received:
-            st.drop(sender)
-        st.store(sender, decode(wire))
+        self.states[receiver].received[sender] = decode(wire)
 
     def _local_hd(self, v: int) -> HDescriptor:
-        children = list(self.states[v].received.values())
-        hd = merge(children, self.variant)
-        self.counters.merged(children, hd)
+        hd = merge(list(self.states[v].received.values()), self.variant)
+        self.counters.steps += 1
         return hd
 
     # -- operations ----------------------------------------------------------
@@ -112,16 +106,12 @@ class DynamicForest:
         for idx in range(len(path) - 1, 0, -1):
             node, new_father = path[idx], path[idx - 1]
             st = self.states[node]
-            st.drop(new_father)
-            hd = self._local_hd(node)
-            self._send(node, new_father, hd, replace=False)
+            del st.received[new_father]
+            self._send(node, new_father, self._local_hd(node))
             st.father = new_father
-        st2 = self.states[r2]
-        st2.father = None
-        value = evaluate(merge(list(st2.received.values()), self.variant)).value
-        self.counters.steps += 1
+        self.states[r2].father = None
         del self.roots[r1]
-        self.roots[r2] = value
+        self.roots[r2] = evaluate(self._local_hd(r2)).value
 
     def add_edge(self, w1: int, w2: int) -> None:
         if w1 not in self.states or w2 not in self.states:
@@ -138,14 +128,10 @@ class DynamicForest:
         loser = w1 if winner == w2 else w2
         self.states[w1].neighbours.add(w2)
         self.states[w2].neighbours.add(w1)
-        hd = self._local_hd(loser)
-        self._send(loser, winner, hd, replace=False)
+        self._send(loser, winner, self._local_hd(loser))
         self.states[loser].father = winner
-        st = self.states[winner]
-        value = evaluate(merge(list(st.received.values()), self.variant)).value
-        self.counters.steps += 1
         del self.roots[loser]
-        self.roots[winner] = value
+        self.roots[winner] = evaluate(self._local_hd(winner)).value
 
     def _add_edge_early_stop(self, w1: int, w2: int) -> None:
         """Reroot only the first component, then push replacement entries
@@ -155,23 +141,19 @@ class DynamicForest:
         self.forest.add_edge(w1, w2)
         self.states[w1].neighbours.add(w2)
         self.states[w2].neighbours.add(w1)
-        hd = self._local_hd(w1)
-        self._send(w1, w2, hd, replace=False)
+        self._send(w1, w2, self._local_hd(w1))
         self.states[w1].father = w2
         del self.roots[w1]
         node = w2
         while True:
             father = self.states[node].father
             if father is None:
-                value = evaluate(merge(list(self.states[node].received.values()),
-                                       self.variant)).value
-                self.counters.steps += 1
-                self.roots[node] = value
+                self.roots[node] = evaluate(self._local_hd(node)).value
                 break
             new_hd = self._local_hd(node)
             if self.states[father].received.get(node) == new_hd:
                 break  # nothing upstream can change
-            self._send(node, father, new_hd, replace=True)
+            self._send(node, father, new_hd)
             node = father
 
     def delete_edge(self, w1: int, w2: int) -> None:
@@ -186,18 +168,12 @@ class DynamicForest:
         self.forest.remove_edge(child, father)
         self.states[child].neighbours.discard(father)
         self.states[father].neighbours.discard(child)
-        self.states[father].drop(child)
+        del self.states[father].received[child]
         self.states[child].father = None
+        self.roots[child] = evaluate(self._local_hd(child)).value
 
-        hd = self._local_hd(child)
-        self.roots[child] = evaluate(hd).value
-
-        old_root = self.root_of(father)
-        if old_root == father:
-            value = evaluate(merge(list(self.states[father].received.values()),
-                                   self.variant)).value
-            self.counters.steps += 1
-            self.roots[father] = value
+        if self.root_of(father) == father:
+            self.roots[father] = evaluate(self._local_hd(father)).value
         else:
             self.change_root(father)
 
@@ -211,8 +187,6 @@ class DynamicForest:
             expect = st.neighbours - ({st.father} if st.father is not None else set())
             if set(st.received) != expect:
                 raise AssertionError(f"received set drift at {v}")
-            if not st.sum_table_consistent():
-                raise AssertionError(f"sum table drift at {v}")
             if st.father is None:
                 root_count += 1
                 if v not in self.roots:

@@ -76,14 +76,6 @@ def worst_case_instance(n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def measure_messages(edges: list[tuple[int, int]], n: int,
-                     variant: ParamVariant = ParamVariant.PROCESS_NUMBER) -> int:
-    df = inc_build(edges, n, variant)
-    if len(df.roots) != 1:
-        raise AssertionError("instance did not assemble a single tree")
-    return df.counters.messages
-
-
 def measure_counters(edges: list[tuple[int, int]], n: int,
                      variant: ParamVariant = ParamVariant.PROCESS_NUMBER):
     df = inc_build(edges, n, variant)
@@ -107,5 +99,5 @@ def scaling_table(sizes: list[int], kind: str) -> list[tuple[int, int]]:
     out = []
     for n in sizes:
         edges = best_case_instance(n) if kind == "best" else worst_case_instance(n)
-        out.append((n, measure_messages(edges, n)))
+        out.append((n, measure_counters(edges, n).messages))
     return out

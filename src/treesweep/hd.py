@@ -231,35 +231,8 @@ def merge_detailed(children: Iterable[HDescriptor],
         for i in range(2, pv):
             cells[i] = 0
 
-    probe = pv
-
-    k = None
-    for i in range(length, 1, -1):
-        if cells[i] > 1:
-            k = i
-            break
-    k1 = None
-    if k is not None:
-        k1 = next(i for i in range(k + 1, length + 2)
-                  if i > length or cells[i] == 0)
-    if probe == 0 or probe > length or cells[probe] == 0:
-        k2 = probe
-    else:
-        k2 = next(i for i in range(probe + 1, length + 2)
-                  if i > length or cells[i] == 0)
-
-    fire = k is not None or (
-        not folded and probe >= 1
-        and any(cells[i] for i in range(2, min(k2, length) + 1)))
-
-    fired = None
-    if fire:
-        fired = max(k1 or 0, k2)
-        if fired > length:
-            cells.extend([0] * (fired - length))
-            length = fired
-        for i in range(1, fired + 1):
-            cells[i] = 0
+    fired = _collapse(cells, length, pv, folded)
+    if fired is not None:
         out_vect = Vect(fired, fired)
     elif folded:
         out_vect = NO_STABLE
@@ -293,14 +266,27 @@ def _simplify_once(hd: HDescriptor) -> HDescriptor:
     if length == 0:
         return hd
     cells = [0] + list(table)
-    if vect == NO_STABLE:
+    folded = vect == NO_STABLE
+    if folded:
         # the root piece is the unstable piece at the lowest nonzero cell
         pv = next((i for i in range(1, length + 1) if cells[i]), 0)
-        folded = True
     else:
         pv = vect.pn
-        folded = False
+    fired = _collapse(cells, length, pv, folded)
+    if fired is None:
+        return hd
+    return _normalized(Vect(fired, fired), cells[1:])
 
+
+def _collapse(cells: list[int], length: int, probe: int, folded: bool) -> int | None:
+    """The simplification step shared by the merge and `simplify`.
+
+    `cells` is a 1-based working array of `length` cells (cells[0] unused)
+    and `probe`, at most `length`, the value of the root piece.  When the
+    step fires it zeroes cells 1..fired in place, appending the virtual zero
+    cell at length + 1 when fired lands there, and returns fired; otherwise
+    it returns None and leaves the cells alone.
+    """
     k = None
     for i in range(length, 1, -1):
         if cells[i] > 1:
@@ -310,24 +296,23 @@ def _simplify_once(hd: HDescriptor) -> HDescriptor:
     if k is not None:
         k1 = next(i for i in range(k + 1, length + 2)
                   if i > length or cells[i] == 0)
-    if pv == 0 or cells[pv] == 0:
-        k2 = pv
+    if probe == 0 or cells[probe] == 0:
+        k2 = probe
     else:
-        k2 = next(i for i in range(pv + 1, length + 2)
+        k2 = next(i for i in range(probe + 1, length + 2)
                   if i > length or cells[i] == 0)
 
     fire = k is not None or (
-        not folded and pv >= 1
+        not folded and probe >= 1
         and any(cells[i] for i in range(2, min(k2, length) + 1)))
     if not fire:
-        return hd
-
+        return None
     fired = max(k1 or 0, k2)
     if fired > length:
         cells.extend([0] * (fired - length))
     for i in range(1, fired + 1):
         cells[i] = 0
-    return _normalized(Vect(fired, fired), cells[1:])
+    return fired
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,10 @@ class CostCounters:
     messages: int = 0
     bits: int = 0
     steps: int = 0
-    cell_ops: int = 0  # table-cell touches, a proxy for merge work; reported only
 
     def add_message(self, wire: WireMessage) -> None:
         self.messages += 1
         self.bits += len(wire)
-
-    def merged(self, children: list[HDescriptor], out: HDescriptor) -> None:
-        self.steps += 1
-        self.cell_ops += sum(c.length for c in children) + out.length
 
 
 @dataclass
@@ -52,39 +47,9 @@ class NodeState:
     received: dict[int, HDescriptor] = field(default_factory=dict)
     father: int | None = None
     visited: bool = False
-    sum_table: list[int] = field(default_factory=list)
 
     def unheard(self) -> set[int]:
         return set(self.neighbours) - set(self.received)
-
-    def store(self, sender: int, hd: HDescriptor) -> None:
-        self.received[sender] = hd
-        self._add_table(hd, +1)
-
-    def drop(self, sender: int) -> HDescriptor:
-        hd = self.received.pop(sender)
-        self._add_table(hd, -1)
-        return hd
-
-    def _add_table(self, hd: HDescriptor, sign: int) -> None:
-        if len(self.sum_table) < hd.length:
-            self.sum_table.extend([0] * (hd.length - len(self.sum_table)))
-        for i, c in enumerate(hd.table):
-            self.sum_table[i] += sign * c
-
-    def sum_table_consistent(self) -> bool:
-        fresh: list[int] = []
-        for hd in self.received.values():
-            if len(fresh) < hd.length:
-                fresh.extend([0] * (hd.length - len(fresh)))
-            for i, c in enumerate(hd.table):
-                fresh[i] += c
-        mine = list(self.sum_table)
-        while mine and mine[-1] == 0:
-            mine.pop()
-        while fresh and fresh[-1] == 0:
-            fresh.pop()
-        return mine == fresh
 
 
 @dataclass(frozen=True)
@@ -109,16 +74,14 @@ class RunResult:
     counters: CostCounters
     evaluation: EvalResult
     root_hd: HDescriptor
-    events: list[tuple]            # ("SEND", u, v, bits) / ("VISIT", u)
-    wires: list[tuple[int, int, HDescriptor, WireMessage]]
+    wires: list[tuple[int, int, HDescriptor, WireMessage]]  # in sending order
 
     def transcript(self) -> str:
         lines = []
-        for ev in self.events:
-            if ev[0] == "SEND":
-                lines.append(f"SEND {ev[1]}→{ev[2]} {ev[3]}")
-            else:
-                lines.append(f"VISIT {ev[1]}")
+        for v, father, _, wire in self.wires:
+            lines.append(f"SEND {v}→{father} {wire.bits}")
+            lines.append(f"VISIT {v}")
+        lines.append(f"VISIT {self.root}")
         return "\n".join(lines) + "\n"
 
 
@@ -145,7 +108,6 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
 
     states = {v: NodeState(set(tree.neighbours(v))) for v in tree.vertices}
     counters = CostCounters()
-    events: list[tuple] = []
     wires: list[tuple[int, int, HDescriptor, WireMessage]] = []
     rng = random.Random(schedule.seed)
     root: int | None = None
@@ -166,9 +128,8 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
         for v in schedule.order(ready, rng):
             st = states[v]
             father = next(iter(st.unheard()))
-            children = list(st.received.values())
-            hd = merge(children, variant)
-            counters.merged(children, hd)
+            hd = merge(list(st.received.values()), variant)
+            counters.steps += 1
             if hd.length > max_cells:
                 raise ContractError(
                     f"table length {hd.length} breaks the log3 bound at node {v}")
@@ -177,24 +138,18 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
             decoded = decode(wire)
             if decoded != hd:
                 raise ContractError(f"codec roundtrip broke for {hd}")
-            states[father].store(v, decoded)
+            states[father].received[v] = decoded
             st.father = father
             st.visited = True
-            events.append(("SEND", v, father, wire.bits))
-            events.append(("VISIT", v))
             wires.append((v, father, hd, wire))
 
     unvisited = [v for v, st in states.items() if not st.visited]
     if len(unvisited) != 1 or (root is not None and unvisited != [root]):
         raise ContractError(f"peeling left {unvisited} unvisited")
     root = unvisited[0]
-    st = states[root]
-    children = list(st.received.values())
-    root_hd = merge(children, variant)
-    counters.merged(children, root_hd)
+    root_hd = merge(list(states[root].received.values()), variant)
+    counters.steps += 1
     if root_hd.length > max_cells:
         raise ContractError("root table length breaks the log3 bound")
-    events.append(("VISIT", root))
     result = evaluate(root_hd)
-    return RunResult(result.value, root, states, counters, result, root_hd,
-                     events, wires)
+    return RunResult(result.value, root, states, counters, result, root_hd, wires)

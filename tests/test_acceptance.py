@@ -106,7 +106,7 @@ def test_criterion_5_message_accounting():
     per = ceil_log3(1000) + 2
     assert per == 9
     assert run.counters.messages == 999
-    assert all(len(ev[3]) == 9 for ev in run.events if ev[0] == "SEND")
+    assert all(len(wire) == 9 for _, _, _, wire in run.wires)
     assert run.counters.bits == 8991
     assert run.counters.bits <= 1000 * (math.log(1000, 3) + 3)
 

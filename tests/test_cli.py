@@ -77,12 +77,22 @@ def test_dynamic_script(tmp_path, capsys):
     assert lines[2].startswith("messages=")
 
 
-def test_conformance_sweep(capsys):
+def test_conformance_all_and_relations(capsys):
     code, out, _ = run_cli(["conformance", "--max-n", "5", "--param", "all"], capsys)
     assert code == 0 and "fail=0" in out
     code, out, _ = run_cli(["conformance", "--max-n", "5", "--param", "relations"],
                            capsys)
     assert code == 0 and "fail=0" in out
+
+
+def test_conformance_checks_every_root(capsys, monkeypatch):
+    import treesweep.cli as cli
+    real = cli.rooted_value
+    monkeypatch.setattr(cli, "rooted_value",
+                        lambda tree, root, variant: real(tree, root, variant) + (root == 2))
+    code, out, _ = run_cli(["conformance", "--max-n", "4", "--param", "pn"], capsys)
+    assert code == 1
+    assert "fail=3" in out and "pn rooted at 2: got=" in out
 
 
 def test_conformance_parallel(capsys):

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from treesweep.dynamic import DynamicForest, inc_build, run_script
-from treesweep.forest import (Forest, StructureError, enumerate_trees,
-                              path_tree, random_tree, theorem1_tree)
+from treesweep.experiments import worst_case_instance
+from treesweep.forest import (ArgumentError, Forest, StructureError,
+                              enumerate_trees, path_tree, random_tree,
+                              theorem1_tree)
 from treesweep.hd import ParamVariant
 from treesweep.protocol import run_static
 
@@ -116,7 +118,6 @@ def test_add_edge_rejects_cycles():
 
 
 def test_bad_arguments():
-    from treesweep.forest import ArgumentError
     df = DynamicForest.isolated(3)
     df.add_edge(0, 1)
     with pytest.raises(ArgumentError):
@@ -125,6 +126,15 @@ def test_bad_arguments():
         df.change_root(9)
     with pytest.raises(ArgumentError):
         df.add_edge(0, 9)
+
+
+def test_unknown_encoding_rejected():
+    with pytest.raises(ArgumentError):
+        DynamicForest.isolated(3, encoding="bogus")
+    with pytest.raises(ArgumentError):
+        DynamicForest.from_tree(path_tree(4), encoding="knwon")
+    with pytest.raises(ArgumentError):
+        inc_build([(0, 1)], 2, encoding="")
 
 
 def test_growth_by_joining_stars():
@@ -196,6 +206,35 @@ def test_dynamic_message_sizes():
             assert len(wire.bits) == 2 * hd.length + 4 + 1
         else:
             assert len(wire.bits) == 5
+
+
+@pytest.mark.parametrize("early_stop,counts", [
+    (False, (1433, 10031, 822)),
+    (True, (69, 483, 118)),
+])
+def test_inc_build_worst_case_counters_golden(early_stop, counts):
+    df = inc_build(worst_case_instance(50), 50, early_stop=early_stop)
+    c = df.counters
+    assert (c.messages, c.bits, c.steps) == counts
+
+
+@pytest.mark.parametrize("variant,encoding,counts,roots", [
+    (PN, "known", (26, 182, 17), {1: 2, 2: 2}),
+    (PN, "unknown", (26, 182, 17), {1: 2, 2: 2}),
+    (NS, "known", (26, 208, 17), {1: 3, 2: 3}),
+    (NS, "unknown", (26, 200, 17), {1: 3, 2: 3}),
+    (ParamVariant.EDGE_SEARCH, "known", (26, 182, 17), {1: 2, 2: 3}),
+    (ParamVariant.EDGE_SEARCH, "unknown", (26, 182, 17), {1: 2, 2: 3}),
+])
+def test_reroot_and_delete_counters_golden(variant, encoding, counts, roots):
+    df = DynamicForest.from_tree(random_tree(40, 7), variant, encoding=encoding)
+    df.change_root(0)
+    df.delete_edge(35, 2)  # 2 is not the root, so the deletion reroots
+    df.change_root(1)
+    df.check_invariants()
+    c = df.counters
+    assert (c.messages, c.bits, c.steps) == counts
+    assert df.roots == roots
 
 
 def test_unknown_encoding_dynamic_values():

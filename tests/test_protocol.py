@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -7,8 +9,8 @@ from treesweep.forest import (ArgumentError, parse_edge_list, path_tree,
                               random_tree, star_tree, theorem1_tree)
 from treesweep.hd import ParamVariant, ceil_log3
 from treesweep.oracle import pathwidth_exact
-from treesweep.protocol import (CostCounters, Schedule, elect_root,
-                                run_static)
+from treesweep.protocol import (CostCounters, Schedule, default_scheme,
+                                elect_root, run_static)
 
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
@@ -68,9 +70,8 @@ def test_message_count_and_size(n, seed):
     assert run.counters.messages == n - 1
     per = ceil_log3(n) + 2
     assert run.counters.bits == (n - 1) * per
-    for ev in run.events:
-        if ev[0] == "SEND":
-            assert len(ev[3]) == per
+    for _, _, _, wire in run.wires:
+        assert len(wire) == per
     run = run_static(t, scheme=UnknownSize())
     for _, _, hd, wire in run.wires:
         assert len(wire) == 2 * hd.length + 4
@@ -117,6 +118,32 @@ def test_transcript_format():
     lines = run.transcript().strip().splitlines()
     assert lines[-1] == "VISIT 1"  # the center hears from both ends
     assert any(line.startswith("SEND 0→1 ") for line in lines)
+
+
+def test_transcript_golden():
+    run = run_static(random_tree(6, 1), schedule=Schedule(3, "shuffle"))
+    assert run.transcript() == (
+        "SEND 5→2 0001\nVISIT 5\nSEND 3→1 0001\nVISIT 3\nSEND 2→0 1010\n"
+        "VISIT 2\nSEND 1→4 1010\nVISIT 1\nSEND 0→4 1011\nVISIT 0\nVISIT 4\n")
+
+
+@pytest.mark.parametrize("variant,encoding,digest", [
+    (PN, "known", "c0e1dc83e07cecc2513ca34a83366f623677390a000cfd76c440b6da8c116a3f"),
+    (PN, "unknown", "ce7381d859a5d7487e05c480826ca598f5bb65c72251daa4a7e51957cfdca248"),
+    (NS, "known", "4454b9b94047ac5483b90a9489d12eda19efc74bbbc9016a4eeabd1abfe7a834"),
+    (NS, "unknown", "48f028a5af7774505db5241d0540b166019451e1ed7b7d82d640de4818fd12eb"),
+    (ParamVariant.EDGE_SEARCH, "known",
+     "d7e17e8a276383e04ef43072e8c125bc599ed064954149c687fb57798425712a"),
+    (ParamVariant.EDGE_SEARCH, "unknown",
+     "04bc8b08f47a64651e70b0144aeb3a900ea78d163c2fe722692518b95e9d5db7"),
+])
+def test_shuffle_transcript_golden(variant, encoding, digest):
+    t = random_tree(30, 11)
+    run = run_static(t, variant, default_scheme(t.n, variant, encoding),
+                     Schedule(5, "shuffle"))
+    text = run.transcript()
+    assert len(text.splitlines()) == 2 * (t.n - 1) + 1
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_steps_equal_n(trees_up_to_8):
