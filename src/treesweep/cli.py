@@ -41,7 +41,7 @@ def cmd_compute(args) -> int:
         tree = parse_edge_list(fh.read())
     variant = VARIANT_FOR[args.param]
     scheme = default_scheme(tree.n, variant, args.encoding)
-    run = run_static(tree, variant, scheme, Schedule(args.seed, "shuffle"))
+    run = run_static(tree, variant, scheme, Schedule(args.seed))
     value = run.value - 1 if args.param == "pw" else run.value
     print(f"param={args.param} value={value}")
     if args.stats:
@@ -67,10 +67,13 @@ def cmd_dynamic(args) -> int:
     with open(args.script, "r") as fh:
         text = fh.read()
     n = 0
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split()
         if line and line[0] in ("add", "del", "query", "reroot"):
-            n = max([n] + [int(x) + 1 for x in line[1:]])
+            try:
+                n = max([n] + [int(x) + 1 for x in line[1:]])
+            except ValueError:
+                raise ArgumentError(f"line {lineno}: bad integer in {raw!r}") from None
     if n == 0:
         print("script names no vertices", file=sys.stderr)
         return 2

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hd import (HDescriptor, NO_STABLE, ParamVariant, Vect, ceil_log3,
-                 validate_descriptor)
+from .hd import (HDescriptor, NO_STABLE, ParamVariant, Vect, _normalized,
+                 ceil_log3, validate_descriptor)
 
 
 class CodecError(Exception):
@@ -46,14 +46,10 @@ class KnownSize:
         extra = 1 if variant is ParamVariant.NODE_SEARCH else 0
         return cls(n, ceil_log3(n) + extra)
 
-    def message_bits(self, dynamic: bool) -> int:
-        return self.cells + 2 + (1 if dynamic else 0)
-
 
 @dataclass(frozen=True)
 class UnknownSize:
-    def message_bits_for(self, table_len: int, dynamic: bool) -> int:
-        return 2 * table_len + 4 + (1 if dynamic else 0)
+    pass
 
 
 Scheme = KnownSize | UnknownSize
@@ -143,28 +139,18 @@ def decode_bits(bits: str, scheme: Scheme,
             raise FramingError(f"expected 2 vector bits after terminator, got {len(ab)}")
 
     if ab == "00":
-        hd = _rebuild(NO_STABLE, raw)
+        hd = _normalized(NO_STABLE, raw)
     elif ab == "01":
-        hd = _rebuild(Vect(0, 0), raw)
+        hd = _normalized(Vect(0, 0), raw)
     else:
         try:
             first = raw.index(1) + 1
         except ValueError:
             raise FramingError("vector bits announce a value but the table has no 1") from None
         raw[first - 1] = 0
-        hd = _rebuild(Vect(first, first + (1 if ab == "11" else 0)), raw)
+        hd = _normalized(Vect(first, first + (1 if ab == "11" else 0)), raw)
     validate_descriptor(hd, minimal=True)
     return hd, dyn
-
-
-def _rebuild(vect: Vect, raw: list[int]) -> HDescriptor:
-    last = 0
-    for i in range(len(raw), 0, -1):
-        if raw[i - 1]:
-            last = i
-            break
-    length = max(vect.pn if vect.pn >= 0 else 0, last)
-    return HDescriptor(vect, tuple(raw[:length] + [0] * (length - len(raw))))
 
 
 def notification(scheme: Scheme) -> WireMessage:

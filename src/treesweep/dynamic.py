@@ -5,6 +5,9 @@ Each node permanently stores the descriptor received from every neighbour
 except its father, which is exactly the state the change-root walk needs:
 the old root drops the entry toward the new root, re-merges, and the
 corrected descriptors ripple down the path while father pointers flip.
+Adjacency lives in `forest` alone.  Edge addition inserts into it first, so
+the forest's own cycle check rejects a bad edge before any reroot, message
+or counter change.
 Every dynamic message carries the leading flag bit (0 replace-entry,
 1 change-root notification), costing one extra bit per frame.
 """
@@ -14,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import REPLACE_FLAG, Scheme, decode, encode, notification
-from .forest import ArgumentError, Forest, StructureError
+from .forest import ArgumentError, Forest
 from .hd import HDescriptor, ParamVariant, evaluate, merge
-from .protocol import (CostCounters, NodeState, Schedule, default_scheme,
-                       elect_root, run_static)
+from .protocol import (CostCounters, NodeState, default_scheme, elect_root,
+                       run_static)
 
 
 @dataclass
@@ -40,7 +43,7 @@ class DynamicForest:
             raise ArgumentError("need at least one vertex")
         scheme = default_scheme(n, variant, encoding)
         forest = Forest(range(n))
-        states = {v: NodeState(set()) for v in range(n)}
+        states = {v: NodeState() for v in range(n)}
         df = cls(forest, variant, scheme, states, early_stop=early_stop)
         base = evaluate(merge([], variant)).value
         for v in range(n):
@@ -52,7 +55,7 @@ class DynamicForest:
                   encoding: str = "known", early_stop: bool = False) -> "DynamicForest":
         """Adopt the per-node state left behind by a static run."""
         scheme = default_scheme(tree.n, variant, encoding)
-        run = run_static(tree, variant, schedule=Schedule(0))
+        run = run_static(tree, variant)
         df = cls(tree.copy(), variant, scheme, run.states, early_stop=early_stop)
         df.roots[run.root] = run.value
         return df
@@ -116,18 +119,14 @@ class DynamicForest:
     def add_edge(self, w1: int, w2: int) -> None:
         if w1 not in self.states or w2 not in self.states:
             raise ArgumentError(f"unknown vertex in edge ({w1}, {w2})")
-        if self.root_of(w1) == self.root_of(w2):
-            raise StructureError(f"edge ({w1}, {w2}) would create a cycle")
+        self.forest.add_edge(w1, w2)  # rejects a cycle before any state changes
         if self.early_stop:
             self._add_edge_early_stop(w1, w2)
             return
         self.change_root(w1)
         self.change_root(w2)
-        self.forest.add_edge(w1, w2)
         winner = elect_root(w1, w2)
         loser = w1 if winner == w2 else w2
-        self.states[w1].neighbours.add(w2)
-        self.states[w2].neighbours.add(w1)
         self._send(loser, winner, self._local_hd(loser))
         self.states[loser].father = winner
         del self.roots[loser]
@@ -137,10 +136,6 @@ class DynamicForest:
         """Reroot only the first component, then push replacement entries
         toward the second root, stopping once a descriptor is unchanged."""
         self.change_root(w1)
-        r2 = self.root_of(w2)
-        self.forest.add_edge(w1, w2)
-        self.states[w1].neighbours.add(w2)
-        self.states[w2].neighbours.add(w1)
         self._send(w1, w2, self._local_hd(w1))
         self.states[w1].father = w2
         del self.roots[w1]
@@ -166,8 +161,6 @@ class DynamicForest:
         else:
             raise ArgumentError(f"edge ({w1}, {w2}) is not a father link")
         self.forest.remove_edge(child, father)
-        self.states[child].neighbours.discard(father)
-        self.states[father].neighbours.discard(child)
         del self.states[father].received[child]
         self.states[child].father = None
         self.roots[child] = evaluate(self._local_hd(child)).value
@@ -182,9 +175,7 @@ class DynamicForest:
     def check_invariants(self) -> None:
         root_count = 0
         for v, st in self.states.items():
-            if st.neighbours != set(self.forest.neighbours(v)):
-                raise AssertionError(f"neighbour set drift at {v}")
-            expect = st.neighbours - ({st.father} if st.father is not None else set())
+            expect = self.forest.neighbours(v) - {st.father}
             if set(st.received) != expect:
                 raise AssertionError(f"received set drift at {v}")
             if st.father is None:

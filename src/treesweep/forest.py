@@ -3,8 +3,8 @@
 Vertices are dense non-negative integers so that identifier comparison
 doubles as the total order used for root election.  `Graph` allows cycles
 (it only exists as oracle input: cycles, grids); `Forest` rejects any
-cycle-creating insertion at the model layer, which the dynamic module
-relies on.
+cycle-creating insertion at the model layer.  This is the only cycle check:
+the dynamic module inserts an edge here before it touches any node state.
 """
 
 from __future__ import annotations

@@ -62,9 +62,6 @@ def hdesc(pn: int, pn_plus: int, cells: Sequence[int] = ()) -> HDescriptor:
     return HDescriptor(Vect(pn, pn_plus), tuple(cells))
 
 
-LEAF = hdesc(0, 0)
-
-
 class ParamVariant(Enum):
     PROCESS_NUMBER = "pn"
     NODE_SEARCH = "ns"
@@ -316,7 +313,7 @@ def _collapse(cells: list[int], length: int, probe: int, folded: bool) -> int | 
 
 
 # ---------------------------------------------------------------------------
-# rooted cascade (shared by tests, conformance, and strategy extraction)
+# rooted cascade (shared by tests and conformance)
 
 def rooted_descriptors(tree: Forest, root: int,
                        variant: ParamVariant) -> dict[int, HDescriptor]:

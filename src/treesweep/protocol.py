@@ -1,14 +1,18 @@
 """Deterministic simulation of the asynchronous leaf-to-root convergecast.
 
+A node stores only what the paper gives it: the descriptor received from
+each neighbour and its father pointer; adjacency is read from the tree.
 Execution is organized in peel rounds: every node that currently misses a
 message from exactly one neighbour fires during the round, sending its
-merged descriptor to that neighbour (its father).  The seeded schedule
-permutes firing order inside a round, which reorders transcripts without
-affecting results; the round snapshot keeps the emergent root, hence every
-per-node descriptor, schedule-independent.  When the final two unvisited
-nodes each miss only the other, both are root candidates and the larger
-identifier wins the election; the loser fires, so exactly n - 1 messages
-cross the wire in every run.
+merged descriptor to that neighbour (its father).  The peel keeps, per node,
+the count of neighbours not heard from yet: round one fires the leaves, and
+each later round fires the fathers that a send brought down to a count of
+one.  The seeded schedule permutes firing order inside a round, which
+reorders transcripts without affecting results; the round snapshot keeps the
+emergent root, hence every per-node descriptor, schedule-independent.  When
+the final two unvisited nodes each miss only the other, both are root
+candidates and the larger identifier wins the election; the loser fires, so
+exactly n - 1 messages cross the wire in every run.
 
 Every message is genuinely bit-encoded and decoded by the receiver, so the
 codec sits on the hot path and the bit counters measure real frames.
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from .codec import KnownSize, Scheme, UnknownSize, WireMessage, decode, encode
 from .forest import ArgumentError, Forest
 from .hd import (ContractError, EvalResult, HDescriptor, ParamVariant,
-                 ceil_log3, evaluate, merge)
+                 evaluate, merge)
 
 
 def elect_root(u: int, v: int) -> int:
@@ -43,26 +47,19 @@ class CostCounters:
 
 @dataclass
 class NodeState:
-    neighbours: set[int]
     received: dict[int, HDescriptor] = field(default_factory=dict)
     father: int | None = None
-    visited: bool = False
-
-    def unheard(self) -> set[int]:
-        return set(self.neighbours) - set(self.received)
 
 
 @dataclass(frozen=True)
 class Schedule:
     seed: int = 0
-    policy: str = "fifo"  # "fifo" orders rounds by id, "shuffle" permutes per round
 
     def order(self, ready: list[int], rng: random.Random) -> list[int]:
+        """Permute one peel round; sorting first makes the order depend
+        only on the seed, not on how the ready list was collected."""
         ready = sorted(ready)
-        if self.policy == "shuffle":
-            rng.shuffle(ready)
-        elif self.policy != "fifo":
-            raise ArgumentError(f"unknown schedule policy {self.policy!r}")
+        rng.shuffle(ready)
         return ready
 
 
@@ -73,7 +70,6 @@ class RunResult:
     states: dict[int, NodeState]
     counters: CostCounters
     evaluation: EvalResult
-    root_hd: HDescriptor
     wires: list[tuple[int, int, HDescriptor, WireMessage]]  # in sending order
 
     def transcript(self) -> str:
@@ -104,31 +100,29 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
     n = tree.n
     if scheme is None:
         scheme = default_scheme(n, variant)
-    max_cells = ceil_log3(n) + (1 if variant is ParamVariant.NODE_SEARCH else 0)
+    max_cells = KnownSize.for_tree(n, variant).cells
 
-    states = {v: NodeState(set(tree.neighbours(v))) for v in tree.vertices}
+    states = {v: NodeState() for v in tree.vertices}
+    unheard = {v: tree.degree(v) for v in tree.vertices}
     counters = CostCounters()
     wires: list[tuple[int, int, HDescriptor, WireMessage]] = []
     rng = random.Random(schedule.seed)
     root: int | None = None
 
-    while True:
-        ready = [v for v, st in states.items()
-                 if not st.visited and v != root and len(st.unheard()) == 1]
-        if not ready:
-            break
+    ready = [v for v, count in unheard.items() if count == 1]
+    while ready:
+        fathers = {v: next(u for u in tree.neighbours(v) if u not in states[v].received)
+                   for v in ready}
         if root is None:
-            pairs = [(v, next(iter(states[v].unheard()))) for v in ready]
-            targets = dict(pairs)
-            for v, f in pairs:
-                if targets.get(f) == v:
+            for v, f in fathers.items():
+                if fathers.get(f) == v:
                     root = elect_root(v, f)
-                    ready = [u for u in ready if u != root]
+                    ready.remove(root)
                     break
+        brought_to_one = []
         for v in schedule.order(ready, rng):
-            st = states[v]
-            father = next(iter(st.unheard()))
-            hd = merge(list(st.received.values()), variant)
+            father = fathers[v]
+            hd = merge(list(states[v].received.values()), variant)
             counters.steps += 1
             if hd.length > max_cells:
                 raise ContractError(
@@ -139,17 +133,21 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
             if decoded != hd:
                 raise ContractError(f"codec roundtrip broke for {hd}")
             states[father].received[v] = decoded
-            st.father = father
-            st.visited = True
+            states[v].father = father
             wires.append((v, father, hd, wire))
+            unheard[father] -= 1
+            if unheard[father] == 1:
+                brought_to_one.append(father)
+        # a later send of the same round may bring a father on to zero: the root
+        ready = [f for f in brought_to_one if unheard[f] == 1 and f != root]
 
-    unvisited = [v for v, st in states.items() if not st.visited]
-    if len(unvisited) != 1 or (root is not None and unvisited != [root]):
-        raise ContractError(f"peeling left {unvisited} unvisited")
-    root = unvisited[0]
+    fatherless = [v for v, st in states.items() if st.father is None]
+    if len(fatherless) != 1 or (root is not None and fatherless != [root]):
+        raise ContractError(f"peeling left {fatherless} without a father")
+    root = fatherless[0]
     root_hd = merge(list(states[root].received.values()), variant)
     counters.steps += 1
     if root_hd.length > max_cells:
         raise ContractError("root table length breaks the log3 bound")
     result = evaluate(root_hd)
-    return RunResult(result.value, root, states, counters, result, root_hd, wires)
+    return RunResult(result.value, root, states, counters, result, wires)

@@ -123,7 +123,7 @@ class _Extractor:
     derivations; sweep() may cut a processed subtree and re-merge the
     ancestor chain."""
 
-    def __init__(self, tree: Forest, states: dict[int, NodeState]):
+    def __init__(self, states: dict[int, NodeState]):
         roots = [v for v, st in states.items() if st.father is None]
         if len(roots) != 1:
             raise ContractError(f"states describe {len(roots)} roots, want 1")
@@ -261,6 +261,6 @@ def extract(tree: Forest, states: dict[int, NodeState]) -> Strategy:
     the ones the run computed, and the returned strategy validates to
     exactly the computed process number.
     """
-    ex = _Extractor(tree, states)
+    ex = _Extractor(states)
     actions = ex.sweep(ex.root)
     return Strategy(actions)

@@ -77,6 +77,13 @@ def test_dynamic_script(tmp_path, capsys):
     assert lines[2].startswith("messages=")
 
 
+def test_dynamic_bad_integer_names_line(tmp_path, capsys):
+    script = write(tmp_path, "s.txt", "add 0 1\nadd 1 x\n")
+    code, _, err = run_cli(["dynamic", script], capsys)
+    assert code == 2
+    assert err.startswith("error: line 2: bad integer in 'add 1 x'")
+
+
 def test_conformance_all_and_relations(capsys):
     code, out, _ = run_cli(["conformance", "--max-n", "5", "--param", "all"], capsys)
     assert code == 0 and "fail=0" in out

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -115,6 +116,35 @@ def test_add_edge_rejects_cycles():
         df.add_edge(0, 2)
     df.check_invariants()
     assert df.value_of(0) == 1  # state unchanged by the rejected edge
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_rejected_edge_leaves_state_unchanged(early_stop):
+    df = inc_build([(0, 1), (1, 2), (2, 3), (4, 5)], 6, early_stop=early_stop)
+    df.change_root(0)
+    forest, counters, roots = df.forest.copy(), replace(df.counters), dict(df.roots)
+    # two cycles, a duplicate edge and a self-loop
+    for w1, w2 in ((0, 2), (3, 0), (2, 1), (4, 4)):
+        with pytest.raises(StructureError):
+            df.add_edge(w1, w2)
+        assert df.forest == forest and df.forest.m() == 4
+        assert df.counters == counters and df.roots == roots
+    df.check_invariants()
+
+
+def test_check_invariants_sees_received_drift():
+    df = DynamicForest.from_tree(random_tree(15, 2))
+    df.check_invariants()
+    child = next(v for v, st in df.states.items() if st.father is not None)
+    st = df.states[df.states[child].father]
+    hd = st.received.pop(child)
+    with pytest.raises(AssertionError, match="received set drift"):
+        df.check_invariants()
+    st.received[child] = hd
+    df.check_invariants()
+    df.states[child].received[df.states[child].father] = hd
+    with pytest.raises(AssertionError, match="received set drift"):
+        df.check_invariants()
 
 
 def test_bad_arguments():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treesweep.codec import UnknownSize
-from treesweep.forest import (ArgumentError, parse_edge_list, path_tree,
-                              random_tree, star_tree, theorem1_tree)
+from treesweep.forest import (ArgumentError, gen_tree, parse_edge_list,
+                              path_tree, random_tree, star_tree, theorem1_tree)
 from treesweep.hd import ParamVariant, ceil_log3
 from treesweep.oracle import pathwidth_exact
 from treesweep.protocol import (CostCounters, Schedule, default_scheme,
@@ -80,7 +80,7 @@ def test_message_count_and_size(n, seed):
 def test_schedule_independence():
     for n, seed0 in ((13, 1), (20, 2), (27, 3)):
         t = random_tree(n, seed0)
-        runs = [run_static(t, schedule=Schedule(seed, "shuffle"))
+        runs = [run_static(t, schedule=Schedule(seed))
                 for seed in range(50)]
         values = {r.value for r in runs}
         roots = {r.root for r in runs}
@@ -96,8 +96,8 @@ def test_schedule_independence():
 
 def test_same_seed_same_transcript():
     t = random_tree(17, 4)
-    a = run_static(t, schedule=Schedule(9, "shuffle")).transcript()
-    b = run_static(t, schedule=Schedule(9, "shuffle")).transcript()
+    a = run_static(t, schedule=Schedule(9)).transcript()
+    b = run_static(t, schedule=Schedule(9)).transcript()
     assert a == b
 
 
@@ -121,7 +121,7 @@ def test_transcript_format():
 
 
 def test_transcript_golden():
-    run = run_static(random_tree(6, 1), schedule=Schedule(3, "shuffle"))
+    run = run_static(random_tree(6, 1), schedule=Schedule(3))
     assert run.transcript() == (
         "SEND 5→2 0001\nVISIT 5\nSEND 3→1 0001\nVISIT 3\nSEND 2→0 1010\n"
         "VISIT 2\nSEND 1→4 1010\nVISIT 1\nSEND 0→4 1011\nVISIT 0\nVISIT 4\n")
@@ -140,7 +140,7 @@ def test_transcript_golden():
 def test_shuffle_transcript_golden(variant, encoding, digest):
     t = random_tree(30, 11)
     run = run_static(t, variant, default_scheme(t.n, variant, encoding),
-                     Schedule(5, "shuffle"))
+                     Schedule(5))
     text = run.transcript()
     assert len(text.splitlines()) == 2 * (t.n - 1) + 1
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -149,3 +149,25 @@ def test_shuffle_transcript_golden(variant, encoding, digest):
 def test_steps_equal_n(trees_up_to_8):
     for t in trees_up_to_8[:60]:
         assert run_static(t).counters.steps == t.n
+
+
+@pytest.mark.parametrize("kind,args,rounds,root", [
+    ("path", (3000,), 1500, 1500),
+    ("spider", (1000, 1000, 1000), 1000, 0),
+    ("theorem1", (6,), 6, 1092),
+])
+def test_peel_rounds_golden(kind, args, rounds, root, monkeypatch):
+    # one Schedule.order call per peel round
+    calls = 0
+    order = Schedule.order
+
+    def counting_order(self, ready, rng):
+        nonlocal calls
+        calls += 1
+        return order(self, ready, rng)
+
+    monkeypatch.setattr(Schedule, "order", counting_order)
+    t = gen_tree(kind, *args)
+    run = run_static(t)
+    assert (calls, run.root) == (rounds, root)
+    assert run.counters.messages == t.n - 1

@@ -70,7 +70,7 @@ def test_extraction_seed_stable():
     t = random_tree(24, 17)
     want = run_static(t).value
     for seed in range(6):
-        run = run_static(t, schedule=Schedule(seed, "shuffle"))
+        run = run_static(t, schedule=Schedule(seed))
         assert validate(t, extract(t, run.states)) == want
 
 
