@@ -14,6 +14,13 @@ notification.
 Known-size budget is ceil(log3 n) cells; the node-search variant gets one
 extra cell because its values run one above the process number on small
 subtrees.
+
+Validation sits on the receiving side: `decode` checks every descriptor it
+reads off the wire against the minimal-descriptor contract.  `encode` runs
+no full validation; it rejects only what would make a frame lie about its
+descriptor: a vector with no wire encoding, a nonzero cell at or below pn
+(where the artificial 1 goes) and any cell outside {0, 1}, the last while it
+builds the body.
 """
 
 from __future__ import annotations
@@ -68,6 +75,10 @@ class WireMessage:
         return len(self.bits)
 
 
+_KNOWN_SYMBOL = {0: "0", 1: "1"}
+_UNKNOWN_SYMBOL = {0: "00", 1: "01"}
+
+
 def _ab_and_artificial(hd: HDescriptor) -> tuple[str, list[int]]:
     vect = hd.vect
     transmitted = list(hd.table)
@@ -75,26 +86,28 @@ def _ab_and_artificial(hd: HDescriptor) -> tuple[str, list[int]]:
         return "00", transmitted
     if vect == Vect(0, 0):
         return "01", transmitted
-    if vect.pn < 1:
+    if vect.pn < 1 or not vect.pn <= vect.pn_plus <= vect.pn + 1:
         raise CodecError(f"vector {vect} has no wire encoding")
-    if transmitted[vect.pn - 1] != 0:
-        raise CodecError(f"cell at index pn must be 0 before the artificial 1: {hd}")
+    if len(transmitted) < vect.pn or any(transmitted[:vect.pn]):
+        raise CodecError(f"cells up to index pn must be 0 before the artificial 1: {hd}")
     transmitted[vect.pn - 1] = 1
     return ("10" if vect.pn_plus == vect.pn else "11"), transmitted
 
 
 def encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None = None) -> WireMessage:
-    validate_descriptor(hd, minimal=True)
     ab, transmitted = _ab_and_artificial(hd)
     if isinstance(scheme, KnownSize):
         if len(transmitted) > scheme.cells:
             raise CapacityError(
                 f"table of length {len(transmitted)} exceeds the "
                 f"{scheme.cells}-cell budget for n={scheme.n}")
-        body = "".join(str(c) for c in transmitted)
-        body += "0" * (scheme.cells - len(transmitted))
+        symbol, tail = _KNOWN_SYMBOL, "0" * (scheme.cells - len(transmitted))
     else:
-        body = "".join("01" if c else "00" for c in transmitted) + "11"
+        symbol, tail = _UNKNOWN_SYMBOL, "11"
+    try:
+        body = "".join([symbol[c] for c in transmitted]) + tail
+    except (KeyError, TypeError):
+        raise CodecError(f"table cells must be 0 or 1 on the wire: {hd}") from None
     prefix = "" if dyn_flag is None else str(dyn_flag)
     return WireMessage(prefix + body + ab, scheme, dyn_flag)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import REPLACE_FLAG, Scheme, decode, encode, notification
-from .forest import ArgumentError, Forest
+from .forest import ArgumentError, Forest, GraphError
 from .hd import HDescriptor, ParamVariant, evaluate, merge
 from .protocol import (CostCounters, NodeState, default_scheme, elect_root,
                        run_static)
@@ -203,7 +203,10 @@ def run_script(text: str, n: int,
                variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                encoding: str = "known") -> tuple[list[str], DynamicForest]:
     """Execute a dynamic script: lines "add u v", "del u v", "query u",
-    "reroot u".  Returns the printed query lines and the final forest."""
+    "reroot u".  Returns the printed query lines and the final forest.
+    Every `GraphError` a line raises, from parsing or from the operation
+    itself, is re-raised as the same class with its message prefixed by
+    "line N: "."""
     df = DynamicForest.isolated(n, variant, encoding)
     out: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -222,7 +225,9 @@ def run_script(text: str, n: int,
             elif parts[0] == "reroot" and len(parts) == 2:
                 df.change_root(int(parts[1]))
             else:
-                raise ArgumentError(f"line {lineno}: bad command {raw!r}")
+                raise ArgumentError(f"bad command {raw!r}")
         except ValueError:
             raise ArgumentError(f"line {lineno}: bad integer in {raw!r}") from None
+        except GraphError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return out, df

@@ -5,6 +5,12 @@ doubles as the total order used for root election.  `Graph` allows cycles
 (it only exists as oracle input: cycles, grids); `Forest` rejects any
 cycle-creating insertion at the model layer.  This is the only cycle check:
 the dynamic module inserts an edge here before it touches any node state.
+The check (`Graph.connected`) searches from both endpoints in lockstep and
+stops when the smaller side is exhausted, so one insertion costs
+O(min(|A|, |B|)) for the two components it joins: building any tree in any
+edge order is O(n log n), and O(1) per edge when one endpoint is still
+isolated, as in sorted edge lists.  It is not a union-find because edges are
+also deleted (`DynamicForest.delete_edge`), which a union-find cannot undo.
 """
 
 from __future__ import annotations
@@ -118,7 +124,36 @@ class Graph:
         return self.n <= 1 or len(self.component_of(next(iter(self.adj)))) == self.n
 
     def connected(self, u: int, v: int) -> bool:
-        return v in self.component_of(u)
+        """Whether u and v lie in one component, by a lockstep search.
+
+        Two breadth-first searches, one from each end, take turns one
+        adjacency entry at a time; the answer is True as soon as one side
+        reaches a vertex the other side has seen, and False as soon as
+        either side runs out.  A query therefore costs O(min(|A|, |B|)) for
+        the components A and B holding u and v, sizes counting vertices and
+        edges (in a forest, vertices alone).  Stepping by entry rather
+        than by vertex keeps that bound when the larger side starts at a hub:
+        building a star centre-first stays linear.  This is the cycle check
+        of `Forest.add_edge`, and it is a search rather than a union-find
+        because `Graph.remove_edge` splits components and a union cannot be
+        undone.
+        """
+        if u == v:
+            return True
+        seen = ({u}, {v})
+        pending = (deque([iter(self.adj[u])]), deque([iter(self.adj[v])]))
+        side = 0
+        while pending[side]:
+            w = next(pending[side][0], None)
+            if w is None:
+                pending[side].popleft()
+            elif w in seen[1 - side]:
+                return True
+            elif w not in seen[side]:
+                seen[side].add(w)
+                pending[side].append(iter(self.adj[w]))
+            side = 1 - side
+        return False
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         keep = set(keep)

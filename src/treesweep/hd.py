@@ -22,6 +22,13 @@ each is exercised by the oracle-conformance suite:
 
 Tables are normalized so their length is max(vect.pn, last nonzero cell);
 trailing zeros would otherwise corrupt the evaluator's case (a) scan.
+
+Descriptors are validated once per hop, where they enter from outside:
+`merge` checks its children (caller input), `evaluate` and `simplify` check
+their argument, and `codec.decode` checks every descriptor read off the wire.
+The merge does not re-check its own output: its minimality is pinned by the
+test suite, and on every protocol path the output is encoded, then decoded
+and validated by the receiver.
 """
 
 from __future__ import annotations
@@ -236,9 +243,7 @@ def merge_detailed(children: Iterable[HDescriptor],
     else:
         out_vect = vect
 
-    out = _normalized(out_vect, cells[1:])
-    validate_descriptor(out, minimal=True)
-    return out, MergeInfo(case, m_indices, vect, folded, fired)
+    return _normalized(out_vect, cells[1:]), MergeInfo(case, m_indices, vect, folded, fired)
 
 
 def merge(children: Iterable[HDescriptor], variant: ParamVariant) -> HDescriptor:

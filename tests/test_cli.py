@@ -84,6 +84,17 @@ def test_dynamic_bad_integer_names_line(tmp_path, capsys):
     assert err.startswith("error: line 2: bad integer in 'add 1 x'")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("add 0 1\nadd 1 2\nadd 2 0\n", "line 3: edge (2, 0) would create a cycle"),
+    ("add 0 1\ndel 0 5\n", "line 2: edge (0, 5) does not exist"),
+])
+def test_dynamic_operation_error_names_line(tmp_path, capsys, text, error):
+    script = write(tmp_path, "s.txt", text)
+    code, _, err = run_cli(["dynamic", script], capsys)
+    assert code == 2
+    assert err == f"error: {error}\n"
+
+
 def test_conformance_all_and_relations(capsys):
     code, out, _ = run_cli(["conformance", "--max-n", "5", "--param", "all"], capsys)
     assert code == 0 and "fail=0" in out

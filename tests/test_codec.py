@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treesweep.codec import (CapacityError, FramingError, KnownSize,
-                             UnknownSize, decode, decode_bits, encode,
-                             notification)
+from treesweep.codec import (CapacityError, CodecError, FramingError,
+                             KnownSize, UnknownSize, decode, decode_bits,
+                             encode, notification)
 from treesweep.forest import random_tree
-from treesweep.hd import ParamVariant, hdesc
+from treesweep.hd import ContractError, ParamVariant, hdesc
 from treesweep.protocol import run_static
 
 PN = ParamVariant.PROCESS_NUMBER
@@ -72,6 +72,20 @@ def test_framing_errors():
     # vector bits announce a value but no 1 anywhere in the table
     with pytest.raises(FramingError):
         decode_bits("00010", KnownSize(27, 3))
+
+
+@pytest.mark.parametrize("hd", [
+    hdesc(-1, -1, [0, 2]),       # a cell outside {0, 1}
+    hdesc(2, 2, [0, 0, 2]),      # above the stable value
+    hdesc(0, 0, [0, -1]),
+    hdesc(2, 5, [0, 0]),         # a vector with no wire encoding
+    hdesc(3, 3, [0, 1, 0]),      # a 1 below the artificial one
+])
+@pytest.mark.parametrize("scheme", [KnownSize(27, 4), UnknownSize()],
+                         ids=["known", "unknown"])
+def test_encode_rejects_bad_descriptor(hd, scheme):
+    with pytest.raises((CodecError, ContractError)):
+        encode(hd, scheme)
 
 
 @given(st.integers(1, 60), st.integers(0, 2000))

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -146,3 +148,120 @@ def test_random_forest_roundtrips_disconnected():
     f = random_forest(12, 7, seed=3)
     assert f.n == 12 and f.m() == 7 and not f.is_connected()
     assert parse_edge_list(serialize(f)) == f
+
+
+class _UnionFind:
+    """Reference connectivity for the cycle check, rebuilt after each removal."""
+
+    def __init__(self, edges):
+        self.parent = {}
+        for u, v in edges:
+            self.union(u, v)
+
+    def find(self, v):
+        root = v
+        while self.parent.get(root, root) != root:
+            root = self.parent[root]
+        return root
+
+    def union(self, u, v):
+        self.parent[self.find(u)] = self.find(v)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cycle_check_matches_union_find(seed):
+    rng = random.Random(seed)
+    n = 24
+    forest = Forest(range(n))
+    edges: set[tuple[int, int]] = set()
+    removed: list[tuple[int, int]] = []
+    ref = _UnionFind(edges)
+    for _ in range(600):
+        kind = rng.choice(["add", "add", "add", "readd", "dup", "loop", "del", "del-missing"])
+        if kind == "readd" and removed:
+            u, v = rng.choice(removed)
+        elif kind == "dup" and edges:
+            u, v = rng.choice(sorted(edges))
+            if rng.random() < 0.5:
+                u, v = v, u
+        elif kind == "loop":
+            u = v = rng.randrange(n)
+        else:
+            u, v = rng.randrange(n), rng.randrange(n)
+        key = (min(u, v), max(u, v))
+        if kind.startswith("del"):
+            if kind == "del" and edges:
+                u, v = rng.choice(sorted(edges))
+                key = (u, v)
+            expected = None if key in edges else (
+                ArgumentError, f"edge ({u}, {v}) does not exist")
+            if expected is None:
+                edges.remove(key)
+                removed.append(key)
+                ref = _UnionFind(edges)
+            action = forest.remove_edge
+        else:
+            if u == v:
+                expected = (StructureError, f"self-loop at vertex {u}")
+            elif key in edges:
+                expected = (StructureError, f"duplicate edge ({u}, {v})")
+            elif ref.find(u) == ref.find(v):
+                expected = (StructureError, f"edge ({u}, {v}) would create a cycle")
+            else:
+                expected = None
+                edges.add(key)
+                ref.union(u, v)
+            action = forest.add_edge
+        if expected is None:
+            action(u, v)
+        else:
+            with pytest.raises(expected[0]) as info:
+                action(u, v)
+            assert type(info.value) is expected[0] and str(info.value) == expected[1]
+        assert set(forest.edges()) == edges
+        a, b = rng.randrange(n), rng.randrange(n)
+        assert forest.connected(a, b) == (ref.find(a) == ref.find(b))
+
+
+class _CountingAdjacency(dict):
+    lookups = 0
+
+    def __getitem__(self, v):
+        type(self).lookups += 1
+        return dict.__getitem__(self, v)
+
+
+def _adjacency_lookups(n, edges):
+    forest = Forest(range(n))
+    forest.adj = _CountingAdjacency(forest.adj)
+    _CountingAdjacency.lookups = 0
+    for u, v in edges:
+        forest.add_edge(u, v)
+    assert forest.is_tree()
+    return _CountingAdjacency.lookups
+
+
+def _balanced_joins(lo, hi, out):
+    """Path edges ordered so every insertion joins two halves of equal size."""
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        _balanced_joins(lo, mid, out)
+        _balanced_joins(mid, hi, out)
+        out.append((mid - 1, mid))
+    return out
+
+
+def test_cycle_check_cost_follows_the_smaller_side():
+    # about six lookups per insertion are bookkeeping and the two starting
+    # points; the rest is the cycle check, which stops when the smaller
+    # component is exhausted (a full scan of one side would make these
+    # builds quadratic: about n * n / 2 lookups)
+    n = 2000
+    sorted_path = [(i, i + 1) for i in range(n - 1)]
+    star_centre_first = [(0, i) for i in range(1, n)]
+    for edges in (sorted_path, sorted_path[::-1], star_centre_first):
+        assert _adjacency_lookups(n, edges) <= 10 * n
+    shuffled = random_tree(n, 3).edges()
+    random.Random(3).shuffle(shuffled)
+    for edges in (shuffled, _balanced_joins(0, n, [])):
+        assert _adjacency_lookups(n, edges) <= n * (6 + math.log2(n))

@@ -16,6 +16,29 @@ PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_descriptor_validated_at_most_twice_per_message(seed, monkeypatch):
+    # once on the merge's children, once on decode; evaluate adds one at the root
+    import treesweep.codec as codec
+    import treesweep.hd as hd
+    calls = []
+
+    def counting(module):
+        original = module.validate_descriptor
+
+        def wrapper(*args, **kwargs):
+            calls.append(module.__name__)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, "validate_descriptor", wrapper)
+
+    counting(hd)
+    counting(codec)
+    run = run_static(random_tree(500, seed))
+    assert run.counters.messages == 499
+    assert len(calls) <= 2 * run.counters.messages + 1
+    assert calls.count("treesweep.codec") == run.counters.messages
+
+
 def test_elect_root():
     assert elect_root(3, 7) == 7
     assert elect_root(7, 3) == 7
