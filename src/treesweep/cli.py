@@ -37,6 +37,9 @@ def _default_seed() -> int:
 
 
 def cmd_compute(args) -> int:
+    if args.strategy and args.param != "pn":
+        print("strategy extraction supports --param pn only", file=sys.stderr)
+        return 2
     with open(args.input, "rb") as fh:
         tree = parse_edge_list(fh.read())
     variant = VARIANT_FOR[args.param]
@@ -50,9 +53,6 @@ def cmd_compute(args) -> int:
     if args.transcript:
         sys.stdout.write(run.transcript())
     if args.strategy:
-        if args.param != "pn":
-            print("strategy extraction supports --param pn only", file=sys.stderr)
-            return 2
         strat = extract(tree, run.states)
         peak = validate(tree, strat)
         sys.stdout.write(strat.dump())

@@ -340,10 +340,13 @@ def random_forest(n: int, edges: int, seed: int) -> Forest:
         raise ArgumentError("need 1 <= n and 0 <= edges <= n - 1")
     rng = random.Random(seed)
     f = Forest(range(n))
-    while f.m() < edges:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v and not f.has_edge(u, v) and not f.connected(u, v):
-            f.add_edge(u, v)
+    added = 0
+    while added < edges:
+        try:
+            f.add_edge(rng.randrange(n), rng.randrange(n))
+        except StructureError:  # self-loop, duplicate or cycle: draw again
+            continue
+        added += 1
     return f
 
 

@@ -157,7 +157,11 @@ def evaluate(hd: HDescriptor) -> EvalResult:
 
 def pn_plus_of(hd: HDescriptor) -> int:
     """Minimum agents for a strategy ending at the subtree root (>= 1)."""
-    res = evaluate(hd)
+    return pn_plus_from(hd, evaluate(hd))
+
+
+def pn_plus_from(hd: HDescriptor, res: EvalResult) -> int:
+    """`pn_plus_of` given `res = evaluate(hd)` already computed."""
     if res.stable:
         return max(hd.vect.pn_plus, 1)
     return res.value + 1

@@ -48,6 +48,14 @@ def test_compute_stats_and_strategy(tmp_path, capsys):
     assert "SEND" in out and "VISIT" in out
 
 
+@pytest.mark.parametrize("param", ["ns", "es", "pw"])
+def test_strategy_rejects_other_params_before_running(tmp_path, capsys, param):
+    path = write(tmp_path, "path4.txt", "0 1\n1 2\n2 3\n")
+    code, out, err = run_cli(["compute", path, "--param", param, "--strategy"], capsys)
+    assert code == 2 and out == ""
+    assert "supports --param pn only" in err
+
+
 def test_compute_rejects_cycle(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "0 1\n1 2\n2 0\n")
     code, _, err = run_cli(["compute", path], capsys)

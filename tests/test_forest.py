@@ -44,6 +44,25 @@ def test_parse_serialize_roundtrip(n, seed):
     assert parse_edge_list(serialize(f)) == f
 
 
+@pytest.mark.parametrize("n, edges, seed, want", [
+    (20, 12, 0, [(1, 8), (2, 10), (3, 19), (4, 9), (4, 16), (4, 19), (6, 18),
+                 (8, 17), (9, 12), (11, 15), (12, 13), (15, 16)]),
+    (20, 12, 1, [(0, 10), (0, 12), (0, 14), (0, 17), (2, 8), (3, 15), (3, 18),
+                 (4, 18), (6, 12), (7, 8), (13, 19), (14, 15)]),
+    (20, 12, 2, [(0, 11), (1, 2), (1, 8), (1, 18), (2, 11), (5, 9), (5, 13),
+                 (6, 19), (8, 19), (11, 17), (12, 16), (14, 16)]),
+    (30, 29, 4, [(0, 2), (0, 29), (1, 7), (2, 4), (2, 11), (3, 23), (3, 26),
+                 (4, 10), (5, 14), (5, 24), (6, 8), (6, 13), (7, 9), (7, 15),
+                 (8, 11), (8, 25), (9, 18), (9, 29), (10, 21), (12, 15),
+                 (12, 17), (16, 17), (19, 27), (20, 26), (20, 27), (22, 28),
+                 (24, 25), (26, 29), (27, 28)]),
+])
+def test_random_forest_edges_golden(n, edges, seed, want):
+    # the seeded draws, and which of them are rejected, are part of the output
+    from treesweep.forest import random_forest
+    assert random_forest(n, edges, seed).edges() == want
+
+
 def test_generators_shapes():
     assert path_tree(4).edges() == [(0, 1), (1, 2), (2, 3)]
     assert star_tree(5).degree(0) == 5

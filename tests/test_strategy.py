@@ -1,9 +1,14 @@
+import functools
+import hashlib
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treesweep.forest import (enumerate_trees, path_tree, random_tree,
-                              star_tree, theorem1_tree)
+from treesweep.forest import (Forest, enumerate_trees, path_tree, random_tree,
+                              serialize, spider_tree, star_tree, theorem1_tree)
 from treesweep.protocol import Schedule, run_static
 from treesweep.strategy import (Action, Strategy, StrategyError, extract,
                                 validate)
@@ -87,3 +92,99 @@ def test_extraction_random(n, seed):
 def test_dump_format():
     s = act((P, 3), (S, 1), (R, 3))
     assert s.dump() == "P 3\nS 1\nR 3\n"
+
+
+# sha256 over each tree's edge list and extracted strategy, in order; pinned
+# from the recursive extractor, which needed one stack frame per tree level
+GOLDEN = {
+    "all_n_le_8": (lambda: [t for n in range(1, 9) for t in enumerate_trees(n)],
+                   "72fadae64516dc9eceaeada3d12c7f7f876b298d00a2e2b8e49c8b2415290fdb"),
+    "random20": (lambda: [random_tree(10 + 9 * s, s) for s in range(20)],
+                 "adfca7274ccadf6f6b732d5524d133b61af5536f529be70aab3aba196e66d598"),
+    "theorem1": (lambda: [theorem1_tree(k) for k in range(1, 6)],
+                 "6ec14522ccf5ed906b203ac211f2f0606c30403f3365b5912f4fffcc29ca7c43"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_extraction_golden(group, seed):
+    build, want = GOLDEN[group]
+    h = hashlib.sha256()
+    for t in build():
+        run = run_static(t, schedule=Schedule(seed))
+        h.update(serialize(t).encode())
+        h.update(extract(t, run.states).dump().encode())
+    assert h.hexdigest() == want
+
+
+def _caterpillar(spine, legs):
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
+    return Forest(range(spine * (1 + legs)), edges)
+
+
+def _deep_tree(n, seed):
+    # vertex i hangs below one of the three before it: depth about n / 2
+    rng = random.Random(seed)
+    return Forest(range(n), [(i, rng.randrange(max(0, i - 3), i)) for i in range(1, n)])
+
+
+DEEP = {
+    "path4000": (lambda: path_tree(4000), 2),
+    "spider1500x3": (lambda: spider_tree(1500, 1500, 1500), 3),
+    "caterpillar3000x2": (lambda: _caterpillar(3000, 2), 2),
+    "deep8000": (lambda: _deep_tree(8000, 1), 3),
+}
+
+
+@functools.cache
+def _deep_run(name):
+    tree = DEEP[name][0]()
+    return tree, run_static(tree)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_extraction_on_deep_trees(name):
+    t, run = _deep_run(name)
+    assert run.value == DEEP[name][1]
+    assert validate(t, extract(t, run.states)) == run.value
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("name", ["spider1500x3", "deep8000"])
+def test_extraction_stack_headroom(name):
+    # recursion nests through side branches and remainder sweeps only, so
+    # the stack a run needs does not grow with the tree's height
+    t, run = _deep_run(name)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        s = extract(t, run.states)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert validate(t, s) == run.value
+
+
+def test_extract_validates_few_descriptors(monkeypatch):
+    # each re-merge validates its children and evaluates its result once;
+    # a cut re-merges the ancestors of the piece it removes
+    import treesweep.hd as hd
+    t = random_tree(4096, 1)
+    run = run_static(t)
+    calls = []
+    original = hd.validate_descriptor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(hd, "validate_descriptor", counting)
+    extract(t, run.states)
+    assert run.counters.messages == 4095
+    assert len(calls) <= 3.7 * run.counters.messages
