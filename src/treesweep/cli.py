@@ -9,7 +9,6 @@ contract violation was observed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -30,10 +29,6 @@ VARIANT_FOR = {
 }
 
 ORACLE_FOR = {"pn": pn_exact, "ns": ns_exact, "es": es_exact}
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("SWEEP_SEED", "0"))
 
 
 def cmd_compute(args) -> int:
@@ -168,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("--param", choices=("pn", "ns", "es", "pw"), default="pn")
     c.add_argument("--encoding", choices=("known", "unknown"), default="known")
-    c.add_argument("--seed", type=int, default=_default_seed())
+    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--stats", action="store_true")
     c.add_argument("--strategy", action="store_true")
     c.add_argument("--transcript", action="store_true")

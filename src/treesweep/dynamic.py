@@ -32,7 +32,6 @@ class DynamicForest:
     roots: dict[int, int] = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
     early_stop: bool = False
-    wire_log: list | None = None  # optional (kind, hd, wire) triples for tests
 
     # -- construction ------------------------------------------------------
 
@@ -53,7 +52,13 @@ class DynamicForest:
     @classmethod
     def from_tree(cls, tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                   encoding: str = "known", early_stop: bool = False) -> "DynamicForest":
-        """Adopt the per-node state left behind by a static run."""
+        """Adopt the per-node state left behind by a static run.
+
+        The set-up run uses the known-size scheme whatever `encoding` asks
+        for; `encoding` sets only the scheme of later messages.  This is
+        harmless: descriptors, fathers and root do not depend on the scheme,
+        so the states equal those of an unknown-size run.  The set-up
+        messages are not counted: `counters` start at zero."""
         scheme = default_scheme(tree.n, variant, encoding)
         run = run_static(tree, variant)
         df = cls(tree.copy(), variant, scheme, run.states, early_stop=early_stop)
@@ -78,14 +83,10 @@ class DynamicForest:
         frame = notification(self.scheme)
         for _ in range(hops):
             self.counters.add_message(frame)
-            if self.wire_log is not None:
-                self.wire_log.append(("notify", None, frame))
 
     def _send(self, sender: int, receiver: int, hd: HDescriptor) -> None:
         wire = encode(hd, self.scheme, dyn_flag=REPLACE_FLAG)
         self.counters.add_message(wire)
-        if self.wire_log is not None:
-            self.wire_log.append(("replace", hd, wire))
         self.states[receiver].received[sender] = decode(wire)
 
     def _local_hd(self, v: int) -> HDescriptor:

@@ -17,12 +17,13 @@ free; an unstable subtree locates the fold node w that created its topmost
 piece, processes one stable branch of w to its final agent, parks an agent
 on w, sweeps w's small branches, sweeps the whole remainder of the tree
 while w stays covered, and finishes out through w's second stable branch
-(end_at reversed).  The remainder is re-merged along the ancestor chain
-after cutting w's subtree, and its value is strictly below the piece
-value, which keeps its sweep inside the optimal budget.  Recursion nests
-only into side branches, fold branches and remainders, never once per tree
-level: a 4000-vertex path, or a spider with three 1500-vertex legs, takes
-fewer than 15 frames.
+(end_at reversed).  After w's subtree is cut, the remainder is re-merged
+along the carrier path the descent walked, from w's father up to the swept
+node; nothing above that node is read again.  The remainder's value is
+strictly below the piece value, which keeps its sweep inside the optimal
+budget.  Recursion nests only into side branches, fold branches and
+remainders, never once per tree level: a 4000-vertex path, or a spider with
+three 1500-vertex legs, takes fewer than 15 frames.
 """
 
 from __future__ import annotations
@@ -112,14 +113,13 @@ def validate(g: Graph, strategy: Strategy) -> int:
 class _Extractor:
     """Mutable rooted view of the tree with per-node descriptors, their
     evaluations and merge derivations; sweep() may cut a processed subtree
-    and re-merge the ancestor chain."""
+    and re-merge the carrier path above it."""
 
     def __init__(self, states: dict[int, NodeState]):
         roots = [v for v, st in states.items() if st.father is None]
         if len(roots) != 1:
             raise ContractError(f"states describe {len(roots)} roots, want 1")
         self.root = roots[0]
-        self.parent = {v: st.father for v, st in states.items()}
         self.children: dict[int, list[int]] = {v: [] for v in states}
         for v, st in states.items():
             if st.father is not None:
@@ -135,7 +135,7 @@ class _Extractor:
         for v in reversed(order):
             self._remerge(v)
             if v != self.root:
-                sent = states[self.parent[v]].received[v]
+                sent = states[states[v].father].received[v]
                 if self.hd[v] != sent:
                     raise ContractError(
                         f"stored descriptor at {v} disagrees with a fresh merge")
@@ -144,13 +144,6 @@ class _Extractor:
         kids = [self.hd[c] for c in self.children[v]]
         self.hd[v], self.info[v] = merge_detailed(kids, ParamVariant.PROCESS_NUMBER)
         self.res[v] = evaluate(self.hd[v])
-
-    def _cut(self, w: int) -> None:
-        node = self.parent[w]
-        self.children[node].remove(w)
-        while node is not None:
-            self._remerge(node)
-            node = self.parent[node]
 
     # -- builders ----------------------------------------------------------
 
@@ -203,13 +196,14 @@ class _Extractor:
         return self._sweep_unstable(v, res.value)
 
     def _sweep_unstable(self, v: int, top: int) -> list[Action]:
-        w = v
+        path, w = [], v
         while not (self.info[w].folded and self.info[w].prefold.pn == top):
             carriers = [c for c in self.children[w]
                         if self.res[c] == EvalResult(top, False)]
             if len(carriers) != 1:
                 raise ContractError(
                     f"expected one carrier of the value-{top} piece under {w}")
+            path.append(w)
             w = carriers[0]
         m = [self.children[w][i] for i in self.info[w].max_children]
         if len(m) != 2:
@@ -223,8 +217,10 @@ class _Extractor:
         swap = {PLACE: REMOVE, REMOVE: PLACE, SURROUND: SURROUND}
         tail = [Action(PLACE, w2), Action(REMOVE, w)]
         tail += [Action(swap[a.kind], a.vertex) for a in reversed(self.end_at(w2)[:-1])]
-        if w != v:
-            self._cut(w)
+        if path:
+            self.children[path[-1]].remove(w)
+            for node in reversed(path):
+                self._remerge(node)
             if self.res[v].value >= top:
                 raise ContractError(
                     f"remainder value {self.res[v].value} not below piece value {top}")

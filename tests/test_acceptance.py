@@ -100,7 +100,7 @@ def test_criterion_4_relations_n9():
     _report(4, "relations and stability n<=9", f"{checks} trees, 0 exceptions")
 
 
-def test_criterion_5_message_accounting():
+def test_criterion_5_message_accounting(record_frames):
     tree = random_tree(1000, 42)
     run = run_static(tree)
     per = ceil_log3(1000) + 2
@@ -114,12 +114,14 @@ def test_criterion_5_message_accounting():
     assert all(len(wire) == 2 * hd.length + 4 for _, _, hd, wire in run_u.wires)
 
     df = DynamicForest.from_tree(random_tree(40, 7), encoding="unknown")
-    df.wire_log = []
+    hops = _dist(df.forest, 0, df.root_of(0))
+    frames = record_frames()
     df.change_root(0)
-    assert any(kind == "replace" for kind, _, _ in df.wire_log)
-    for kind, hd, wire in df.wire_log:
-        if kind == "replace":
-            assert len(wire) == 2 * hd.length + 4 + 1
+    assert frames["replace"]
+    for hd, wire in frames["replace"]:
+        assert len(wire) == 2 * hd.length + 4 + 1
+    (note,) = frames["notify"]
+    assert df.counters.bits == sum(len(w) for _, w in frames["replace"]) + hops * len(note)
     _report(5, "message accounting",
             "999 msgs x 9 bits = 8991 <= n(log3 n + 3); unknown-size = 2L+4 (+1 dynamic)")
 

@@ -219,23 +219,41 @@ def test_early_stop_matches_default():
         assert short.counters.messages <= plain.counters.messages
 
 
-def test_dynamic_message_sizes():
+def test_dynamic_message_sizes(record_frames):
     from treesweep.hd import ceil_log3
     t = random_tree(20, 8)
+    target = min(t.vertices)
     df = DynamicForest.from_tree(t)
-    df.wire_log = []
-    df.change_root(min(t.vertices))
+    hops = _dist(t, target, df.root_of(target))
+    frames = record_frames()
+    df.change_root(target)
     per = ceil_log3(20) + 3
-    assert df.wire_log and all(len(w.bits) == per for _, _, w in df.wire_log)
+    wires = [w for _, w in frames["replace"]] + frames["notify"]
+    assert wires and all(len(w.bits) == per for w in wires)
+    assert df.counters.bits == len(frames["replace"]) * per + hops * per
 
     df = DynamicForest.from_tree(t, encoding="unknown")
-    df.wire_log = []
-    df.change_root(min(t.vertices))
-    for kind, hd, wire in df.wire_log:
-        if kind == "replace":
-            assert len(wire.bits) == 2 * hd.length + 4 + 1
-        else:
-            assert len(wire.bits) == 5
+    frames = record_frames()
+    df.change_root(target)
+    for hd, wire in frames["replace"]:
+        assert len(wire.bits) == 2 * hd.length + 4 + 1
+    for wire in frames["notify"]:
+        assert len(wire.bits) == 5
+    assert df.counters.bits == sum(len(w) for _, w in frames["replace"]) + hops * 5
+
+
+@pytest.mark.parametrize("variant", list(ParamVariant))
+def test_from_tree_states_do_not_depend_on_encoding(variant):
+    # the set-up run is known-size whatever the encoding; its states equal
+    # an unknown-size run's, and its messages stay out of df.counters
+    from treesweep.codec import UnknownSize
+    t = random_tree(60, 3)
+    df = DynamicForest.from_tree(t, variant, encoding="unknown")
+    assert isinstance(df.scheme, UnknownSize)
+    run = run_static(t, variant, UnknownSize())
+    assert df.states == run.states
+    assert df.roots == {run.root: run.value}
+    assert (df.counters.messages, df.counters.bits, df.counters.steps) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("early_stop,counts", [

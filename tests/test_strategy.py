@@ -174,7 +174,7 @@ def test_extraction_stack_headroom(name):
 
 def test_extract_validates_few_descriptors(monkeypatch):
     # each re-merge validates its children and evaluates its result once;
-    # a cut re-merges the ancestors of the piece it removes
+    # a cut re-merges only the carrier path down to the piece it removes
     import treesweep.hd as hd
     t = random_tree(4096, 1)
     run = run_static(t)
@@ -187,4 +187,27 @@ def test_extract_validates_few_descriptors(monkeypatch):
     monkeypatch.setattr(hd, "validate_descriptor", counting)
     extract(t, run.states)
     assert run.counters.messages == 4095
-    assert len(calls) <= 3.7 * run.counters.messages
+    assert len(calls) <= 2.2 * run.counters.messages
+
+
+@pytest.mark.parametrize("name", ["random4096", "deep8000"])
+def test_extract_remerges_about_once_per_vertex(monkeypatch, name):
+    # a cut re-merges only the carrier path it walked down, so each vertex
+    # is merged about once
+    from treesweep.strategy import _Extractor
+    if name == "deep8000":
+        t, run = _deep_run(name)
+        bound = t.n + 10
+    else:
+        t = random_tree(4096, 1)
+        run = run_static(t)
+        bound = 1.05 * t.n
+    calls = []
+    original = _Extractor._remerge
+
+    def counting(self, v):
+        calls.append(v)
+        return original(self, v)
+    monkeypatch.setattr(_Extractor, "_remerge", counting)
+    assert validate(t, extract(t, run.states)) == run.value
+    assert len(calls) <= bound
