@@ -4,7 +4,7 @@ cheap insertion order (children before parents) and the adversarial one
 (two balanced subtrees fed alternately across a long path).
 
 Prints one table per regime with messages and bits, plus the fitted
-log-log slope of the messages.
+log-log slope of the messages when at least two distinct sizes are given.
 
 Usage: python scripts/incremental_scaling.py [--sizes 50,100,200,400,800]
 """
@@ -13,6 +13,7 @@ import argparse
 
 from treesweep.experiments import (best_case_instance, loglog_slope,
                                    measure_counters, worst_case_instance)
+from treesweep.forest import ArgumentError
 
 
 def main() -> None:
@@ -30,7 +31,10 @@ def main() -> None:
             c = measure_counters(edges, n)
             points.append((n, c.messages))
             print(f"{n} {c.messages} {c.bits} {c.messages / n:.2f}")
-        print(f"slope={loglog_slope(points):.3f}")
+        try:
+            print(f"slope={loglog_slope(points):.3f}")
+        except ArgumentError:  # a single size has no slope
+            pass
         print()
 
 

@@ -21,14 +21,25 @@ no full validation; it rejects only what would make a frame lie about its
 descriptor: a vector with no wire encoding, a nonzero cell at or below pn
 (where the artificial 1 goes) and any cell outside {0, 1}, the last while it
 builds the body.
+
+`encode` and `decode_bits` are memoised, keyed on all their arguments and
+bounded by `hd.MEMO_SIZE` entries each.  Both are pure and return immutable
+values, so one cached frame or descriptor serves every caller.  Every
+message still goes through `encode`, is counted and is decoded by its
+receiver, but the checks above run once per distinct input; a repeat reuses
+that result, and a failure is never cached, so a bad frame or descriptor
+raises on every call.  As in `hd`, only descriptors made of plain ints (and
+an int or absent flag) take the encode memo; anything else is encoded
+afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .hd import (HDescriptor, NO_STABLE, ParamVariant, Vect, _normalized,
-                 ceil_log3, validate_descriptor)
+from .hd import (MEMO_SIZE, HDescriptor, NO_STABLE, ParamVariant, Vect,
+                 _normalized, ceil_log3, plain_descriptors, validate_descriptor)
 
 
 class CodecError(Exception):
@@ -47,6 +58,11 @@ class CapacityError(CodecError):
 class KnownSize:
     n: int
     cells: int
+
+    def __post_init__(self) -> None:
+        # schemes are memo keys: 3.0 == 3 must not stand in for a budget
+        if type(self.cells) is not int:
+            raise CodecError(f"cell budget must be an int, got {self.cells!r}")
 
     @classmethod
     def for_tree(cls, n: int, variant: ParamVariant) -> "KnownSize":
@@ -95,6 +111,12 @@ def _ab_and_artificial(hd: HDescriptor) -> tuple[str, list[int]]:
 
 
 def encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None = None) -> WireMessage:
+    if plain_descriptors((hd,)) and (dyn_flag is None or type(dyn_flag) is int):
+        return _encode_memo(hd, scheme, dyn_flag)
+    return _encode(hd, scheme, dyn_flag)
+
+
+def _encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None) -> WireMessage:
     ab, transmitted = _ab_and_artificial(hd)
     if isinstance(scheme, KnownSize):
         if len(transmitted) > scheme.cells:
@@ -112,6 +134,9 @@ def encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None = None) -> Wire
     return WireMessage(prefix + body + ab, scheme, dyn_flag)
 
 
+_encode_memo = lru_cache(maxsize=MEMO_SIZE)(_encode)
+
+
 def decode(message: WireMessage) -> HDescriptor:
     hd, _ = decode_bits(message.bits, message.scheme,
                         has_dyn_flag=message.dyn_flag is not None)
@@ -120,6 +145,11 @@ def decode(message: WireMessage) -> HDescriptor:
 
 def decode_bits(bits: str, scheme: Scheme,
                 has_dyn_flag: bool = False) -> tuple[HDescriptor, int | None]:
+    return _decode_memo(bits, scheme, has_dyn_flag)
+
+
+def _decode_bits(bits: str, scheme: Scheme,
+                 has_dyn_flag: bool) -> tuple[HDescriptor, int | None]:
     if any(b not in "01" for b in bits):
         raise FramingError(f"non-bit character in {bits!r}")
     dyn = None
@@ -164,6 +194,9 @@ def decode_bits(bits: str, scheme: Scheme,
         hd = _normalized(Vect(first, first + (1 if ab == "11" else 0)), raw)
     validate_descriptor(hd, minimal=True)
     return hd, dyn
+
+
+_decode_memo = lru_cache(maxsize=MEMO_SIZE)(_decode_bits)
 
 
 def notification(scheme: Scheme) -> WireMessage:

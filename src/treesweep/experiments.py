@@ -16,7 +16,7 @@ import math
 from collections import deque
 
 from .dynamic import inc_build
-from .forest import Forest, random_tree
+from .forest import ArgumentError, Forest, random_tree
 from .hd import ParamVariant
 
 
@@ -85,7 +85,10 @@ def measure_counters(edges: list[tuple[int, int]], n: int,
 
 
 def loglog_slope(points: list[tuple[int, int]]) -> float:
-    """Least-squares slope of log(messages) against log(n)."""
+    """Least-squares slope of log(messages) against log(n); needs at least
+    two distinct sizes."""
+    if len({n for n, _ in points}) < 2:
+        raise ArgumentError("a slope needs at least two distinct sizes")
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(m) for _, m in points]
     mean_x = sum(xs) / len(xs)

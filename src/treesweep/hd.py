@@ -23,21 +23,35 @@ each is exercised by the oracle-conformance suite:
 Tables are normalized so their length is max(vect.pn, last nonzero cell);
 trailing zeros would otherwise corrupt the evaluator's case (a) scan.
 
-Descriptors are validated once per hop, where they enter from outside:
-`merge` checks its children (caller input), `evaluate` and `simplify` check
-their argument, and `codec.decode` checks every descriptor read off the wire.
-The merge does not re-check its own output: its minimality is pinned by the
-test suite, and on every protocol path the output is encoded, then decoded
-and validated by the receiver.
+Descriptors are validated where they enter from outside: `merge` checks its
+children (caller input), `evaluate` and `simplify` check their argument, and
+`codec.decode` checks every descriptor read off the wire.  The merge does not
+re-check its own output: its minimality is pinned by the test suite, and on
+every protocol path the output is encoded, then decoded by the receiver,
+whose decode validated that frame the first time it saw it.
+
+The merge is memoised.  A run draws its messages from a few dozen distinct
+minimal descriptors, so most merges repeat an earlier one.  The memo is keyed
+on the ordered children and the variant (`MergeInfo.max_children` depends on
+the order), holds at most `MEMO_SIZE` entries and is shared by every caller.
+Validation runs once per distinct input; a repeat reuses that result, and a
+failure is never cached, so invalid children raise on every call.  Keys
+compare by value, and 1.0 == 1, so only children made of plain ints take
+the memo (`plain_descriptors`); any other input is validated afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .forest import Forest
+
+
+MEMO_SIZE = 1 << 16  # entries kept by each memo, here and in codec
 
 
 class ContractError(Exception):
@@ -215,12 +229,33 @@ def _vector_step(vects: list[Vect], variant: ParamVariant) -> tuple[Vect, tuple[
     return Vect(p + 1, p + 1), m, "gen-triple"
 
 
+def plain_descriptors(items: tuple) -> bool:
+    """True when every item is an `HDescriptor` of a `Vect` and a tuple,
+    all holding ints: then equal inputs behave alike and may share a memo
+    entry.  A float, Fraction or Decimal anywhere makes the sum non-int."""
+    for hd in items:
+        if (type(hd) is not HDescriptor or type(hd.vect) is not Vect
+                or type(hd.table) is not tuple):
+            return False
+    try:
+        return type(sum(chain.from_iterable(chain.from_iterable(items)))) is int
+    except TypeError:
+        return False
+
+
 def merge_detailed(children: Iterable[HDescriptor],
                    variant: ParamVariant) -> tuple[HDescriptor, MergeInfo]:
     """Minimal descriptor of the subtree rooted at the merging node, given
     the minimal descriptors already received from its visited neighbours.
     An empty children list is the leaf initialization."""
-    kids = list(children)
+    kids = tuple(children)
+    if plain_descriptors(kids):
+        return _merge_memo(kids, variant)
+    return _merge(kids, variant)
+
+
+def _merge(kids: tuple[HDescriptor, ...],
+           variant: ParamVariant) -> tuple[HDescriptor, MergeInfo]:
     for child in kids:
         validate_descriptor(child, minimal=True)
 
@@ -248,6 +283,9 @@ def merge_detailed(children: Iterable[HDescriptor],
         out_vect = vect
 
     return _normalized(out_vect, cells[1:]), MergeInfo(case, m_indices, vect, folded, fired)
+
+
+_merge_memo = lru_cache(maxsize=MEMO_SIZE)(_merge)
 
 
 def merge(children: Iterable[HDescriptor], variant: ParamVariant) -> HDescriptor:

@@ -9,6 +9,21 @@ def trees_up_to_8():
 
 
 @pytest.fixture
+def cold_memos():
+    """Empties the memos of `hd.merge_detailed`, `codec.encode` and
+    `codec.decode_bits` before the test; returns a function that empties
+    them again."""
+    import treesweep.codec as codec
+    import treesweep.hd as hd
+
+    def clear():
+        for memo in (hd._merge_memo, codec._encode_memo, codec._decode_memo):
+            memo.cache_clear()
+    clear()
+    return clear
+
+
+@pytest.fixture
 def record_frames(monkeypatch):
     """Call to start recording the frames a DynamicForest builds into a
     fresh dict: (hd, wire) per replace-entry encode under "replace", one

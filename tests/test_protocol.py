@@ -17,8 +17,10 @@ NS = ParamVariant.NODE_SEARCH
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_descriptor_validated_at_most_twice_per_message(seed, monkeypatch):
-    # once on the merge's children, once on decode; evaluate adds one at the root
+def test_descriptor_validated_at_most_twice_per_message(seed, monkeypatch, cold_memos):
+    # once on the merge's children, once on decode; evaluate adds one at the
+    # root.  The memos validate only on a miss, so decode validates once per
+    # distinct frame.
     import treesweep.codec as codec
     import treesweep.hd as hd
     calls = []
@@ -36,7 +38,7 @@ def test_descriptor_validated_at_most_twice_per_message(seed, monkeypatch):
     run = run_static(random_tree(500, seed))
     assert run.counters.messages == 499
     assert len(calls) <= 2 * run.counters.messages + 1
-    assert calls.count("treesweep.codec") == run.counters.messages
+    assert calls.count("treesweep.codec") == len({wire.bits for *_, wire in run.wires})
 
 
 def test_elect_root():
