@@ -3,18 +3,29 @@
 Vertices are dense non-negative integers so that identifier comparison
 doubles as the total order used for root election.  `Graph` allows cycles
 (it only exists as oracle input: cycles, grids); `Forest` rejects any
-cycle-creating insertion at the model layer.  This is the only cycle check:
-the dynamic module inserts an edge here before it touches any node state.
-The check (`Graph.connected`) searches from both endpoints in lockstep and
-stops when the smaller side is exhausted, so one insertion costs
-O(min(|A|, |B|)) for the two components it joins: building any tree in any
-edge order is O(n log n), and O(1) per edge when one endpoint is still
-isolated, as in sorted edge lists.  It is not a union-find because edges are
-also deleted (`DynamicForest.delete_edge`), which a union-find cannot undo.
+cycle-creating insertion at the model layer, with one of two cycle checks,
+one per kind of traffic:
+
+- `Forest.add_edge` asks `Graph.connected`, a search from both endpoints in
+  lockstep that stops when the smaller side is exhausted.  One insertion
+  costs O(min(|A|, |B|)) for the two components it joins, so building any
+  tree in any edge order is O(n log n).  It is a search, not a union-find,
+  because edges are also deleted (`DynamicForest.delete_edge` inserts and
+  removes edges here before it touches any node state), and a union cannot
+  be undone.
+- `parse_edge_list` and `prufer_to_tree` only ever insert edges into an
+  edgeless forest.  They go through `_build`, which answers every check with
+  a union-find local to the call (Tarjan, "Efficiency of a good but not
+  linear set union algorithm", J. ACM 1975) in near-constant amortised
+  time, so a parse or a Pruefer decode is near-linear.
+
+Both checks accept and reject the same edges with the same `StructureError`s.
 """
 
 from __future__ import annotations
 
+import heapq
+import inspect
 import random
 from collections import deque
 from functools import lru_cache
@@ -68,7 +79,8 @@ class Graph:
     def add_vertex(self, v: int) -> None:
         if not isinstance(v, int) or v < 0:
             raise StructureError(f"vertex ids must be non-negative integers, got {v!r}")
-        self.adj.setdefault(v, set())
+        if v not in self.adj:
+            self.adj[v] = set()
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
@@ -136,7 +148,8 @@ class Graph:
         building a star centre-first stays linear.  This is the cycle check
         of `Forest.add_edge`, and it is a search rather than a union-find
         because `Graph.remove_edge` splits components and a union cannot be
-        undone.
+        undone.  Bulk builds, which never remove an edge, use the union-find
+        in `_build` instead.
         """
         if u == v:
             return True
@@ -177,9 +190,15 @@ class Forest(Graph):
     __slots__ = ()
 
     def add_edge(self, u: int, v: int) -> None:
+        self._insert(u, v, self.connected)
+
+    def _insert(self, u: int, v: int, linked) -> None:
+        """Insert the edge uv, asking linked(u, v) whether u and v already
+        share a component; it is asked only for distinct, non-adjacent
+        vertices, so self-loops and duplicates are reported as such."""
         self.add_vertex(u)
         self.add_vertex(v)
-        if u != v and not self.has_edge(u, v) and self.connected(u, v):
+        if u != v and not self.has_edge(u, v) and linked(u, v):
             raise StructureError(f"edge ({u}, {v}) would create a cycle")
         super().add_edge(u, v)
 
@@ -187,44 +206,98 @@ class Forest(Graph):
         return self.n >= 1 and self.is_connected()
 
 
+class _UnionFind(dict):
+    """Disjoint sets of vertex ids with union by size and path halving.
+
+    A root maps to minus the size of its set; an id never stored is a
+    singleton root.  Ids are non-negative, so the sign tells the two apart.
+    """
+
+    def __missing__(self, v: int) -> int:
+        return -1
+
+    def _find(self, v: int) -> int:
+        while (p := self[v]) >= 0:
+            g = self[p]
+            if g < 0:
+                return p
+            self[v] = g
+            v = g
+        return v
+
+    def linked(self, u: int, v: int) -> bool:
+        """Whether u and v were in one set; if they were not, join them."""
+        u, v = self._find(u), self._find(v)
+        if u == v:
+            return True
+        if self[u] > self[v]:
+            u, v = v, u
+        self[u] += self[v]
+        self[v] = u
+        return False
+
+
+def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
+    """Insert a stream of edges, in order, into `forest`, which has no edges.
+
+    Accepts and rejects exactly what `Forest.add_edge` would, with the same
+    errors, but answers each cycle check from a union-find that lives only
+    for this call: a build never removes an edge, so no union needs undoing.
+    The stream may add vertices to `forest` between edges.
+    """
+    sets = _UnionFind()
+    for u, v in edges:
+        forest._insert(u, v, sets.linked)
+    return forest
+
+
 def parse_edge_list(text: str | bytes) -> Forest:
     """Parse the flat edge-list format: optional "n <count>" line, "u v" lines.
 
-    Blank lines and "#" comments are ignored.  Malformed lines raise
-    ParseError with the line number; duplicate or cycle-creating edges raise
-    StructureError naming the edge.
+    Blank lines and "#" comments are ignored.  Lines are read in order and the
+    first bad one raises: a malformed line a ParseError, a self-loop,
+    duplicate or cycle-creating edge a StructureError naming the edge, both
+    prefixed by "line N: ".  Near-linear in the input (see `_build`).
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
     forest = Forest()
-    declared = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if declared is not None or len(parts) != 2:
-                raise ParseError(f"line {lineno}: bad vertex-count line {raw!r}")
+    lineno = 0
+
+    def edges():
+        nonlocal lineno
+        declared = None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "n":
+                if declared is not None or len(parts) != 2:
+                    raise ParseError(f"line {lineno}: bad vertex-count line {raw!r}")
+                try:
+                    declared = int(parts[1])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+                if declared < 0:
+                    raise ParseError(f"line {lineno}: negative vertex count")
+                for v in range(declared):
+                    forest.add_vertex(v)
+                continue
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
             try:
-                declared = int(parts[1])
+                u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-            if declared < 0:
-                raise ParseError(f"line {lineno}: negative vertex count")
-            for v in range(declared):
-                forest.add_vertex(v)
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer endpoint in {raw!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex id in {raw!r}")
-        forest.add_edge(u, v)
-    return forest
+                raise ParseError(f"line {lineno}: non-integer endpoint in {raw!r}") from None
+            if u < 0 or v < 0:
+                raise ParseError(f"line {lineno}: negative vertex id in {raw!r}")
+            yield u, v
+
+    try:
+        return _build(forest, edges())
+    except StructureError as exc:  # raised for the edge last yielded, on line lineno
+        raise StructureError(f"line {lineno}: {exc}") from None
 
 
 def serialize(forest: Graph) -> str:
@@ -306,21 +379,18 @@ def prufer_to_tree(seq: list[int], n: int) -> Forest:
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    f = Forest(range(n))
-    import heapq
 
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        f.add_edge(leaf, x)
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    f.add_edge(u, v)
-    return f
+    def edges():
+        leaves = [v for v in range(n) if degree[v] == 1]
+        heapq.heapify(leaves)
+        for x in seq:
+            yield heapq.heappop(leaves), x
+            degree[x] -= 1
+            if degree[x] == 1:
+                heapq.heappush(leaves, x)
+        yield heapq.heappop(leaves), heapq.heappop(leaves)
+
+    return _build(Forest(range(n)), edges())
 
 
 def random_tree(n: int, seed: int) -> Forest:
@@ -362,6 +432,10 @@ def gen_tree(kind: str, *args) -> Forest:
     }
     if kind not in table:
         raise ArgumentError(f"unknown tree kind {kind!r}")
+    names = list(inspect.signature(table[kind]).parameters)
+    if len(args) != len(names):
+        raise ArgumentError(f"{kind} expects {' '.join(names)}, "
+                            f"got {len(args)} argument(s)")
     return table[kind](*args)
 
 

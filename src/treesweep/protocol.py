@@ -82,6 +82,8 @@ class RunResult:
 
 
 def default_scheme(n: int, variant: ParamVariant, encoding: str = "known") -> Scheme:
+    if n < 1:
+        raise ArgumentError("empty tree")
     if encoding == "known":
         return KnownSize.for_tree(n, variant)
     if encoding == "unknown":

@@ -62,6 +62,24 @@ def test_compute_rejects_cycle(tmp_path, capsys):
     assert code != 0 and "cycle" in err
 
 
+@pytest.mark.parametrize("text, error", [
+    ("0 1\n1 2\n2 0\n", "line 3: edge (2, 0) would create a cycle"),
+    ("", "empty tree"),
+    ("n 0\n", "empty tree"),
+])
+@pytest.mark.parametrize("encoding", ["known", "unknown"])
+def test_compute_input_errors_are_clean(tmp_path, capsys, text, error, encoding):
+    path = write(tmp_path, "bad.txt", text)
+    code, out, err = run_cli(["compute", path, "--encoding", encoding], capsys)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_gen_wrong_argument_count(capsys):
+    code, out, err = run_cli(["gen", "spider", "1", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: spider expects l1 l2 l3, got 2 argument(s)\n"
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     from treesweep.forest import random_tree, serialize
     path = write(tmp_path, "t.txt", serialize(random_tree(19, 3)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treesweep.forest import (ArgumentError, Forest, ParseError,
+from treesweep.forest import (ArgumentError, Forest, GraphError, ParseError,
                               StructureError, cycle_graph, enumerate_trees,
                               gen_tree, grid_graph, number_of_free_trees,
                               parse_edge_list, path_tree, prufer_to_tree,
@@ -27,15 +27,25 @@ def test_parse_basics():
 
 
 def test_parse_rejects_cycle_and_junk():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError) as err:
         parse_edge_list("0 1\n1 2\n2 0\n")
-    with pytest.raises(StructureError):
-        parse_edge_list("0 1\n0 1\n")
+    assert str(err.value) == "line 3: edge (2, 0) would create a cycle"
+    with pytest.raises(StructureError) as err:
+        parse_edge_list("0 1\n# comment\n\n1 0\n")
+    assert str(err.value) == "line 4: duplicate edge (1, 0)"
+    with pytest.raises(StructureError) as err:
+        parse_edge_list("n 3\n2 2\n")
+    assert str(err.value) == "line 2: self-loop at vertex 2"
     with pytest.raises(ParseError) as err:
         parse_edge_list("0 1\nnope\n")
     assert "line 2" in str(err.value)
     with pytest.raises(ParseError):
         parse_edge_list("0 one\n")
+    # lines are checked in order: the first bad line wins, whatever its kind
+    with pytest.raises(StructureError, match="^line 3: "):
+        parse_edge_list("0 1\n1 2\n2 0\n" + "3 4\n" * 5 + "junk\n")
+    with pytest.raises(ParseError, match="^line 2: "):
+        parse_edge_list("0 1\njunk\n1 0\n")
 
 
 @given(st.integers(1, 40), st.integers(0, 10_000))
@@ -61,6 +71,16 @@ def test_random_forest_edges_golden(n, edges, seed, want):
     # the seeded draws, and which of them are rejected, are part of the output
     from treesweep.forest import random_forest
     assert random_forest(n, edges, seed).edges() == want
+
+
+def test_gen_tree_checks_argument_count():
+    with pytest.raises(ArgumentError) as err:
+        gen_tree("spider", 1, 2)
+    assert str(err.value) == "spider expects l1 l2 l3, got 2 argument(s)"
+    with pytest.raises(ArgumentError, match="^random expects n seed, got 3"):
+        gen_tree("random", 5, 1, 2)
+    with pytest.raises(ArgumentError, match="^path expects k, got 0"):
+        gen_tree("path")
 
 
 def test_generators_shapes():
@@ -284,3 +304,130 @@ def test_cycle_check_cost_follows_the_smaller_side():
     random.Random(3).shuffle(shuffled)
     for edges in (shuffled, _balanced_joins(0, n, [])):
         assert _adjacency_lookups(n, edges) <= n * (6 + math.log2(n))
+
+
+def _random_edge_text(rng):
+    """Edge-list lines over sparse ids: a shuffled random forest, sometimes
+    with a duplicate (either orientation), a self-loop, a cycle-closing
+    edge, a junk line, comments or an "n" line anywhere among them."""
+    ids = rng.sample(range(80), rng.randint(1, 14))
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, len(ids))
+             if rng.random() < 0.85]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    lines = [f"{u} {v}" for u, v in edges]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        kind = rng.choice(["dup", "loop", "cycle", "junk", "comment"])
+        if kind == "dup" and edges:
+            u, v = rng.choice(edges)
+            line = f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}"
+        elif kind == "loop":
+            u = rng.choice(ids)
+            line = f"{u} {u}"
+        elif kind == "cycle":
+            line = f"{rng.choice(ids)} {rng.choice(ids)}"
+        elif kind == "junk":
+            line = rng.choice(["1 2 3", "x 1", "-1 2", "n", "n -2"])
+        else:
+            line = rng.choice(["", "# note", "  "])
+        lines.insert(rng.randint(0, len(lines)), line)
+    if rng.random() < 0.6:
+        lines.insert(rng.randint(0, len(lines)), f"n {rng.randrange(90)}")
+    return "\n".join(lines) + "\n"
+
+
+def _replay(text):
+    """Reference for `parse_edge_list`: one `Forest.add_edge` per edge line.
+    Returns the forest, or the error's class, line and message (None for a
+    malformed line)."""
+    forest = Forest()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            if parts[0] == "n":
+                count = int(parts[1])
+                if len(parts) != 2 or count < 0:
+                    raise ValueError(raw)
+                for v in range(count):
+                    forest.add_vertex(v)
+                continue
+            u, v = map(int, parts)
+            if u < 0 or v < 0:
+                raise ValueError(raw)
+            forest.add_edge(u, v)
+        except StructureError as exc:
+            return StructureError, lineno, str(exc)
+        except (ValueError, IndexError):
+            return ParseError, lineno, None
+    return forest
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_matches_replay_through_add_edge(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(150):
+        text = _random_edge_text(rng)
+        want = _replay(text)
+        if isinstance(want, Forest):
+            got = parse_edge_list(text)
+            assert got.adj == want.adj and list(got.adj) == list(want.adj), text
+            outcomes.add("ok")
+            continue
+        cls, lineno, message = want
+        with pytest.raises(GraphError) as info:
+            parse_edge_list(text)
+        assert type(info.value) is cls, text
+        prefix = f"line {lineno}: "
+        assert str(info.value).startswith(prefix), text
+        if message is not None:
+            assert str(info.value) == prefix + message, text
+        outcomes.add(message.split()[0] if message else "junk")
+    # every kind of outcome is drawn: accepted, junk, self-loop, duplicate, cycle
+    assert outcomes == {"ok", "junk", "self-loop", "duplicate", "edge"}
+
+
+def test_bulk_builds_do_not_search(monkeypatch):
+    from treesweep.forest import Graph
+
+    def refuse(self, u, v):
+        raise AssertionError("Graph.connected called")
+
+    monkeypatch.setattr(Graph, "connected", refuse)
+    tree = random_tree(300, 5)
+    assert tree.is_tree() and parse_edge_list(serialize(tree)) == tree
+    with pytest.raises(StructureError):
+        parse_edge_list("0 1\n1 2\n2 0\n")
+
+
+def test_bulk_build_cost_is_linear(monkeypatch):
+    # the lockstep check costs the balanced joins about n * log2(n) adjacency
+    # lookups; with the union-find an insertion makes four adjacency lookups
+    # (the duplicate check and the two stores) and about seven union-find ones
+    import treesweep.forest as forest_mod
+
+    counts = {"sets": 0}
+
+    class CountingSets(forest_mod._UnionFind):
+        def __getitem__(self, v):
+            counts["sets"] += 1
+            return super().__getitem__(v)
+
+    class CountingForest(Forest):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.adj = _CountingAdjacency(self.adj)
+
+    monkeypatch.setattr(forest_mod, "_UnionFind", CountingSets)
+    monkeypatch.setattr(forest_mod, "Forest", CountingForest)
+    n = 2000
+    shuffled = random_tree(n, 3).edges()
+    random.Random(3).shuffle(shuffled)
+    for edges in (shuffled, _balanced_joins(0, n, [])):
+        counts["sets"] = _CountingAdjacency.lookups = 0
+        tree = parse_edge_list("".join(f"{u} {v}\n" for u, v in edges))
+        assert _CountingAdjacency.lookups <= 4 * n
+        assert counts["sets"] <= 8 * n
+        assert type(tree) is CountingForest and tree.is_tree() and tree.n == n
