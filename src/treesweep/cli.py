@@ -33,8 +33,7 @@ ORACLE_FOR = {"pn": pn_exact, "ns": ns_exact, "es": es_exact}
 
 def cmd_compute(args) -> int:
     if args.strategy and args.param != "pn":
-        print("strategy extraction supports --param pn only", file=sys.stderr)
-        return 2
+        raise ArgumentError("strategy extraction supports --param pn only")
     with open(args.input, "rb") as fh:
         tree = parse_edge_list(fh.read())
     variant = VARIANT_FOR[args.param]
@@ -70,8 +69,7 @@ def cmd_dynamic(args) -> int:
             except ValueError:
                 raise ArgumentError(f"line {lineno}: bad integer in {raw!r}") from None
     if n == 0:
-        print("script names no vertices", file=sys.stderr)
-        return 2
+        raise ArgumentError("script names no vertices")
     out, df = run_script(text, n, VARIANT_FOR[args.param], args.encoding)
     for line in out:
         print(line)

@@ -8,6 +8,10 @@ corrected descriptors ripple down the path while father pointers flip.
 Adjacency lives in `forest` alone.  Edge addition inserts into it first, so
 the forest's own cycle check rejects a bad edge before any reroot, message
 or counter change.
+Edge addition has one path: reroot w1's tree at w1, hang w1 under w2, and
+push replacement entries up from w2 until one is unchanged or the root is
+reached.  Paper mode also reroots at w2 first and hangs the loser of
+`elect_root`, so its push ends at once; `early_stop` keeps w2's root.
 Every dynamic message carries the leading flag bit (0 replace-entry,
 1 change-root notification), costing one extra bit per frame.
 """
@@ -99,12 +103,13 @@ class DynamicForest:
     def change_root(self, r2: int) -> None:
         """Move the component root to r2 along the father chain; 2*dist
         messages (the notification walk up, the corrected wave down)."""
-        r1 = self.root_of(r2)
-        if r1 == r2:
-            return
+        if r2 not in self.states:
+            raise ArgumentError(f"vertex {r2} not in forest")
         path = [r2]
-        while path[-1] != r1:
-            path.append(self.states[path[-1]].father)
+        while (father := self.states[path[-1]].father) is not None:
+            path.append(father)
+        if len(path) == 1:
+            return
         self._notify(len(path) - 1)
 
         for idx in range(len(path) - 1, 0, -1):
@@ -114,43 +119,32 @@ class DynamicForest:
             self._send(node, new_father, self._local_hd(node))
             st.father = new_father
         self.states[r2].father = None
-        del self.roots[r1]
+        del self.roots[path[-1]]
         self.roots[r2] = evaluate(self._local_hd(r2)).value
 
     def add_edge(self, w1: int, w2: int) -> None:
+        """Hang w1's tree, rerooted at w1, under w2 (see the module notes);
+        unless `early_stop`, also reroot at w2 and let `elect_root` pick
+        which endpoint hangs."""
         if w1 not in self.states or w2 not in self.states:
             raise ArgumentError(f"unknown vertex in edge ({w1}, {w2})")
         self.forest.add_edge(w1, w2)  # rejects a cycle before any state changes
-        if self.early_stop:
-            self._add_edge_early_stop(w1, w2)
-            return
         self.change_root(w1)
-        self.change_root(w2)
-        winner = elect_root(w1, w2)
-        loser = w1 if winner == w2 else w2
-        self._send(loser, winner, self._local_hd(loser))
-        self.states[loser].father = winner
-        del self.roots[loser]
-        self.roots[winner] = evaluate(self._local_hd(winner)).value
-
-    def _add_edge_early_stop(self, w1: int, w2: int) -> None:
-        """Reroot only the first component, then push replacement entries
-        toward the second root, stopping once a descriptor is unchanged."""
-        self.change_root(w1)
+        if not self.early_stop:
+            self.change_root(w2)
+            if elect_root(w1, w2) == w1:
+                w1, w2 = w2, w1
         self._send(w1, w2, self._local_hd(w1))
         self.states[w1].father = w2
         del self.roots[w1]
         node = w2
-        while True:
-            father = self.states[node].father
-            if father is None:
-                self.roots[node] = evaluate(self._local_hd(node)).value
-                break
-            new_hd = self._local_hd(node)
-            if self.states[father].received.get(node) == new_hd:
-                break  # nothing upstream can change
-            self._send(node, father, new_hd)
+        while (father := self.states[node].father) is not None:
+            hd = self._local_hd(node)
+            if self.states[father].received[node] == hd:
+                return  # nothing upstream can change
+            self._send(node, father, hd)
             node = father
+        self.roots[node] = evaluate(self._local_hd(node)).value
 
     def delete_edge(self, w1: int, w2: int) -> None:
         if not self.forest.has_edge(w1, w2):
@@ -166,7 +160,7 @@ class DynamicForest:
         self.states[child].father = None
         self.roots[child] = evaluate(self._local_hd(child)).value
 
-        if self.root_of(father) == father:
+        if self.states[father].father is None:
             self.roots[father] = evaluate(self._local_hd(father)).value
         else:
             self.change_root(father)

@@ -86,10 +86,15 @@ class Graph:
         return u in self.adj and v in self.adj[u]
 
     def add_edge(self, u: int, v: int) -> None:
+        if u != v:
+            self.add_vertex(u)
+            self.add_vertex(v)
+        self._join(u, v)
+
+    def _join(self, u: int, v: int) -> None:
+        """Link u and v, which are vertices unless u == v."""
         if u == v:
             raise StructureError(f"self-loop at vertex {u}")
-        self.add_vertex(u)
-        self.add_vertex(v)
         if v in self.adj[u]:
             raise StructureError(f"duplicate edge ({u}, {v})")
         self.adj[u].add(v)
@@ -200,7 +205,7 @@ class Forest(Graph):
         self.add_vertex(v)
         if u != v and not self.has_edge(u, v) and linked(u, v):
             raise StructureError(f"edge ({u}, {v}) would create a cycle")
-        super().add_edge(u, v)
+        self._join(u, v)
 
     def is_tree(self) -> bool:
         return self.n >= 1 and self.is_connected()

@@ -8,11 +8,15 @@ merged descriptor to that neighbour (its father).  The peel keeps, per node,
 the count of neighbours not heard from yet: round one fires the leaves, and
 each later round fires the fathers that a send brought down to a count of
 one.  The seeded schedule permutes firing order inside a round, which
-reorders transcripts without affecting results; the round snapshot keeps the
-emergent root, hence every per-node descriptor, schedule-independent.  When
-the final two unvisited nodes each miss only the other, both are root
-candidates and the larger identifier wins the election; the loser fires, so
-exactly n - 1 messages cross the wire in every run.
+reorders transcripts without affecting results; a ready list fixed per round
+keeps the emergent root, hence every per-node descriptor,
+schedule-independent.  When the final two unvisited nodes each miss only the
+other, both are root candidates and the larger identifier wins the election;
+the loser fires, so exactly n - 1 messages cross the wire in every run.  The
+final pair is a ready list of two nodes after n - 2 messages: no edge
+carries two messages before the election, so the two nodes yet to fire are
+the ends of the one silent edge.  A firing node reads its father off its
+received set, which no send of the round changes before it fires.
 
 Every message is genuinely bit-encoded and decoded by the receiver, so the
 codec sits on the hot path and the bit counters measure real frames.
@@ -113,18 +117,14 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
 
     ready = [v for v, count in unheard.items() if count == 1]
     while ready:
-        fathers = {v: next(u for u in tree.neighbours(v) if u not in states[v].received)
-                   for v in ready}
-        if root is None:
-            for v, f in fathers.items():
-                if fathers.get(f) == v:
-                    root = elect_root(v, f)
-                    ready.remove(root)
-                    break
+        if len(ready) == 2 and counters.messages == n - 2:  # the final pair
+            root = elect_root(*ready)
+            ready.remove(root)
         brought_to_one = []
         for v in schedule.order(ready, rng):
-            father = fathers[v]
-            hd = merge(list(states[v].received.values()), variant)
+            received = states[v].received
+            father = next(u for u in tree.neighbours(v) if u not in received)
+            hd = merge(list(received.values()), variant)
             counters.steps += 1
             if hd.length > max_cells:
                 raise ContractError(
@@ -141,7 +141,7 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
             if unheard[father] == 1:
                 brought_to_one.append(father)
         # a later send of the same round may bring a father on to zero: the root
-        ready = [f for f in brought_to_one if unheard[f] == 1 and f != root]
+        ready = [f for f in brought_to_one if unheard[f] == 1]
 
     fatherless = [v for v, st in states.items() if st.father is None]
     if len(fatherless) != 1 or (root is not None and fatherless != [root]):

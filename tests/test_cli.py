@@ -53,7 +53,7 @@ def test_strategy_rejects_other_params_before_running(tmp_path, capsys, param):
     path = write(tmp_path, "path4.txt", "0 1\n1 2\n2 3\n")
     code, out, err = run_cli(["compute", path, "--param", param, "--strategy"], capsys)
     assert code == 2 and out == ""
-    assert "supports --param pn only" in err
+    assert err == "error: strategy extraction supports --param pn only\n"
 
 
 def test_compute_rejects_cycle(tmp_path, capsys):
@@ -119,6 +119,13 @@ def test_dynamic_operation_error_names_line(tmp_path, capsys, text, error):
     code, _, err = run_cli(["dynamic", script], capsys)
     assert code == 2
     assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("text", ["", "# nothing\n", "query\n"])
+def test_dynamic_script_without_vertices_is_clean(tmp_path, capsys, text):
+    script = write(tmp_path, "s.txt", text)
+    code, out, err = run_cli(["dynamic", script], capsys)
+    assert (code, out, err) == (2, "", "error: script names no vertices\n")
 
 
 def test_conformance_all_and_relations(capsys):

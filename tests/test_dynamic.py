@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -298,3 +299,65 @@ def test_script_runner():
     assert out == ["query 0 value=2", "query 0 value=1", "query 3 value=1",
                    "query 2 value=2", "query 2 value=2"]
     df.check_invariants()
+
+
+def _digest_of_sequence(variant, encoding, early_stop):
+    """sha256 over counters, roots and every node's (father, received) after
+    each step of a seeded sequence: an edge-by-edge build, then rounds of
+    deletions, a reroot, re-additions and another reroot."""
+    n = 24
+    rng = random.Random(2024)
+    edges = random_tree(n, 9).edges()
+    rng.shuffle(edges)
+    df = DynamicForest.isolated(n, variant, encoding, early_stop)
+    digest = hashlib.sha256()
+
+    def record():
+        c = df.counters
+        states = [(v, st.father, sorted(st.received.items()))
+                  for v, st in sorted(df.states.items())]
+        digest.update(repr((c.messages, c.bits, c.steps, sorted(df.roots.items()),
+                            states)).encode())
+
+    for u, v in edges:
+        df.add_edge(u, v)
+        record()
+    for _ in range(4):
+        removed = rng.sample(df.forest.edges(), 5)
+        for u, v in removed:
+            df.delete_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+            record()
+        df.change_root(rng.randrange(n))
+        record()
+        rng.shuffle(removed)
+        for u, v in removed:
+            df.add_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+            record()
+        df.change_root(rng.randrange(n))
+        record()
+    df.check_invariants()
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+@pytest.mark.parametrize("variant", list(ParamVariant))
+@pytest.mark.parametrize("encoding", ["known", "unknown"])
+def test_dynamic_sequence_digest_golden(variant, encoding, early_stop):
+    assert _digest_of_sequence(variant, encoding, early_stop) == \
+        SEQUENCE_DIGESTS[early_stop, variant.name, encoding]
+
+
+SEQUENCE_DIGESTS = {  # (early_stop, variant, encoding) -> digest prefix
+    (False, "PROCESS_NUMBER", "known"): "6f8135e30e643b5b",
+    (False, "PROCESS_NUMBER", "unknown"): "d2f2606e66cce325",
+    (False, "NODE_SEARCH", "known"): "48b9602811c68fde",
+    (False, "NODE_SEARCH", "unknown"): "18e0dc22cba434b5",
+    (False, "EDGE_SEARCH", "known"): "5651075a392c61fc",
+    (False, "EDGE_SEARCH", "unknown"): "6add6a6547130393",
+    (True, "PROCESS_NUMBER", "known"): "fadb0b3663a3461a",
+    (True, "PROCESS_NUMBER", "unknown"): "e8809f9ff7df7365",
+    (True, "NODE_SEARCH", "known"): "4aa607aa08feb824",
+    (True, "NODE_SEARCH", "unknown"): "b8518ebf17de26bd",
+    (True, "EDGE_SEARCH", "known"): "687f7821083f26b7",
+    (True, "EDGE_SEARCH", "unknown"): "ce8053811f67c1bf",
+}

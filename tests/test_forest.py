@@ -431,3 +431,23 @@ def test_bulk_build_cost_is_linear(monkeypatch):
         assert _CountingAdjacency.lookups <= 4 * n
         assert counts["sets"] <= 8 * n
         assert type(tree) is CountingForest and tree.is_tree() and tree.n == n
+
+
+def test_parse_validates_each_endpoint_once(monkeypatch):
+    # the "n" line adds every vertex once; then each edge validates its two
+    # endpoints once, not again inside the insertion it makes
+    from treesweep.forest import Graph
+
+    calls = {"add_vertex": 0}
+    add_vertex = Graph.add_vertex
+
+    def counting(self, v):
+        calls["add_vertex"] += 1
+        add_vertex(self, v)
+
+    n = 4096
+    text = serialize(random_tree(n, 1))
+    monkeypatch.setattr(Graph, "add_vertex", counting)
+    tree = parse_edge_list(text)
+    assert tree.n == n and tree.is_tree()
+    assert calls["add_vertex"] <= n + 2 * (n - 1)
