@@ -58,8 +58,8 @@ class Graph:
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
-            self.add_vertex(u)
-            self.add_vertex(v)
+            if u == v:
+                self.add_vertex(u)  # a bad id is reported before the self-loop
             self.add_edge(u, v)
 
     @property

@@ -28,16 +28,20 @@ children (caller input), `evaluate` and `simplify` check their argument, and
 `codec.decode` checks every descriptor read off the wire.  The merge does not
 re-check its own output: its minimality is pinned by the test suite, and on
 every protocol path the output is encoded, then decoded by the receiver,
-whose decode validated that frame the first time it saw it.
+whose decode validated that frame the first time it saw it.  For the same
+reason the merge evaluates its output unvalidated, and records the result
+and the output's pn+ in its `MergeInfo` (`result` and `pn_plus`, equal to
+`evaluate` and `pn_plus_of` of the output).
 
 The merge is memoised.  A run draws its messages from a few dozen distinct
 minimal descriptors, so most merges repeat an earlier one.  The memo is keyed
 on the ordered children and the variant (`MergeInfo.max_children` depends on
 the order), holds at most `MEMO_SIZE` entries and is shared by every caller.
-Validation runs once per distinct input; a repeat reuses that result, and a
-failure is never cached, so invalid children raise on every call.  Keys
-compare by value, and 1.0 == 1, so only children made of plain ints take
-the memo (`plain_descriptors`); any other input is validated afresh.
+Validation and evaluation run once per distinct input; a repeat reuses the
+output and its `MergeInfo`, evaluation included, and a failure is never
+cached, so invalid children raise on every call.  Keys compare by value, and
+1.0 == 1, so only children made of plain ints take the memo
+(`plain_descriptors`); any other input is validated afresh.
 """
 
 from __future__ import annotations
@@ -103,6 +107,8 @@ class MergeInfo:
     prefold: Vect                  # vector before the fold step
     folded: bool
     fired: int | None              # simplification target, when it fired
+    result: EvalResult             # evaluate() of the merge output
+    pn_plus: int                   # pn_plus_of() of the merge output
 
 
 def ceil_log3(n: int) -> int:
@@ -157,6 +163,11 @@ def evaluate(hd: HDescriptor) -> EvalResult:
     otherwise the value is max(pn, L + 1), stable.
     """
     validate_descriptor(hd)
+    return _evaluate(hd)
+
+
+def _evaluate(hd: HDescriptor) -> EvalResult:
+    """`evaluate` of a descriptor known to be valid."""
     table = hd.table
     length = len(table)
     if length == 0:
@@ -282,7 +293,10 @@ def _merge(kids: tuple[HDescriptor, ...],
     else:
         out_vect = vect
 
-    return _normalized(out_vect, cells[1:]), MergeInfo(case, m_indices, vect, folded, fired)
+    out = _normalized(out_vect, cells[1:])
+    result = _evaluate(out)
+    return out, MergeInfo(case, m_indices, vect, folded, fired, result,
+                          pn_plus_from(out, result))
 
 
 _merge_memo = lru_cache(maxsize=MEMO_SIZE)(_merge)

@@ -2,8 +2,12 @@
 list, and extraction of an optimal strategy from the per-node descriptors a
 static run leaves behind.
 
-Extraction composes builders over the rooted tree; they read values,
-stability and pn+ from the one evaluation kept per (re-)merged node.
+Extraction re-merges every vertex and checks the result against the
+descriptor the run stored; the merge memo hands each merge back with its
+`MergeInfo`, which carries the value, stability and pn+ of the merged
+descriptor, so nothing is evaluated or validated again.  Builders over the
+rooted tree append actions to one list.
+
 end_at(v) processes the subtree with the agent on v removed last.  A node
 is either held first while each child branch is swept (leaves cost
 nothing: a held father surrounds them), or hands off: one child is
@@ -29,23 +33,28 @@ three 1500-vertex legs, takes fewer than 15 frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .forest import Forest, Graph
 from .hd import (ContractError, EvalResult, HDescriptor, MergeInfo,
-                 ParamVariant, Vect, evaluate, merge_detailed, pn_plus_from)
+                 ParamVariant, Vect, merge_detailed)
+from .hd import evaluate  # noqa: F401  (perfbench/tracer.py patches strategy.evaluate)
 from .protocol import NodeState
 
 PLACE = "P"
 REMOVE = "R"
 SURROUND = "S"
+_REVERSED = {PLACE: REMOVE, REMOVE: PLACE, SURROUND: SURROUND}  # a run backwards
 
 
 class StrategyError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
+    """One step: PLACE, REMOVE or SURROUND-process `vertex`.  A plain
+    tuple, so `Action("P", 1) == ("P", 1)`."""
+
     kind: str
     vertex: int
 
@@ -75,17 +84,16 @@ def validate(g: Graph, strategy: Strategy) -> int:
     state = {v: UNTOUCHED for v in g.vertices}
     live = 0
     peak = 0
-    for step, act in enumerate(strategy.actions):
-        v = act.vertex
+    for step, (kind, v) in enumerate(strategy.actions):
         if v not in state:
             raise StrategyError(f"step {step}: unknown vertex {v}")
-        if act.kind == PLACE:
+        if kind == PLACE:
             if state[v] != UNTOUCHED:
                 raise StrategyError(f"step {step}: place on non-fresh vertex {v}")
             state[v] = OCCUPIED
             live += 1
             peak = max(peak, live)
-        elif act.kind == REMOVE:
+        elif kind == REMOVE:
             if state[v] != OCCUPIED:
                 raise StrategyError(f"step {step}: remove without agent at {v}")
             bad = [u for u in g.neighbours(v) if state[u] == UNTOUCHED]
@@ -94,7 +102,7 @@ def validate(g: Graph, strategy: Strategy) -> int:
                     f"step {step}: remove at {v} with untouched neighbour {bad[0]}")
             state[v] = PROCESSED
             live -= 1
-        elif act.kind == SURROUND:
+        elif kind == SURROUND:
             if state[v] != UNTOUCHED:
                 raise StrategyError(f"step {step}: surround-process on non-fresh {v}")
             bad = [u for u in g.neighbours(v) if state[u] != OCCUPIED]
@@ -103,7 +111,7 @@ def validate(g: Graph, strategy: Strategy) -> int:
                     f"step {step}: {v} not surrounded, neighbour {bad[0]} has no agent")
             state[v] = PROCESSED
         else:
-            raise StrategyError(f"step {step}: unknown action kind {act.kind!r}")
+            raise StrategyError(f"step {step}: unknown action kind {kind!r}")
     left = [v for v, s in state.items() if s != PROCESSED]
     if left:
         raise StrategyError(f"end state: vertex {left[0]} not processed")
@@ -111,9 +119,11 @@ def validate(g: Graph, strategy: Strategy) -> int:
 
 
 class _Extractor:
-    """Mutable rooted view of the tree with per-node descriptors, their
-    evaluations and merge derivations; sweep() may cut a processed subtree
-    and re-merge the carrier path above it."""
+    """Mutable rooted view of the tree: per node its sorted children, its
+    descriptor and the `MergeInfo` of its last merge, which carries the
+    descriptor's value, stability and pn+.  sweep() may cut a processed
+    subtree and re-merge the carrier path above it.  The builders append
+    their actions to the list they are given."""
 
     def __init__(self, states: dict[int, NodeState]):
         roots = [v for v, st in states.items() if st.father is None]
@@ -127,7 +137,6 @@ class _Extractor:
         for kids in self.children.values():
             kids.sort()
         self.hd: dict[int, HDescriptor] = {}
-        self.res: dict[int, EvalResult] = {}
         self.info: dict[int, MergeInfo] = {}
         order = [self.root]
         for v in order:
@@ -143,89 +152,105 @@ class _Extractor:
     def _remerge(self, v: int) -> None:
         kids = [self.hd[c] for c in self.children[v]]
         self.hd[v], self.info[v] = merge_detailed(kids, ParamVariant.PROCESS_NUMBER)
-        self.res[v] = evaluate(self.hd[v])
 
     # -- builders ----------------------------------------------------------
 
     def _hand_off(self, v: int) -> int | None:
         """The child end_at(v) finishes first and hands over to v, or None
-        to place v first: the plan with the lower peak, checked against pn+."""
-        kids = self.children[v]
-        values = [self.res[c].value for c in kids]
-        top, second = (sorted(values, reverse=True) + [0, 0])[:2]
-        best_plan, best_peak = None, 1 + top
-        for c, value in zip(kids, values):
-            rest = second if value == top else top  # max over the other kids
-            peak = max(pn_plus_from(self.hd[c], self.res[c]), 2, 1 + rest)
-            if peak < best_peak:
-                best_peak, best_plan = peak, c
-        budget = pn_plus_from(self.hd[v], self.res[v])
-        if best_peak > budget:
-            raise ContractError(f"end_at({v}) cannot meet budget {budget}")
-        return best_plan
+        to place v first: the plan with the lower peak, checked against pn+.
 
-    def end_at(self, v: int) -> list[Action]:
+        Placing v first peaks at 1 + the largest child value.  A hand-off
+        from c sweeps c's siblings beside v's agent, so it peaks at least at
+        1 + the largest sibling value: only a child whose value is above
+        all its siblings' can do better."""
+        info = self.info
+        top = second = 0  # the two largest child values
+        plan = None       # a child of value top
+        for c in self.children[v]:
+            value = info[c].result.value
+            if value > top:
+                top, second, plan = value, top, c
+            elif value > second:
+                second = value
+        peak = handed = 1 + top
+        if second < top:  # plan is the only child of value top
+            handed = max(info[plan].pn_plus, 2, 1 + second)
+        if handed < peak:
+            peak = handed
+        else:
+            plan = None
+        budget = info[v].pn_plus
+        if peak > budget:
+            raise ContractError(f"end_at({v}) cannot meet budget {budget}")
+        return plan
+
+    def end_at(self, v: int, out: list[Action]) -> None:
         chain = [v]
         while (plan := self._hand_off(chain[-1])) is not None:
             chain.append(plan)
-        actions: list[Action] = []
         below = None
         for node in reversed(chain):
-            actions.append(Action(PLACE, node))
+            out.append(Action(PLACE, node))
             if below is not None:
-                actions.append(Action(REMOVE, below))
+                out.append(Action(REMOVE, below))
             for c in self.children[node]:
                 if c != below:
-                    actions.extend(self.sweep(c))
+                    self.sweep(c, out)
             below = node
-        actions.append(Action(REMOVE, v))
-        return actions
+        out.append(Action(REMOVE, v))
 
-    def sweep(self, v: int) -> list[Action]:
+    def sweep(self, v: int, out: list[Action]) -> None:
         """Process T_v; a leaf, value 0, is surrounded by its held father."""
-        hd, res = self.hd[v], self.res[v]
-        if res.value == 0:
-            return [Action(SURROUND, v)]
-        if pn_plus_from(hd, res) == res.value:
-            return self.end_at(v)
-        if hd.vect == Vect(1, 2) and not any(hd.table):
+        hd, info = self.hd[v], self.info[v]
+        value = info.result.value
+        if value == 0:
+            out.append(Action(SURROUND, v))
+        elif info.pn_plus == value:
+            self.end_at(v, out)
+        elif hd.vect == Vect(1, 2) and not any(hd.table):
             if len(self.children[v]) != 1:
                 raise ContractError(f"pure (1,2) node {v} should have one child")
-            inner = self.end_at(self.children[v][0])
-            return inner[:-1] + [Action(SURROUND, v), inner[-1]]
-        return self._sweep_unstable(v, res.value)
+            self.end_at(self.children[v][0], out)
+            out.insert(-1, Action(SURROUND, v))  # before the child's removal
+        else:
+            self._sweep_unstable(v, value, out)
 
-    def _sweep_unstable(self, v: int, top: int) -> list[Action]:
+    def _sweep_unstable(self, v: int, top: int, out: list[Action]) -> None:
+        info = self.info
+        piece = EvalResult(top, False)
         path, w = [], v
-        while not (self.info[w].folded and self.info[w].prefold.pn == top):
-            carriers = [c for c in self.children[w]
-                        if self.res[c] == EvalResult(top, False)]
+        while not (info[w].folded and info[w].prefold.pn == top):
+            carriers = [c for c in self.children[w] if info[c].result == piece]
             if len(carriers) != 1:
                 raise ContractError(
                     f"expected one carrier of the value-{top} piece under {w}")
             path.append(w)
             w = carriers[0]
-        m = [self.children[w][i] for i in self.info[w].max_children]
+        m = [self.children[w][i] for i in info[w].max_children]
         if len(m) != 2:
             raise ContractError(f"fold at {w} without two maximal branches")
         w1, w2 = sorted(m)
 
-        actions = self.end_at(w1)[:-1] + [Action(PLACE, w), Action(REMOVE, w1)]
+        self.end_at(w1, out)
+        out.pop()  # w1 is removed once w is placed
+        out += (Action(PLACE, w), Action(REMOVE, w1))
         for c in self.children[w]:
-            if c not in (w1, w2):
-                actions.extend(self.sweep(c))
-        swap = {PLACE: REMOVE, REMOVE: PLACE, SURROUND: SURROUND}
+            if c != w1 and c != w2:
+                self.sweep(c, out)
+        back: list[Action] = []
+        self.end_at(w2, back)
+        back.pop()  # the tail places w2 instead
         tail = [Action(PLACE, w2), Action(REMOVE, w)]
-        tail += [Action(swap[a.kind], a.vertex) for a in reversed(self.end_at(w2)[:-1])]
+        tail += [Action(_REVERSED[kind], u) for kind, u in reversed(back)]
         if path:
             self.children[path[-1]].remove(w)
             for node in reversed(path):
                 self._remerge(node)
-            if self.res[v].value >= top:
+            if info[v].result.value >= top:
                 raise ContractError(
-                    f"remainder value {self.res[v].value} not below piece value {top}")
-            actions.extend(self.sweep(v))
-        return actions + tail
+                    f"remainder value {info[v].result.value} not below piece value {top}")
+            self.sweep(v, out)
+        out += tail
 
 
 def extract(tree: Forest, states: dict[int, NodeState]) -> Strategy:
@@ -236,5 +261,6 @@ def extract(tree: Forest, states: dict[int, NodeState]) -> Strategy:
     exactly the computed process number.
     """
     ex = _Extractor(states)
-    actions = ex.sweep(ex.root)
+    actions: list[Action] = []
+    ex.sweep(ex.root, actions)
     return Strategy(actions)

@@ -451,3 +451,35 @@ def test_parse_validates_each_endpoint_once(monkeypatch):
     tree = parse_edge_list(text)
     assert tree.n == n and tree.is_tree()
     assert calls["add_vertex"] <= n + 2 * (n - 1)
+
+
+@pytest.mark.parametrize("build,n", [(path_tree, 4096), (lambda n: star_tree(n - 1), 4096)],
+                         ids=["path", "star"])
+def test_constructor_validates_each_endpoint_once(monkeypatch, build, n):
+    # the vertex list adds every vertex once; then each edge validates its
+    # two endpoints once, inside the insertion it makes
+    from treesweep.forest import Graph
+
+    calls = {"add_vertex": 0}
+    add_vertex = Graph.add_vertex
+
+    def counting(self, v):
+        calls["add_vertex"] += 1
+        add_vertex(self, v)
+
+    monkeypatch.setattr(Graph, "add_vertex", counting)
+    tree = build(n)
+    assert tree.n == n and tree.is_tree()
+    assert calls["add_vertex"] == n + 2 * (n - 1) == 12286
+
+
+@pytest.mark.parametrize("edge", [(-1, -1), (1.5, 1.5), (-1, 2), (2, -1)])
+@pytest.mark.parametrize("kind", ["Graph", "Forest"])
+def test_constructor_reports_a_bad_id_before_a_self_loop(kind, edge):
+    from treesweep.forest import Graph
+
+    cls = {"Graph": Graph, "Forest": Forest}[kind]
+    with pytest.raises(StructureError, match="vertex ids must be non-negative integers"):
+        cls((), [edge])
+    with pytest.raises(StructureError, match="self-loop at vertex 3"):
+        cls((), [(0, 1), (3, 3)])

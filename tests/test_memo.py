@@ -84,6 +84,28 @@ def test_failures_are_never_cached(call, error, memo, cold_memos):
     assert memo.cache_info().currsize == 0
 
 
+def test_merge_info_carries_the_evaluation_of_its_output(trees_up_to_8, cold_memos):
+    # every tree up to 8 vertices, rooted at each vertex: the first pass
+    # merges from a cold memo, the second takes every merge from the memo
+    for _ in range(2):
+        for tree in trees_up_to_8:
+            for variant in ParamVariant:
+                for root in tree.vertices:
+                    order, parent = [root], {root: None}
+                    for v in order:
+                        kids = [u for u in tree.neighbours(v) if u != parent[v]]
+                        parent.update((u, v) for u in kids)
+                        order.extend(kids)
+                    out = {}
+                    for v in reversed(order):
+                        kids = [out[u] for u in tree.neighbours(v) if u != parent[v]]
+                        out[v], info = hd.merge_detailed(kids, variant)
+                        assert info.result == hd.evaluate(out[v])
+                        assert info.pn_plus == hd.pn_plus_of(out[v])
+    memo = hd._merge_memo.cache_info()
+    assert memo.misses and memo.hits > memo.misses
+
+
 def _everything(tree, seed):
     """Every result the memos could change: static runs and dynamic
     counters in all three variants and both encodings, and the strategy."""
