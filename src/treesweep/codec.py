@@ -30,16 +30,25 @@ receiver, but the checks above run once per distinct input; a repeat reuses
 that result, and a failure is never cached, so a bad frame or descriptor
 raises on every call.  As in `hd`, only descriptors made of plain ints (and
 an int or absent flag) take the encode memo; anything else is encoded
-afresh.
+afresh.  `decode_bits` hands out the type tag of `hd` (`hd._Minimal`) on the
+descriptors it has validated, and `encode` trusts a tagged descriptor
+without the `plain_descriptors` walk, just as the merge does; an untagged
+one still takes the walk.
+
+Memo keys hash in C, or from a stored value: `KnownSize` computes its hash
+once when it is built, `KnownSize.for_tree` hands out one instance per
+argument pair so that later runs' keys match by identity, and `UnknownSize`
+has a single instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .hd import (MEMO_SIZE, HDescriptor, NO_STABLE, ParamVariant, Vect,
-                 _normalized, ceil_log3, plain_descriptors, validate_descriptor)
+                 _Minimal, _normalized, ceil_log3, plain_descriptors,
+                 validate_descriptor)
 
 
 class CodecError(Exception):
@@ -58,21 +67,44 @@ class CapacityError(CodecError):
 class KnownSize:
     n: int
     cells: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # schemes are memo keys: 3.0 == 3 must not stand in for a budget
         if type(self.cells) is not int:
             raise CodecError(f"cell budget must be an int, got {self.cells!r}")
+        object.__setattr__(self, "_hash", hash((self.n, self.cells)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
+    @lru_cache(maxsize=MEMO_SIZE, typed=True)
     def for_tree(cls, n: int, variant: ParamVariant) -> "KnownSize":
+        """The scheme of an n-vertex tree; one instance per argument pair,
+        so memo keys of later runs match earlier ones by identity."""
         extra = 1 if variant is ParamVariant.NODE_SEARCH else 0
         return cls(n, ceil_log3(n) + extra)
 
 
-@dataclass(frozen=True)
 class UnknownSize:
-    pass
+    """The scheme for receivers that do not know n.  It has no parameters,
+    so there is one instance: equality is identity, and a memo key holding
+    it hashes and compares in C."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "UnknownSize":
+        return _UNKNOWN_SIZE
+
+    def __reduce__(self):
+        return UnknownSize, ()
+
+    def __repr__(self) -> str:
+        return "UnknownSize()"
+
+
+_UNKNOWN_SIZE = object.__new__(UnknownSize)
 
 
 Scheme = KnownSize | UnknownSize
@@ -111,7 +143,8 @@ def _ab_and_artificial(hd: HDescriptor) -> tuple[str, list[int]]:
 
 
 def encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None = None) -> WireMessage:
-    if plain_descriptors((hd,)) and (dyn_flag is None or type(dyn_flag) is int):
+    if ((type(hd) is _Minimal or plain_descriptors((hd,)))
+            and (dyn_flag is None or type(dyn_flag) is int)):
         return _encode_memo(hd, scheme, dyn_flag)
     return _encode(hd, scheme, dyn_flag)
 
@@ -193,7 +226,7 @@ def _decode_bits(bits: str, scheme: Scheme,
         raw[first - 1] = 0
         hd = _normalized(Vect(first, first + (1 if ab == "11" else 0)), raw)
     validate_descriptor(hd, minimal=True)
-    return hd, dyn
+    return _Minimal(*hd), dyn
 
 
 _decode_memo = lru_cache(maxsize=MEMO_SIZE)(_decode_bits)

@@ -110,7 +110,7 @@ class Graph:
         return sorted((u, v) for u in self.adj for v in self.adj[u] if u < v)
 
     def m(self) -> int:
-        return sum(len(s) for s in self.adj.values()) // 2
+        return sum(map(len, self.adj.values())) // 2
 
     def copy(self) -> "Graph":
         g = type(self).__new__(type(self))
@@ -176,11 +176,15 @@ class Graph:
     def induced(self, keep: Iterable[int]) -> "Graph":
         keep = set(keep)
         g = Graph(keep)
+        for u, v in self._edges_within(keep):
+            g.add_edge(u, v)
+        return g
+
+    def _edges_within(self, keep: set[int]) -> Iterator[tuple[int, int]]:
         for u in keep:
             for v in self.adj[u]:
                 if v in keep and u < v:
-                    g.add_edge(u, v)
-        return g
+                    yield u, v
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj
@@ -207,8 +211,17 @@ class Forest(Graph):
             raise StructureError(f"edge ({u}, {v}) would create a cycle")
         self._join(u, v)
 
+    def is_connected(self) -> bool:
+        """No search needed: a forest is acyclic by construction, so it is
+        connected exactly when it has n - 1 edges."""
+        return self.n <= 1 or self.m() == self.n - 1
+
     def is_tree(self) -> bool:
         return self.n >= 1 and self.is_connected()
+
+    def induced(self, keep: Iterable[int]) -> "Forest":
+        keep = set(keep)
+        return _build(Forest(keep), self._edges_within(keep))
 
 
 class _UnionFind(dict):

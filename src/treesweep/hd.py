@@ -40,8 +40,19 @@ the order), holds at most `MEMO_SIZE` entries and is shared by every caller.
 Validation and evaluation run once per distinct input; a repeat reuses the
 output and its `MergeInfo`, evaluation included, and a failure is never
 cached, so invalid children raise on every call.  Keys compare by value, and
-1.0 == 1, so only children made of plain ints take the memo
-(`plain_descriptors`); any other input is validated afresh.
+1.0 == 1, so only children made of plain ints take the memo; any other input
+is validated afresh by the uncached `_merge`.
+
+Asking whether an input is made of plain ints costs as much as a memo hit,
+so a descriptor already known to be minimal carries a type tag: the private
+subclass `_Minimal`, which adds no state and prints as an `HDescriptor`.
+Only two places hand it out: the memoised merge (its input was plain ints,
+so its output is) and `codec.decode_bits`, after `validate_descriptor(...,
+minimal=True)`.  `merge_detailed` sends children that all carry the tag
+straight to the memo.  Any other input, a user-built `HDescriptor` included,
+goes through the `plain_descriptors` guard as before, which also accepts
+tagged children, so a mix of the two still takes the memo.  The tag never
+changes a result or an error, only how fast it comes.
 """
 
 from __future__ import annotations
@@ -83,6 +94,23 @@ class HDescriptor(NamedTuple):
         return len(self.table)
 
 
+class _Minimal(HDescriptor):
+    """An `HDescriptor` known to be minimal and made of plain ints (see the
+    module notes); equal to, and hashed like, the untagged descriptor."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"HDescriptor(vect={self.vect!r}, table={self.table!r})"
+
+    def _replace(self, **changes) -> HDescriptor:
+        # a changed descriptor is no longer known to be minimal
+        return HDescriptor(*self)._replace(**changes)
+
+
+_DESCRIPTOR_TYPES = (HDescriptor, _Minimal)
+
+
 def hdesc(pn: int, pn_plus: int, cells: Sequence[int] = ()) -> HDescriptor:
     return HDescriptor(Vect(pn, pn_plus), tuple(cells))
 
@@ -91,6 +119,10 @@ class ParamVariant(Enum):
     PROCESS_NUMBER = "pn"
     NODE_SEARCH = "ns"
     EDGE_SEARCH = "es"
+
+    # members are singletons compared by identity; the identity hash runs in
+    # C, where `Enum.__hash__` would run Python code on every memo lookup
+    __hash__ = object.__hash__
 
 
 class EvalResult(NamedTuple):
@@ -241,11 +273,12 @@ def _vector_step(vects: list[Vect], variant: ParamVariant) -> tuple[Vect, tuple[
 
 
 def plain_descriptors(items: tuple) -> bool:
-    """True when every item is an `HDescriptor` of a `Vect` and a tuple,
-    all holding ints: then equal inputs behave alike and may share a memo
-    entry.  A float, Fraction or Decimal anywhere makes the sum non-int."""
+    """True when every item is an `HDescriptor` (tagged or not) of a `Vect`
+    and a tuple, all holding ints: then equal inputs behave alike and may
+    share a memo entry.  A float, Fraction or Decimal anywhere makes the sum
+    non-int."""
     for hd in items:
-        if (type(hd) is not HDescriptor or type(hd.vect) is not Vect
+        if (type(hd) not in _DESCRIPTOR_TYPES or type(hd.vect) is not Vect
                 or type(hd.table) is not tuple):
             return False
     try:
@@ -260,9 +293,12 @@ def merge_detailed(children: Iterable[HDescriptor],
     the minimal descriptors already received from its visited neighbours.
     An empty children list is the leaf initialization."""
     kids = tuple(children)
-    if plain_descriptors(kids):
-        return _merge_memo(kids, variant)
-    return _merge(kids, variant)
+    for kid in kids:
+        if type(kid) is not _Minimal:
+            if not plain_descriptors(kids):
+                return _merge(kids, variant)
+            break
+    return _merge_memo(kids, variant)
 
 
 def _merge(kids: tuple[HDescriptor, ...],
@@ -299,7 +335,12 @@ def _merge(kids: tuple[HDescriptor, ...],
                           pn_plus_from(out, result))
 
 
-_merge_memo = lru_cache(maxsize=MEMO_SIZE)(_merge)
+@lru_cache(maxsize=MEMO_SIZE)
+def _merge_memo(kids: tuple[HDescriptor, ...],
+                variant: ParamVariant) -> tuple[HDescriptor, MergeInfo]:
+    """`_merge` of children made of plain ints, whose output is tagged."""
+    out, info = _merge(kids, variant)
+    return _Minimal(*out), info
 
 
 def merge(children: Iterable[HDescriptor], variant: ParamVariant) -> HDescriptor:

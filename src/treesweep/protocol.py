@@ -16,7 +16,15 @@ the loser fires, so exactly n - 1 messages cross the wire in every run.  The
 final pair is a ready list of two nodes after n - 2 messages: no edge
 carries two messages before the election, so the two nodes yet to fire are
 the ends of the one silent edge.  A firing node reads its father off its
-received set, which no send of the round changes before it fires.
+received set, which no send of the round changes before it fires: the one
+neighbour missing from it.
+
+The input must be connected.  A `Forest` is acyclic by construction, so it
+is connected exactly when it has n - 1 edges (`Forest.is_connected`); a
+plain `Graph`, which may hold cycles, is searched.  Descriptors that a
+receiver decodes carry the type tag of `hd` and the merge output carries it
+too, so every merge and encode of the run takes its memo without re-checking
+its input (see `hd`).
 
 Every message is genuinely bit-encoded and decoded by the receiver, so the
 codec sits on the hot path and the bit counters measure real frames.
@@ -49,7 +57,7 @@ class CostCounters:
         self.bits += len(wire)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     received: dict[int, HDescriptor] = field(default_factory=dict)
     father: int | None = None
@@ -108,37 +116,43 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
         scheme = default_scheme(n, variant)
     max_cells = KnownSize.for_tree(n, variant).cells
 
-    states = {v: NodeState() for v in tree.vertices}
-    unheard = {v: tree.degree(v) for v in tree.vertices}
-    counters = CostCounters()
+    adj = tree.adj
+    states = {v: NodeState() for v in adj}
+    unheard = {v: len(nbrs) for v, nbrs in adj.items()}
     wires: list[tuple[int, int, HDescriptor, WireMessage]] = []
     rng = random.Random(schedule.seed)
+    messages = bits = 0
     root: int | None = None
 
     ready = [v for v, count in unheard.items() if count == 1]
     while ready:
-        if len(ready) == 2 and counters.messages == n - 2:  # the final pair
+        if len(ready) == 2 and messages == n - 2:  # the final pair
             root = elect_root(*ready)
             ready.remove(root)
         brought_to_one = []
         for v in schedule.order(ready, rng):
-            received = states[v].received
-            father = next(u for u in tree.neighbours(v) if u not in received)
-            hd = merge(list(received.values()), variant)
-            counters.steps += 1
-            if hd.length > max_cells:
+            st = states[v]
+            received = st.received
+            if received:
+                (father,) = adj[v] - received.keys()
+            else:
+                (father,) = adj[v]
+            hd = merge(tuple(received.values()), variant)
+            if len(hd.table) > max_cells:
                 raise ContractError(
-                    f"table length {hd.length} breaks the log3 bound at node {v}")
+                    f"table length {len(hd.table)} breaks the log3 bound at node {v}")
             wire = encode(hd, scheme)
-            counters.add_message(wire)
+            messages += 1
+            bits += len(wire.bits)
             decoded = decode(wire)
             if decoded != hd:
                 raise ContractError(f"codec roundtrip broke for {hd}")
             states[father].received[v] = decoded
-            states[v].father = father
+            st.father = father
             wires.append((v, father, hd, wire))
-            unheard[father] -= 1
-            if unheard[father] == 1:
+            left = unheard[father] - 1
+            unheard[father] = left
+            if left == 1:
                 brought_to_one.append(father)
         # a later send of the same round may bring a father on to zero: the root
         ready = [f for f in brought_to_one if unheard[f] == 1]
@@ -147,9 +161,10 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
     if len(fatherless) != 1 or (root is not None and fatherless != [root]):
         raise ContractError(f"peeling left {fatherless} without a father")
     root = fatherless[0]
-    root_hd = merge(list(states[root].received.values()), variant)
-    counters.steps += 1
-    if root_hd.length > max_cells:
+    root_hd = merge(tuple(states[root].received.values()), variant)
+    if len(root_hd.table) > max_cells:
         raise ContractError("root table length breaks the log3 bound")
     result = evaluate(root_hd)
+    # one merge per send, and one at the root
+    counters = CostCounters(messages, bits, messages + 1)
     return RunResult(result.value, root, states, counters, result, wires)

@@ -155,7 +155,7 @@ def test_criterion_7_dynamics():
                 rest = tree.copy()
                 rest.remove_edge(u, v)
                 for comp in rest.components():
-                    sub = Forest(comp, rest.induced(comp).edges())
+                    sub = rest.induced(comp)
                     assert df.value_of(next(iter(comp))) == run_static(sub).value
                 deletions += 1
 

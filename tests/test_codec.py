@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -6,7 +8,7 @@ from treesweep.codec import (CapacityError, CodecError, FramingError,
                              KnownSize, UnknownSize, decode, decode_bits,
                              encode, notification)
 from treesweep.forest import random_tree
-from treesweep.hd import ContractError, ParamVariant, hdesc
+from treesweep.hd import ContractError, HDescriptor, ParamVariant, Vect, hdesc
 from treesweep.protocol import run_static
 
 PN = ParamVariant.PROCESS_NUMBER
@@ -107,3 +109,32 @@ def test_unknown_size_needs_no_n():
     # the unknown-size decoder recovers length from the terminator alone
     msg = encode(hdesc(3, 3, [0, 0, 0]), UnknownSize())
     assert decode_bits(msg.bits, UnknownSize())[0] == hdesc(3, 3, [0, 0, 0])
+
+
+def test_decoded_descriptors_print_as_plain_ones():
+    scheme = KnownSize.for_tree(27, PN)
+    for hd in (hdesc(0, 0), hdesc(-1, -1, (0, 1)), hdesc(2, 3, (0, 0, 1))):
+        out = decode(encode(hd, scheme))
+        assert repr(out) == repr(HDescriptor(Vect(*hd.vect), tuple(hd.table)))
+        assert out == hd
+
+
+def test_tagged_and_built_descriptors_share_the_encode_memo(cold_memos):
+    scheme = UnknownSize()
+    built = hdesc(2, 3, (0, 0, 1))
+    wire = encode(built, scheme, 0)
+    tagged, _ = decode_bits(wire.bits, scheme, has_dyn_flag=True)
+    assert type(tagged) is not type(built)
+    assert encode(tagged, scheme, 0) is wire
+
+
+def test_schemes_hash_and_compare_by_value():
+    assert KnownSize(27, 3) == KnownSize(27, 3)
+    assert hash(KnownSize(27, 3)) == hash(KnownSize(27, 3))
+    assert KnownSize(27, 3) != KnownSize(28, 3)
+    assert repr(KnownSize(27, 3)) == "KnownSize(n=27, cells=3)"
+    assert KnownSize.for_tree(27, PN) is KnownSize.for_tree(27, PN)
+    assert repr(KnownSize.for_tree(3.0, PN)) == "KnownSize(n=3.0, cells=1)"
+    assert UnknownSize() is UnknownSize() and repr(UnknownSize()) == "UnknownSize()"
+    assert pickle.loads(pickle.dumps(UnknownSize())) is UnknownSize()
+    assert UnknownSize() != KnownSize(27, 3)

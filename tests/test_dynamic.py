@@ -71,7 +71,7 @@ def test_delete_edge_matches_static_reruns():
                 rest = t.copy()
                 rest.remove_edge(u, v)
                 for comp in rest.components():
-                    sub = Forest(comp, rest.induced(comp).edges())
+                    sub = rest.induced(comp)
                     assert df.value_of(next(iter(comp))) == run_static(sub).value
 
 

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treesweep.forest import (ArgumentError, Forest, GraphError, ParseError,
-                              StructureError, cycle_graph, enumerate_trees,
-                              gen_tree, grid_graph, number_of_free_trees,
+from treesweep.forest import (ArgumentError, Forest, Graph, GraphError,
+                              ParseError, StructureError, cycle_graph,
+                              enumerate_trees, gen_tree, grid_graph,
+                              number_of_free_trees,
                               parse_edge_list, path_tree, prufer_to_tree,
                               random_tree, serialize, spider_tree, star_tree,
                               theorem1_size, theorem1_tree)
+from treesweep.oracle import gap_characterization_check
 
 # counts of non-isomorphic free trees, n = 1..13
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
@@ -483,3 +485,31 @@ def test_constructor_reports_a_bad_id_before_a_self_loop(kind, edge):
         cls((), [edge])
     with pytest.raises(StructureError, match="self-loop at vertex 3"):
         cls((), [(0, 1), (3, 3)])
+
+
+def test_induced_subgraph_keeps_the_kind_of_graph():
+    tree = random_tree(40, 2)
+    keep = set(range(0, 40, 2)) | {1, 3}
+    sub = tree.induced(keep)
+    assert type(sub) is Forest
+    assert sub.adj == Graph.induced(tree, keep).adj
+    whole = tree.induced(tree.vertices)
+    assert type(whole) is Forest and whole == tree
+    grid = grid_graph(3, 3)
+    assert type(grid.induced({0, 1, 3, 4})) is Graph
+    assert grid.induced({0, 1, 3, 4}).m() == 4  # the cycle survives
+
+
+def test_gap_check_accepts_an_induced_tree():
+    # three 4-paths joined through a fresh vertex: pathwidth 2, a genuine gap
+    f = Forest(range(13), [(b + i, b + i + 1) for b in (0, 4, 8) for i in range(3)]
+               + [(12, b) for b in (0, 4, 8)])
+    assert gap_characterization_check(f.induced(f.vertices))
+
+
+def test_forest_connectivity_counts_edges(monkeypatch):
+    monkeypatch.setattr(Graph, "component_of", None)  # no search may run
+    assert Forest().is_connected() and Forest([3]).is_connected()
+    assert path_tree(5).is_connected() and path_tree(5).is_tree()
+    assert not Forest(range(3), [(0, 1)]).is_connected()
+    assert not Forest(range(4), [(0, 1), (2, 3)]).is_tree()

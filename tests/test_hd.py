@@ -1,12 +1,16 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from treesweep.codec import UnknownSize, decode, encode
 from treesweep.forest import enumerate_trees, random_tree, star_tree
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
                           Vect, ceil_log3, evaluate, hdesc, merge,
                           merge_detailed, pn_plus_of, rooted_descriptors,
                           rooted_value, simplify, validate_descriptor)
+from treesweep.hd import _merge, _merge_memo, _Minimal
 from treesweep.oracle import pn_exact, stable_exact
 
 PN = ParamVariant.PROCESS_NUMBER
@@ -202,3 +206,57 @@ def test_rooting_invariance(n, seed):
     for variant in ParamVariant:
         values = {rooted_value(t, r, variant) for r in t.vertices}
         assert len(values) == 1
+
+
+# --- the type tag of trusted descriptors --------------------------------------
+
+def _tagged(hd):
+    """The same descriptor as a receiver decodes it, carrying the tag."""
+    return decode(encode(hd, UnknownSize()))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as exc:  # the exception type and text are the outcome
+        return "raise", type(exc), str(exc)
+
+
+def test_tagged_descriptors_print_as_plain_ones():
+    out = merge([hdesc(0, 0)] * 3, PN)
+    assert type(out) is _Minimal
+    assert repr(out) == repr(HDescriptor(Vect(1, 1), (0,)))
+    assert str(out) == str(hdesc(1, 1, [0])) and out == hdesc(1, 1, [0])
+    assert hash(out) == hash(hdesc(1, 1, [0]))
+    with pytest.raises(ContractError, match=r"HDescriptor\(vect=Vect"):
+        merge([out, hdesc(0, 0, (0, 2))], PN)
+
+
+def test_replace_drops_the_tag():
+    out = merge([], NS)
+    changed = out._replace(table=(0, 2.0))
+    assert type(changed) is HDescriptor
+    with pytest.raises(ContractError):
+        merge([changed], NS)
+
+
+@pytest.mark.parametrize("cell", [True, 1.0, Fraction(1)])
+@pytest.mark.parametrize("pair", [False, True])
+def test_warm_memo_keeps_the_uncached_outcome_for_odd_cells(cell, pair, cold_memos):
+    # the memo holds the tagged children; equal children built by hand with
+    # an odd cell must still get what the uncached merge gives them
+    tagged = _tagged(hdesc(-1, -1, (0, 1)))
+    odd = hdesc(-1, -1, (0, cell))
+    kids = (tagged, tagged) if pair else (tagged,)
+    merge(kids, PN)
+    odd_kids = (tagged, odd) if pair else (odd,)
+    assert _outcome(merge, odd_kids, PN) == _outcome(
+        lambda: _merge(odd_kids, PN)[0])
+
+
+def test_tagged_and_built_children_share_the_memo(cold_memos):
+    tagged = _tagged(hdesc(-1, -1, (0, 1)))
+    first = merge([tagged, hdesc(0, 0)], PN)
+    hits = _merge_memo.cache_info().hits
+    assert merge([hdesc(-1, -1, (0, 1)), _tagged(hdesc(0, 0))], PN) is first
+    assert _merge_memo.cache_info().hits == hits + 1

@@ -5,15 +5,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treesweep.codec import UnknownSize
-from treesweep.forest import (ArgumentError, gen_tree, parse_edge_list,
-                              path_tree, random_tree, star_tree, theorem1_tree)
-from treesweep.hd import ParamVariant, ceil_log3
+from treesweep.forest import (ArgumentError, Forest, Graph, cycle_graph,
+                              gen_tree, parse_edge_list, path_tree,
+                              random_tree, star_tree, theorem1_tree)
+from treesweep.hd import ContractError, ParamVariant, ceil_log3
 from treesweep.oracle import pathwidth_exact
 from treesweep.protocol import (CostCounters, Schedule, default_scheme,
                                 elect_root, run_static)
 
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
+ES = ParamVariant.EDGE_SEARCH
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -196,3 +198,83 @@ def test_peel_rounds_golden(kind, args, rounds, root, monkeypatch):
     run = run_static(t)
     assert (calls, run.root) == (rounds, root)
     assert run.counters.messages == t.n - 1
+
+
+# sha256 of the transcript and the counters of a Schedule(1) run, pinned at
+# the benchmark's sizes to guard the peel loop's send order
+@pytest.mark.parametrize("kind,args,variant,encoding,digest", [
+    ("random", (4096, 1), PN, "known",
+     "3dda505f9e85e25fab9616287d78c912003a12a632efd16025d66b3c7ec04ca4"),
+    ("random", (4096, 1), PN, "unknown",
+     "0cf3e844dfa134c2fc09c54c4d149039fe88ec17aeafc25ff6ac5c609d08e0d3"),
+    ("random", (4096, 1), NS, "known",
+     "dc9a9e2544745781e78d2fc95999f03b2dc458b80e5d92679a55a3bf9c6c271e"),
+    ("random", (4096, 1), NS, "unknown",
+     "aa6379785905f6ea2126ee6fb09e5975ccbe41e3a14c70697243f7f1e5cbb168"),
+    ("random", (4096, 1), ES, "known",
+     "4352e7be3b9bee61a430b33da788166f09be6fea6e9a4c110cc89173f907b026"),
+    ("random", (4096, 1), ES, "unknown",
+     "0712e728bd6eec0ce66d43dc6ffc4139e9b42130826ff01c7b119eda6765f019"),
+    ("path", (3000,), PN, "known",
+     "bfbbe00c1363e3754b2988e63b632441c13949497d738cfc64127a885281a5da"),
+    ("path", (3000,), PN, "unknown",
+     "812f6986448394444784170d1f6b3922a81654a7c77ae0ad92db26499e6fea06"),
+    ("path", (3000,), NS, "known",
+     "02dddd9c53d5d21575645385b28fc6a59e78b56546d13537c05a4ff990039e97"),
+    ("path", (3000,), NS, "unknown",
+     "faaa491e13468ad9b722353fe39dbed01278eda0e2c1cd8ac34ccd98fe38e029"),
+    ("path", (3000,), ES, "known",
+     "aca54ef1ba919c59125c9a091891470cd720ff142d1a61325d550e514eef6901"),
+    ("path", (3000,), ES, "unknown",
+     "7aca9fb8dbe03d234931ab73ff920d2d1c825fa6c22ead9370f46ffb96a1efeb"),
+    ("spider", (1000, 1000, 1000), PN, "known",
+     "ae12dabab4160ecfaa59587f0c60a221057131c3ae7c5508b95dbdeee55e5cd7"),
+    ("spider", (1000, 1000, 1000), PN, "unknown",
+     "d4be09ce5f80e0d0557fecaea85a37ca486d6b7a8dcf235b7e48e84c119a79f7"),
+    ("spider", (1000, 1000, 1000), NS, "known",
+     "be031f1faad3b97a4fc4d7c162d9f33511d4b8501ce6de35e8fe755c46e7d516"),
+    ("spider", (1000, 1000, 1000), NS, "unknown",
+     "8fb7886e05213d2f899c1f79f2100991ad86369b532b85a6ba1583a36792f12a"),
+    ("spider", (1000, 1000, 1000), ES, "known",
+     "a2f343d90c31de07f4af4d090cd0ec35619751cb2b3a4321628b9d25418691e9"),
+    ("spider", (1000, 1000, 1000), ES, "unknown",
+     "e72045f8f5d911fed2a5522d06304896ef7dc23ede6506e5739607bffcd6dcb2"),
+])
+def test_scale_transcript_golden(kind, args, variant, encoding, digest):
+    t = gen_tree(kind, *args)
+    run = run_static(t, variant, default_scheme(t.n, variant, encoding), Schedule(1))
+    c = run.counters
+    text = run.transcript() + f"messages={c.messages} bits={c.bits} steps={c.steps}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("forest", [
+    Forest(range(6), [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two paths
+    Forest(range(4), [(0, 1), (1, 2)]),                  # an isolated vertex
+], ids=["two-components", "isolated-vertex"])
+def test_disconnected_forest_is_rejected(forest, monkeypatch):
+    # a forest's edge count decides connectivity: no search runs
+    monkeypatch.setattr(Graph, "component_of", None)
+    with pytest.raises(ArgumentError) as err:
+        run_static(forest)
+    assert str(err.value) == "tree is disconnected; use the dynamic module for forests"
+
+
+def test_connected_forest_runs_without_a_search(monkeypatch):
+    monkeypatch.setattr(Graph, "component_of", None)
+    assert run_static(random_tree(200, 4)).counters.messages == 199
+
+
+@pytest.mark.parametrize("graph,left", [
+    (cycle_graph(3), [0, 1, 2]),
+    (Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), [0, 1, 2]),
+], ids=["triangle", "triangle-with-tail"])
+def test_connected_graph_with_a_cycle_keeps_its_error(graph, left):
+    with pytest.raises(ContractError) as err:
+        run_static(graph)
+    assert str(err.value) == f"peeling left {left} without a father"
+
+
+def test_disconnected_graph_is_rejected():
+    with pytest.raises(ArgumentError, match="^tree is disconnected; use the dynamic"):
+        run_static(Graph(range(4), [(0, 1), (2, 3)]))
