@@ -260,11 +260,6 @@ def test_disconnected_forest_is_rejected(forest, monkeypatch):
     assert str(err.value) == "tree is disconnected; use the dynamic module for forests"
 
 
-def test_connected_forest_runs_without_a_search(monkeypatch):
-    monkeypatch.setattr(Graph, "component_of", None)
-    assert run_static(random_tree(200, 4)).counters.messages == 199
-
-
 @pytest.mark.parametrize("graph,left", [
     (cycle_graph(3), [0, 1, 2]),
     (Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), [0, 1, 2]),
