@@ -28,12 +28,12 @@ values, so one cached frame or descriptor serves every caller.  Every
 message still goes through `encode`, is counted and is decoded by its
 receiver, but the checks above run once per distinct input; a repeat reuses
 that result, and a failure is never cached, so a bad frame or descriptor
-raises on every call.  As in `hd`, only descriptors made of plain ints (and
-an int or absent flag) take the encode memo; anything else is encoded
-afresh.  `decode_bits` hands out the type tag of `hd` (`hd._Minimal`) on the
-descriptors it has validated, and `encode` trusts a tagged descriptor
-without the `plain_descriptors` walk, just as the merge does; an untagged
-one still takes the walk.
+raises on every call.  The rule of `hd` holds here too: tagged input takes
+the memo; anything else is computed and validated afresh.  `decode_bits`
+hands out the tag (`hd._Minimal`) on the descriptors it has validated, and
+`encode` takes its memo only for a tagged descriptor with an int or absent
+flag, so a hand-built descriptor, or a flag of `True` or 1.0, is encoded
+afresh.
 
 Memo keys hash in C, or from a stored value: `KnownSize` computes its hash
 once when it is built, `KnownSize.for_tree` hands out one instance per
@@ -47,8 +47,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .hd import (MEMO_SIZE, HDescriptor, NO_STABLE, ParamVariant, Vect,
-                 _Minimal, _normalized, ceil_log3, plain_descriptors,
-                 validate_descriptor)
+                 _Minimal, _normalized, ceil_log3, validate_descriptor)
 
 
 class CodecError(Exception):
@@ -143,8 +142,7 @@ def _ab_and_artificial(hd: HDescriptor) -> tuple[str, list[int]]:
 
 
 def encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None = None) -> WireMessage:
-    if ((type(hd) is _Minimal or plain_descriptors((hd,)))
-            and (dyn_flag is None or type(dyn_flag) is int)):
+    if type(hd) is _Minimal and (dyn_flag is None or type(dyn_flag) is int):
         return _encode_memo(hd, scheme, dyn_flag)
     return _encode(hd, scheme, dyn_flag)
 

@@ -319,8 +319,20 @@ def parse_edge_list(text: str | bytes) -> Forest:
 
 
 def serialize(forest: Graph) -> str:
-    """Inverse of parse_edge_list: "n <count>" then sorted "u v" lines, u < v."""
-    lines = [f"n {forest.n}"]
+    """Inverse of parse_edge_list: "n <k>" then sorted "u v" lines, u < v.
+
+    k counts the dense prefix 0..k-1 of the vertex set, which the "n" line
+    declares; every other vertex is named by its edges.  An isolated vertex
+    outside the prefix has no such form and raises ArgumentError.
+    """
+    k = 0
+    while k in forest.adj:
+        k += 1
+    for v, nbrs in forest.adj.items():
+        if v > k and not nbrs:
+            raise ArgumentError(f"isolated vertex {v} has no edge-list form: "
+                                f"the 'n' line declares only ids below {k}")
+    lines = [f"n {k}"]
     lines.extend(f"{u} {v}" for u, v in forest.edges())
     return "\n".join(lines) + "\n"
 

@@ -39,20 +39,21 @@ on the ordered children and the variant (`MergeInfo.max_children` depends on
 the order), holds at most `MEMO_SIZE` entries and is shared by every caller.
 Validation and evaluation run once per distinct input; a repeat reuses the
 output and its `MergeInfo`, evaluation included, and a failure is never
-cached, so invalid children raise on every call.  Keys compare by value, and
-1.0 == 1, so only children made of plain ints take the memo; any other input
-is validated afresh by the uncached `_merge`.
+cached, so invalid children raise on every call.
 
-Asking whether an input is made of plain ints costs as much as a memo hit,
-so a descriptor already known to be minimal carries a type tag: the private
-subclass `_Minimal`, which adds no state and prints as an `HDescriptor`.
-Only two places hand it out: the memoised merge (its input was plain ints,
-so its output is) and `codec.decode_bits`, after `validate_descriptor(...,
-minimal=True)`.  `merge_detailed` sends children that all carry the tag
-straight to the memo.  Any other input, a user-built `HDescriptor` included,
-goes through the `plain_descriptors` guard as before, which also accepts
-tagged children, so a mix of the two still takes the memo.  The tag never
-changes a result or an error, only how fast it comes.
+One rule decides who takes the memo: tagged input takes the memo; anything
+else is computed and validated afresh.  The tag is the private subclass
+`_Minimal`, which adds no state and prints as an `HDescriptor`; it marks a
+descriptor known to be minimal and made of plain ints.  Only two places hand
+it out: the memoised merge (its children carried the tag, so its output is
+minimal and made of plain ints too) and `codec.decode_bits`, after
+`validate_descriptor(..., minimal=True)`.  `merge_detailed` sends children
+that all carry the tag to the memo; any other input, a user-built
+`HDescriptor` included, goes to the uncached `_merge` and gets its exact
+result or error.  The tag, not equality, opens the memo because keys compare
+by value and 1.0 == 1: a hand-built child with a cell of 1.0 would otherwise
+hit the entry of an equal tagged one.  The tag never changes a result or an
+error, only how fast it comes.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .forest import Forest
@@ -106,9 +106,6 @@ class _Minimal(HDescriptor):
     def _replace(self, **changes) -> HDescriptor:
         # a changed descriptor is no longer known to be minimal
         return HDescriptor(*self)._replace(**changes)
-
-
-_DESCRIPTOR_TYPES = (HDescriptor, _Minimal)
 
 
 def hdesc(pn: int, pn_plus: int, cells: Sequence[int] = ()) -> HDescriptor:
@@ -272,21 +269,6 @@ def _vector_step(vects: list[Vect], variant: ParamVariant) -> tuple[Vect, tuple[
     return Vect(p + 1, p + 1), m, "gen-triple"
 
 
-def plain_descriptors(items: tuple) -> bool:
-    """True when every item is an `HDescriptor` (tagged or not) of a `Vect`
-    and a tuple, all holding ints: then equal inputs behave alike and may
-    share a memo entry.  A float, Fraction or Decimal anywhere makes the sum
-    non-int."""
-    for hd in items:
-        if (type(hd) not in _DESCRIPTOR_TYPES or type(hd.vect) is not Vect
-                or type(hd.table) is not tuple):
-            return False
-    try:
-        return type(sum(chain.from_iterable(chain.from_iterable(items)))) is int
-    except TypeError:
-        return False
-
-
 def merge_detailed(children: Iterable[HDescriptor],
                    variant: ParamVariant) -> tuple[HDescriptor, MergeInfo]:
     """Minimal descriptor of the subtree rooted at the merging node, given
@@ -295,9 +277,7 @@ def merge_detailed(children: Iterable[HDescriptor],
     kids = tuple(children)
     for kid in kids:
         if type(kid) is not _Minimal:
-            if not plain_descriptors(kids):
-                return _merge(kids, variant)
-            break
+            return _merge(kids, variant)
     return _merge_memo(kids, variant)
 
 
@@ -338,7 +318,7 @@ def _merge(kids: tuple[HDescriptor, ...],
 @lru_cache(maxsize=MEMO_SIZE)
 def _merge_memo(kids: tuple[HDescriptor, ...],
                 variant: ParamVariant) -> tuple[HDescriptor, MergeInfo]:
-    """`_merge` of children made of plain ints, whose output is tagged."""
+    """`_merge` of tagged children, whose output is tagged."""
     out, info = _merge(kids, variant)
     return _Minimal(*out), info
 

@@ -378,6 +378,8 @@ def gap_characterization_check(t: Forest, param: str = "pn") -> bool:
     number 2 without any three-branch vertex), so trees below the regime
     report agreement without comparison.
     """
+    if param not in ("pn", "es"):
+        raise ArgumentError(f"gap check covers param 'pn' or 'es', got {param!r}")
     if not t.is_tree():
         raise ArgumentError("gap check expects a single tree")
     solver = pn_exact if param == "pn" else es_exact

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import treesweep.codec as codec
 from treesweep.codec import (CapacityError, CodecError, FramingError,
                              KnownSize, UnknownSize, decode, decode_bits,
                              encode, notification)
@@ -119,13 +120,20 @@ def test_decoded_descriptors_print_as_plain_ones():
         assert out == hd
 
 
-def test_tagged_and_built_descriptors_share_the_encode_memo(cold_memos):
+def test_built_descriptors_never_touch_the_encode_memo(cold_memos):
+    # a descriptor built by hand is encoded afresh and leaves the memo
+    # alone, whether it is cold or holds the equal tagged key
     scheme = UnknownSize()
     built = hdesc(2, 3, (0, 0, 1))
     wire = encode(built, scheme, 0)
+    assert wire == codec._encode(built, scheme, 0)
+    assert codec._encode_memo.cache_info()[:2] == (0, 0)
     tagged, _ = decode_bits(wire.bits, scheme, has_dyn_flag=True)
-    assert type(tagged) is not type(built)
-    assert encode(tagged, scheme, 0) is wire
+    cached = encode(tagged, scheme, 0)
+    info = codec._encode_memo.cache_info()
+    again = encode(built, scheme, 0)
+    assert again == cached and again is not cached
+    assert codec._encode_memo.cache_info() == info
 
 
 def test_schemes_hash_and_compare_by_value():

@@ -11,8 +11,9 @@ from treesweep.forest import (ArgumentError, Forest, Graph, GraphError,
                               enumerate_trees, gen_tree, grid_graph,
                               number_of_free_trees,
                               parse_edge_list, path_tree, prufer_to_tree,
-                              random_tree, serialize, spider_tree, star_tree,
-                              theorem1_size, theorem1_tree)
+                              random_forest, random_tree, serialize,
+                              spider_tree, star_tree, theorem1_size,
+                              theorem1_tree)
 from treesweep.oracle import gap_characterization_check
 
 # counts of non-isomorphic free trees, n = 1..13
@@ -54,6 +55,33 @@ def test_parse_rejects_cycle_and_junk():
 def test_parse_serialize_roundtrip(n, seed):
     f = random_tree(n, seed)
     assert parse_edge_list(serialize(f)) == f
+
+
+def test_serialize_keeps_sparse_ids():
+    f = Forest([5, 7], [(5, 7)])
+    assert serialize(f) == "n 0\n5 7\n"
+    assert parse_edge_list(serialize(f)) == f
+    with pytest.raises(ArgumentError, match="isolated vertex 9 .* ids below 3$"):
+        serialize(Forest([0, 1, 2, 9], [(0, 1)]))
+
+
+@given(st.integers(1, 30), st.integers(0, 10_000))
+def test_serialize_roundtrips_sparse_ids_or_refuses_cleanly(n, seed):
+    # a random forest (isolated vertices included) whose ids keep a dense
+    # prefix of random length and are scattered above it
+    rng = random.Random(seed)
+    base = random_forest(n, rng.randint(0, n - 1), seed)
+    dense = rng.randint(0, n)
+    ids = list(range(dense)) + rng.sample(range(dense + 1, 4 * n + 2), n - dense)
+    rng.shuffle(ids)
+    f = Forest(ids, [(ids[u], ids[v]) for u, v in base.edges()])
+    prefix = next(k for k in itertools.count() if k not in f.vertices)
+    stranded = [v for v in f.vertices if v > prefix and f.degree(v) == 0]
+    if stranded:
+        with pytest.raises(ArgumentError, match="isolated vertex"):
+            serialize(f)
+    else:
+        assert parse_edge_list(serialize(f)) == f
 
 
 @pytest.mark.parametrize("n, edges, seed, want", [

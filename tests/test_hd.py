@@ -223,7 +223,7 @@ def _outcome(fn, *args):
 
 
 def test_tagged_descriptors_print_as_plain_ones():
-    out = merge([hdesc(0, 0)] * 3, PN)
+    out = merge([_tagged(hdesc(0, 0))] * 3, PN)
     assert type(out) is _Minimal
     assert repr(out) == repr(HDescriptor(Vect(1, 1), (0,)))
     assert str(out) == str(hdesc(1, 1, [0])) and out == hdesc(1, 1, [0])
@@ -254,9 +254,19 @@ def test_warm_memo_keeps_the_uncached_outcome_for_odd_cells(cell, pair, cold_mem
         lambda: _merge(odd_kids, PN)[0])
 
 
-def test_tagged_and_built_children_share_the_memo(cold_memos):
-    tagged = _tagged(hdesc(-1, -1, (0, 1)))
-    first = merge([tagged, hdesc(0, 0)], PN)
-    hits = _merge_memo.cache_info().hits
-    assert merge([hdesc(-1, -1, (0, 1)), _tagged(hdesc(0, 0))], PN) is first
-    assert _merge_memo.cache_info().hits == hits + 1
+def test_built_children_never_touch_the_memo(cold_memos):
+    # children built by hand get the uncached merge and leave the memo
+    # alone, whether it is cold or holds the equal tagged key
+    tagged = [_tagged(hdesc(-1, -1, (0, 1))), _tagged(hdesc(0, 0))]
+    built = [hdesc(-1, -1, (0, 1)), hdesc(0, 0)]
+    expected = _merge(tuple(built), PN)
+    for kids in (built, [tagged[0], built[1]], [built[0], tagged[1]]):
+        assert merge_detailed(kids, PN) == expected
+    assert _merge_memo.cache_info()[:2] == (0, 0)
+    warm = merge_detailed(tagged, PN)
+    info = _merge_memo.cache_info()
+    for kids in (built, [tagged[0], built[1]], [built[0], tagged[1]]):
+        out = merge_detailed(kids, PN)
+        assert out == expected and out[0] is not warm[0]
+        assert type(out[0]) is HDescriptor
+    assert _merge_memo.cache_info() == info

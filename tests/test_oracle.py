@@ -1,7 +1,7 @@
 import pytest
 
-from treesweep.forest import (cycle_graph, enumerate_trees, grid_graph,
-                              path_tree, spider_tree, star_tree,
+from treesweep.forest import (ArgumentError, cycle_graph, enumerate_trees,
+                              grid_graph, path_tree, spider_tree, star_tree,
                               theorem1_tree)
 from treesweep.oracle import (CapacityError, es_exact,
                               gap_characterization_check, ns_exact,
@@ -90,6 +90,12 @@ def test_gap_characterization_small(trees_up_to_8):
     for t in trees_up_to_8:
         assert gap_characterization_check(t)
         assert gap_characterization_check(t, "es")
+
+
+@pytest.mark.parametrize("param", ["ns", "pw", "bogus"])
+def test_gap_characterization_takes_pn_or_es_only(param):
+    with pytest.raises(ArgumentError, match="'pn' or 'es'"):
+        gap_characterization_check(spider_tree(2, 2, 2), param)
 
 
 def test_gap_characterization_in_regime():

@@ -43,6 +43,40 @@ def test_descriptor_validated_at_most_twice_per_message(seed, monkeypatch, cold_
     assert calls.count("treesweep.codec") == len({wire.bits for *_, wire in run.wires})
 
 
+def test_hot_paths_stay_on_the_memos(monkeypatch, cold_memos):
+    # every descriptor a run, a dynamic forest or an extraction merges or
+    # encodes carries the tag: each merge computed is a memo miss, and no
+    # frame is built outside the encode memo
+    import treesweep.codec as codec
+    import treesweep.hd as hd
+    from treesweep.dynamic import DynamicForest
+    from treesweep.strategy import extract
+    merges, fresh_encodes = [], []
+
+    def counting(module, name, calls):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(hd, "_merge", merges)
+    counting(codec, "_encode", fresh_encodes)
+    tree = random_tree(300, 2)
+    for variant in ParamVariant:
+        for encoding in ("known", "unknown"):
+            run_static(tree, variant, default_scheme(tree.n, variant, encoding))
+    df = DynamicForest.from_tree(tree, PN, encoding="unknown")
+    df.change_root(0)
+    father = df.states[tree.n - 1].father
+    df.delete_edge(tree.n - 1, father)
+    df.add_edge(father, tree.n - 1)
+    extract(tree, run_static(tree).states)
+    assert merges and len(merges) == hd._merge_memo.cache_info().misses
+    assert fresh_encodes == []
+
+
 def test_elect_root():
     assert elect_root(3, 7) == 7
     assert elect_root(7, 3) == 7
