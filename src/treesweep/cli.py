@@ -9,6 +9,7 @@ contract violation was observed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -189,8 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: `parse_args` does not change it, and
+    building it costs about as much as parsing a small tree."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, ContractError, OSError, ValueError) as exc:

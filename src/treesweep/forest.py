@@ -13,13 +13,15 @@ one per kind of traffic:
   because edges are also deleted (`DynamicForest.delete_edge` inserts and
   removes edges here before it touches any node state), and a union cannot
   be undone.
-- `parse_edge_list` and `prufer_to_tree` only ever insert edges into an
-  edgeless forest.  They go through `_build`, which answers every check with
-  a union-find local to the call (Tarjan, "Efficiency of a good but not
+- The bulk builders, `parse_edge_list`, `prufer_to_tree` and
+  `Forest.induced`, only ever insert edges into an edgeless forest.  They
+  all go through `_build`, one loop that answers every cycle check from a
+  union-find local to the call (Tarjan, "Efficiency of a good but not
   linear set union algorithm", J. ACM 1975) in near-constant amortised
   time, so a parse or a Pruefer decode is near-linear.
 
-Both checks accept and reject the same edges with the same `StructureError`s.
+Both checks accept and reject the same edges with the same `StructureError`s,
+made in the same order: a self-loop, then a duplicate, then a cycle.
 """
 
 from __future__ import annotations
@@ -199,15 +201,9 @@ class Forest(Graph):
     __slots__ = ()
 
     def add_edge(self, u: int, v: int) -> None:
-        self._insert(u, v, self.connected)
-
-    def _insert(self, u: int, v: int, linked) -> None:
-        """Insert the edge uv, asking linked(u, v) whether u and v already
-        share a component; it is asked only for distinct, non-adjacent
-        vertices, so self-loops and duplicates are reported as such."""
         self.add_vertex(u)
         self.add_vertex(v)
-        if u != v and not self.has_edge(u, v) and linked(u, v):
+        if u != v and not self.has_edge(u, v) and self.connected(u, v):
             raise StructureError(f"edge ({u}, {v}) would create a cycle")
         self._join(u, v)
 
@@ -225,47 +221,69 @@ class Forest(Graph):
 
 
 class _UnionFind(dict):
-    """Disjoint sets of vertex ids with union by size and path halving.
+    """Disjoint sets of vertex ids for the cycle checks of `_build`, which
+    reads and writes it inline with union by size and path halving.
 
     A root maps to minus the size of its set; an id never stored is a
     singleton root.  Ids are non-negative, so the sign tells the two apart.
     """
 
-    def __missing__(self, v: int) -> int:
-        return -1
-
-    def _find(self, v: int) -> int:
-        while (p := self[v]) >= 0:
-            g = self[p]
-            if g < 0:
-                return p
-            self[v] = g
-            v = g
-        return v
-
-    def linked(self, u: int, v: int) -> bool:
-        """Whether u and v were in one set; if they were not, join them."""
-        u, v = self._find(u), self._find(v)
-        if u == v:
-            return True
-        if self[u] > self[v]:
-            u, v = v, u
-        self[u] += self[v]
-        self[v] = u
-        return False
-
 
 def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
     """Insert a stream of edges, in order, into `forest`, which has no edges.
 
-    Accepts and rejects exactly what `Forest.add_edge` would, with the same
-    errors, but answers each cycle check from a union-find that lives only
-    for this call: a build never removes an edge, so no union needs undoing.
-    The stream may add vertices to `forest` between edges.
+    One loop, which accepts and rejects exactly what `Forest.add_edge`
+    would, with the same errors.  For each edge uv it creates u, then v,
+    if absent; raises for a self-loop, then a duplicate, then a cycle;
+    then adds v to u's neighbours and u to v's, so the vertex order of
+    `adj` and the order of every neighbour set are those of `add_edge`.
+    The cycle check asks a union-find that lives only for this call: a
+    build never removes an edge, so no union needs undoing.  Endpoints are
+    trusted to be non-negative ints: the parser checks its tokens,
+    `prufer_to_tree` its sequence, and `Forest.induced` reads ids that
+    are already vertices.  The stream may add vertices to `forest`
+    between edges.
     """
+    adj = forest.adj
+    adj_get = adj.get
     sets = _UnionFind()
+    find = sets.get
     for u, v in edges:
-        forest._insert(u, v, sets.linked)
+        u_nbrs = adj_get(u)
+        if u_nbrs is None:
+            u_nbrs = adj[u] = set()
+        v_nbrs = adj_get(v)
+        if v_nbrs is None:
+            v_nbrs = adj[v] = set()
+        if u == v:
+            raise StructureError(f"self-loop at vertex {u}")
+        if v in u_nbrs:
+            raise StructureError(f"duplicate edge ({u}, {v})")
+        # the roots of u and v and their sets' sizes, halving both paths
+        ru, su = u, find(u, -1)
+        while su >= 0:
+            up = find(su, -1)
+            if up < 0:
+                ru, su = su, up
+                break
+            sets[ru] = up
+            ru, su = up, find(up, -1)
+        rv, sv = v, find(v, -1)
+        while sv >= 0:
+            up = find(sv, -1)
+            if up < 0:
+                rv, sv = sv, up
+                break
+            sets[rv] = up
+            rv, sv = up, find(up, -1)
+        if ru == rv:
+            raise StructureError(f"edge ({u}, {v}) would create a cycle")
+        if su > sv:  # u's set is the smaller one: hang it below v's root
+            ru, rv = rv, ru
+        sets[ru] = su + sv
+        sets[rv] = ru
+        u_nbrs.add(v)
+        v_nbrs.add(u)
     return forest
 
 
@@ -280,16 +298,16 @@ def parse_edge_list(text: str | bytes) -> Forest:
     if isinstance(text, bytes):
         text = text.decode("ascii")
     forest = Forest()
+    adj = forest.adj
     lineno = 0
 
     def edges():
         nonlocal lineno
         declared = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if not parts:
                 continue
-            parts = line.split()
             if parts[0] == "n":
                 if declared is not None or len(parts) != 2:
                     raise ParseError(f"line {lineno}: bad vertex-count line {raw!r}")
@@ -300,7 +318,8 @@ def parse_edge_list(text: str | bytes) -> Forest:
                 if declared < 0:
                     raise ParseError(f"line {lineno}: negative vertex count")
                 for v in range(declared):
-                    forest.add_vertex(v)
+                    if v not in adj:
+                        adj[v] = set()
                 continue
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -406,6 +425,9 @@ def prufer_to_tree(seq: list[int], n: int) -> Forest:
         raise ArgumentError("Pruefer decoding needs n >= 2")
     if len(seq) != n - 2:
         raise ArgumentError(f"sequence length {len(seq)} != n - 2 = {n - 2}")
+    for x in seq:
+        if not isinstance(x, int) or not 0 <= x < n:
+            raise ArgumentError(f"Pruefer entries must be ints in 0..{n - 1}, got {x!r}")
     degree = [1] * n
     for x in seq:
         degree[x] += 1

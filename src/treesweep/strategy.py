@@ -119,23 +119,22 @@ def validate(g: Graph, strategy: Strategy) -> int:
 
 
 class _Extractor:
-    """Mutable rooted view of the tree: per node its sorted children, its
+    """Mutable rooted view of the tree: per node its children, its
     descriptor and the `MergeInfo` of its last merge, which carries the
-    descriptor's value, stability and pn+.  sweep() may cut a processed
-    subtree and re-merge the carrier path above it.  The builders append
-    their actions to the list they are given."""
+    descriptor's value, stability and pn+.  The children are kept in the
+    order the run merged them (the key order of the node's received set),
+    so every merge of `__init__` is a memo hit and `max_children` indexes
+    that list; the builders visit children in id order, so the actions do
+    not depend on the arrival order.  sweep() may cut a processed subtree
+    and re-merge the carrier path above it.  The builders append their
+    actions to the list they are given."""
 
     def __init__(self, states: dict[int, NodeState]):
         roots = [v for v, st in states.items() if st.father is None]
         if len(roots) != 1:
             raise ContractError(f"states describe {len(roots)} roots, want 1")
         self.root = roots[0]
-        self.children: dict[int, list[int]] = {v: [] for v in states}
-        for v, st in states.items():
-            if st.father is not None:
-                self.children[st.father].append(v)
-        for kids in self.children.values():
-            kids.sort()
+        self.children = {v: list(st.received) for v, st in states.items()}
         self.hd: dict[int, HDescriptor] = {}
         self.info: dict[int, MergeInfo] = {}
         order = [self.root]
@@ -193,7 +192,7 @@ class _Extractor:
             out.append(Action(PLACE, node))
             if below is not None:
                 out.append(Action(REMOVE, below))
-            for c in self.children[node]:
+            for c in sorted(self.children[node]):
                 if c != below:
                     self.sweep(c, out)
             below = node
@@ -234,7 +233,7 @@ class _Extractor:
         self.end_at(w1, out)
         out.pop()  # w1 is removed once w is placed
         out += (Action(PLACE, w), Action(REMOVE, w1))
-        for c in self.children[w]:
+        for c in sorted(self.children[w]):
             if c != w1 and c != w2:
                 self.sweep(c, out)
         back: list[Action] = []

@@ -157,3 +157,26 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert code == 0
     from treesweep.forest import parse_edge_list, spider_tree
     assert parse_edge_list(out) == spider_tree(2, 2, 2)
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    import treesweep.cli as cli
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        path = write(tmp_path, "p.txt", "0 1\n1 2\n2 3\n")
+        for _ in range(3):
+            assert main(["compute", path, "--param", "ns"]) == 0
+            assert capsys.readouterr().out == "param=ns value=2\n"
+        assert main(["gen", "path", "3"]) == 0
+        assert capsys.readouterr().out == "n 3\n0 1\n1 2\n"
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()

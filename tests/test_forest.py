@@ -51,6 +51,55 @@ def test_parse_rejects_cycle_and_junk():
         parse_edge_list("0 1\njunk\n1 0\n")
 
 
+_ACCEPTED = [
+    ("0 1\r\n1\t2\r\n", [(0, [1]), (1, [0, 2]), (2, [1])]),
+    ("0 1 # the first edge\n1 2#no space\n", [(0, [1]), (1, [0, 2]), (2, [1])]),
+    ("+3 007\n", [(3, [7]), (7, [3])]),
+    (" \t \n0 1\n   \n\t\n", [(0, [1]), (1, [0])]),
+    ("5 6\nn 3\n", [(5, [6]), (6, [5]), (0, []), (1, []), (2, [])]),
+    ("\u0663 1\n", [(3, [1]), (1, [3])]),  # int() reads any Unicode digit
+    # 1, 17 and 25 share a hash slot, so a set's order is its insertion order
+    ("9 1\n9 17\n9 25\n", [(9, [1, 17, 25]), (1, [9]), (17, [9]), (25, [9])]),
+    ("9 25\n17 9\n9 1\n", [(9, [25, 17, 1]), (25, [9]), (17, [9]), (1, [9])]),
+]
+
+_REJECTED = [
+    ("n 2\n0 1\nn 2\n", ParseError, "line 3: bad vertex-count line 'n 2'"),
+    ("n -1\n", ParseError, "line 1: negative vertex count"),
+    ("n x\n", ParseError, "line 1: bad vertex count 'x'"),
+    ("n 2 3\n", ParseError, "line 1: bad vertex-count line 'n 2 3'"),
+    ("0 1 2\n", ParseError, "line 1: expected 'u v', got '0 1 2'"),
+    ("0 -1\n", ParseError, "line 1: negative vertex id in '0 -1'"),
+    ("0 1.5\n", ParseError, "line 1: non-integer endpoint in '0 1.5'"),
+    ("0 1\n\u00e9\n", ParseError, "line 2: expected 'u v', got '\u00e9'"),
+    (b"0 1\n\xc3\xa9\n", UnicodeDecodeError,
+     "'ascii' codec can't decode byte 0xc3 in position 4: ordinal not in range(128)"),
+    ("0 1\n1 0\n", StructureError, "line 2: duplicate edge (1, 0)"),
+    ("n 3\n2 2\n", StructureError, "line 2: self-loop at vertex 2"),
+    ("0 1\r\n1 2\r\n2 0\r\n", StructureError, "line 3: edge (2, 0) would create a cycle"),
+]
+
+
+@pytest.mark.parametrize("text,adj", _ACCEPTED)
+def test_parse_edge_cases_keep_the_adjacency_order(text, adj):
+    forest = parse_edge_list(text)
+    assert [(v, list(nbrs)) for v, nbrs in forest.adj.items()] == adj
+
+
+@pytest.mark.parametrize("text,error,message", _REJECTED)
+def test_parse_edge_cases_keep_the_error(text, error, message):
+    with pytest.raises(Exception) as info:
+        parse_edge_list(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_pruefer_rejects_entries_outside_the_vertex_range():
+    for seq in ([-1], [3], [1.0]):
+        with pytest.raises(ArgumentError, match=r"^Pruefer entries must be ints in 0\.\.2, got "):
+            prufer_to_tree(seq, 3)
+    assert prufer_to_tree([True], 3).edges() == [(0, 1), (1, 2)]
+
+
 @given(st.integers(1, 40), st.integers(0, 10_000))
 def test_parse_serialize_roundtrip(n, seed):
     f = random_tree(n, seed)
@@ -299,6 +348,10 @@ class _CountingAdjacency(dict):
         type(self).lookups += 1
         return dict.__getitem__(self, v)
 
+    def get(self, v, default=None):
+        type(self).lookups += 1
+        return dict.get(self, v, default)
+
 
 def _adjacency_lookups(n, edges):
     forest = Forest(range(n))
@@ -434,8 +487,8 @@ def test_bulk_builds_do_not_search(monkeypatch):
 
 def test_bulk_build_cost_is_linear(monkeypatch):
     # the lockstep check costs the balanced joins about n * log2(n) adjacency
-    # lookups; with the union-find an insertion makes four adjacency lookups
-    # (the duplicate check and the two stores) and about seven union-find ones
+    # lookups; with the union-find an insertion makes two adjacency lookups
+    # (one per endpoint) and about four union-find ones
     import treesweep.forest as forest_mod
 
     counts = {"sets": 0}
@@ -444,6 +497,10 @@ def test_bulk_build_cost_is_linear(monkeypatch):
         def __getitem__(self, v):
             counts["sets"] += 1
             return super().__getitem__(v)
+
+        def get(self, v, default=None):
+            counts["sets"] += 1
+            return super().get(v, default)
 
     class CountingForest(Forest):
         def __init__(self, *args):
@@ -458,8 +515,8 @@ def test_bulk_build_cost_is_linear(monkeypatch):
     for edges in (shuffled, _balanced_joins(0, n, [])):
         counts["sets"] = _CountingAdjacency.lookups = 0
         tree = parse_edge_list("".join(f"{u} {v}\n" for u, v in edges))
-        assert _CountingAdjacency.lookups <= 4 * n
-        assert counts["sets"] <= 8 * n
+        assert 2 * (n - 1) <= _CountingAdjacency.lookups <= 4 * n
+        assert 2 * (n - 1) <= counts["sets"] <= 8 * n
         assert type(tree) is CountingForest and tree.is_tree() and tree.n == n
 
 

@@ -212,9 +212,10 @@ def test_extraction_stack_headroom(name):
 
 
 def test_extract_validates_few_descriptors(monkeypatch):
-    # only a merge-memo miss validates, its children (the run merged them in
-    # arrival order, extraction in sorted order); every evaluation the
-    # builders read comes with its merge, so nothing validates again
+    # only a merge-memo miss validates, its children: extraction re-merges
+    # every vertex in the run's order (all hits), so only the re-merges after
+    # a cut can miss; every evaluation the builders read comes with its
+    # merge, so nothing validates again
     import treesweep.hd as hd
     t = random_tree(4096, 1)
     run = run_static(t)
@@ -251,3 +252,18 @@ def test_extract_remerges_about_once_per_vertex(monkeypatch, name):
     monkeypatch.setattr(_Extractor, "_remerge", counting)
     assert validate(t, extract(t, run.states)) == run.value
     assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_extract_rebuilds_the_run_from_the_memo(seed, cold_memos):
+    # each vertex's children are merged in the order the run merged them
+    # (the key order of its received set), so every merge is a memo hit,
+    # whatever order the schedule made the messages arrive in
+    import treesweep.hd as hd
+    from treesweep.strategy import _Extractor
+    t = random_tree(4096, seed)
+    run = run_static(t, schedule=Schedule(seed))
+    before = hd._merge_memo.cache_info()
+    _Extractor(run.states)
+    after = hd._merge_memo.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (t.n, 0)
