@@ -247,7 +247,7 @@ def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
     adj = forest.adj
     adj_get = adj.get
     sets = _UnionFind()
-    find = sets.get
+    parent_of = sets.get
     for u, v in edges:
         u_nbrs = adj_get(u)
         if u_nbrs is None:
@@ -260,22 +260,22 @@ def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
         if v in u_nbrs:
             raise StructureError(f"duplicate edge ({u}, {v})")
         # the roots of u and v and their sets' sizes, halving both paths
-        ru, su = u, find(u, -1)
+        ru, su = u, parent_of(u, -1)
         while su >= 0:
-            up = find(su, -1)
+            up = parent_of(su, -1)
             if up < 0:
                 ru, su = su, up
                 break
             sets[ru] = up
-            ru, su = up, find(up, -1)
-        rv, sv = v, find(v, -1)
+            ru, su = up, parent_of(up, -1)
+        rv, sv = v, parent_of(v, -1)
         while sv >= 0:
-            up = find(sv, -1)
+            up = parent_of(sv, -1)
             if up < 0:
                 rv, sv = sv, up
                 break
             sets[rv] = up
-            rv, sv = up, find(up, -1)
+            rv, sv = up, parent_of(up, -1)
         if ru == rv:
             raise StructureError(f"edge ({u}, {v}) would create a cycle")
         if su > sv:  # u's set is the smaller one: hang it below v's root
