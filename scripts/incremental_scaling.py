@@ -5,14 +5,17 @@ cheap insertion order (children before parents) and the adversarial one
 
 Prints one table per regime with messages and bits, plus the fitted
 log-log slope of the messages when at least two distinct sizes are given.
+Sizes below 4 have no adversarial instance: the script then prints an
+`error: ...` line and exits with status 2, as it does for a size that is
+not an integer.
 
 Usage: python scripts/incremental_scaling.py [--sizes 50,100,200,400,800]
 """
 
 import argparse
+import sys
 
-from treesweep.experiments import (best_case_instance, loglog_slope,
-                                   measure_counters, worst_case_instance)
+from treesweep.experiments import loglog_slope, scaling_table
 from treesweep.forest import ArgumentError
 
 
@@ -20,19 +23,19 @@ def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--sizes", default="50,100,200,400,800")
     args = parser.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",")]
-    for kind in ("best", "worst"):
-        points = []
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+        tables = {kind: scaling_table(sizes, kind) for kind in ("best", "worst")}
+    except (ArgumentError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    for kind, rows in tables.items():
         print(f"# {kind} case")
         print("n messages bits messages/n")
-        for n in sizes:
-            edges = (best_case_instance(n) if kind == "best"
-                     else worst_case_instance(n))
-            c = measure_counters(edges, n)
-            points.append((n, c.messages))
-            print(f"{n} {c.messages} {c.bits} {c.messages / n:.2f}")
+        for n, messages, bits in rows:
+            print(f"{n} {messages} {bits} {messages / n:.2f}")
         try:
-            print(f"slope={loglog_slope(points):.3f}")
+            print(f"slope={loglog_slope(rows):.3f}")
         except ArgumentError:  # a single size has no slope
             pass
         print()

@@ -61,17 +61,7 @@ def cmd_compute(args) -> int:
 def cmd_dynamic(args) -> int:
     with open(args.script, "r") as fh:
         text = fh.read()
-    n = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split()
-        if line and line[0] in ("add", "del", "query", "reroot"):
-            try:
-                n = max([n] + [int(x) + 1 for x in line[1:]])
-            except ValueError:
-                raise ArgumentError(f"line {lineno}: bad integer in {raw!r}") from None
-    if n == 0:
-        raise ArgumentError("script names no vertices")
-    out, df = run_script(text, n, VARIANT_FOR[args.param], args.encoding)
+    out, df = run_script(text, VARIANT_FOR[args.param], args.encoding)
     for line in out:
         print(line)
     if args.stats:

@@ -26,9 +26,10 @@ builds the body.
 bounded by `hd.MEMO_SIZE` entries each.  Both are pure and return immutable
 values, so one cached frame or descriptor serves every caller.  Every
 message still goes through `encode`, is counted and is decoded by its
-receiver, but the checks above run once per distinct input; a repeat reuses
-that result, and a failure is never cached, so a bad frame or descriptor
-raises on every call.  The rule of `hd` holds here too: tagged input takes
+receiver with `decode`, which reads the `decode_bits` memo directly: it
+runs once per message in both layers.  The checks above run once per
+distinct input; a repeat reuses that result, and a failure is never cached,
+so a bad frame or descriptor raises on every call.  The rule of `hd` holds here too: tagged input takes
 the memo; anything else is computed and validated afresh.  `decode_bits`
 hands out the tag (`hd._Minimal`) on the descriptors it has validated, and
 `encode` takes its memo only for a tagged descriptor with an int or absent
@@ -169,9 +170,7 @@ _encode_memo = lru_cache(maxsize=MEMO_SIZE)(_encode)
 
 
 def decode(message: WireMessage) -> HDescriptor:
-    hd, _ = decode_bits(message.bits, message.scheme,
-                        has_dyn_flag=message.dyn_flag is not None)
-    return hd
+    return _decode_memo(message.bits, message.scheme, message.dyn_flag is not None)[0]
 
 
 def decode_bits(bits: str, scheme: Scheme,

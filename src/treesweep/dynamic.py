@@ -13,7 +13,10 @@ push replacement entries up from w2 until one is unchanged or the root is
 reached.  Paper mode also reroots at w2 first and hangs the loser of
 `elect_root`, so its push ends at once; `early_stop` keeps w2's root.
 Every dynamic message carries the leading flag bit (0 replace-entry,
-1 change-root notification), costing one extra bit per frame.
+1 change-root notification), costing one extra bit per frame.  Messages are
+counted where they are built: `_send` frames, counts and stores a replace
+entry and sets the sender's father; `_notify` counts a walk of h hops as h
+copies of its one notification frame, in two additions.
 """
 
 from __future__ import annotations
@@ -85,13 +88,15 @@ class DynamicForest:
 
     def _notify(self, hops: int) -> None:
         frame = notification(self.scheme)
-        for _ in range(hops):
-            self.counters.add_message(frame)
+        self.counters.messages += hops
+        self.counters.bits += hops * len(frame.bits)
 
     def _send(self, sender: int, receiver: int, hd: HDescriptor) -> None:
         wire = encode(hd, self.scheme, dyn_flag=REPLACE_FLAG)
-        self.counters.add_message(wire)
+        self.counters.messages += 1
+        self.counters.bits += len(wire.bits)
         self.states[receiver].received[sender] = decode(wire)
+        self.states[sender].father = receiver
 
     def _local_hd(self, v: int) -> HDescriptor:
         hd = merge(list(self.states[v].received.values()), self.variant)
@@ -114,10 +119,8 @@ class DynamicForest:
 
         for idx in range(len(path) - 1, 0, -1):
             node, new_father = path[idx], path[idx - 1]
-            st = self.states[node]
-            del st.received[new_father]
+            del self.states[node].received[new_father]
             self._send(node, new_father, self._local_hd(node))
-            st.father = new_father
         self.states[r2].father = None
         del self.roots[path[-1]]
         self.roots[r2] = evaluate(self._local_hd(r2)).value
@@ -135,7 +138,6 @@ class DynamicForest:
             if elect_root(w1, w2) == w1:
                 w1, w2 = w2, w1
         self._send(w1, w2, self._local_hd(w1))
-        self.states[w1].father = w2
         del self.roots[w1]
         node = w2
         while (father := self.states[node].father) is not None:
@@ -194,35 +196,45 @@ def inc_build(edges: list[tuple[int, int]], n: int,
     return df
 
 
-def run_script(text: str, n: int,
-               variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
+def run_script(text: str, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                encoding: str = "known") -> tuple[list[str], DynamicForest]:
     """Execute a dynamic script: lines "add u v", "del u v", "query u",
-    "reroot u".  Returns the printed query lines and the final forest.
-    Every `GraphError` a line raises, from parsing or from the operation
-    itself, is re-raised as the same class with its message prefixed by
-    "line N: "."""
+    "reroot u", on a forest of max id + 1 vertices.  Returns the printed
+    query lines and the final forest.  The ids are read before any line
+    runs, so a bad integer anywhere is reported first; every `GraphError`
+    a line raises when it runs is re-raised as the same class with its
+    message prefixed by "line N: "."""
+    lines = []
+    n = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        ids = []
+        if parts[0] in ("add", "del", "query", "reroot"):
+            try:
+                ids = [int(x) for x in parts[1:]]
+            except ValueError:
+                raise ArgumentError(f"line {lineno}: bad integer in {raw!r}") from None
+            n = max([n] + [v + 1 for v in ids])
+        lines.append((lineno, raw, parts[0], ids))
+    if n == 0:
+        raise ArgumentError("script names no vertices")
+
     df = DynamicForest.isolated(n, variant, encoding)
     out: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, command, ids in lines:
         try:
-            if parts[0] == "add" and len(parts) == 3:
-                df.add_edge(int(parts[1]), int(parts[2]))
-            elif parts[0] == "del" and len(parts) == 3:
-                df.delete_edge(int(parts[1]), int(parts[2]))
-            elif parts[0] == "query" and len(parts) == 2:
-                u = int(parts[1])
-                out.append(f"query {u} value={df.value_of(u)}")
-            elif parts[0] == "reroot" and len(parts) == 2:
-                df.change_root(int(parts[1]))
+            if command == "add" and len(ids) == 2:
+                df.add_edge(*ids)
+            elif command == "del" and len(ids) == 2:
+                df.delete_edge(*ids)
+            elif command == "query" and len(ids) == 1:
+                out.append(f"query {ids[0]} value={df.value_of(ids[0])}")
+            elif command == "reroot" and len(ids) == 1:
+                df.change_root(ids[0])
             else:
                 raise ArgumentError(f"bad command {raw!r}")
-        except ValueError:
-            raise ArgumentError(f"line {lineno}: bad integer in {raw!r}") from None
         except GraphError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
     return out, df

@@ -17,7 +17,6 @@ from collections import deque
 
 from .dynamic import inc_build
 from .forest import ArgumentError, Forest, random_tree
-from .hd import ParamVariant
 
 
 def best_case_instance(n: int, seed: int = 0) -> list[tuple[int, int]]:
@@ -51,10 +50,10 @@ def worst_case_instance(n: int) -> list[tuple[int, int]]:
     the root election and parks the root on its own side, forcing the next
     insertion on the opposite side to reroot across the whole path.
     """
+    if n < 4:  # both sides need a vertex, the path two
+        raise ArgumentError(f"worst-case instance needs n >= 4, got {n}")
     side = n // 3
     path_len = n - 2 * side
-    if side < 1 or path_len < 2:
-        raise ValueError("worst-case instance needs n >= 8")
     edges = [(i, i + 1) for i in range(path_len - 1)]
     queues: list[deque[int]] = [deque(), deque()]
     kids: dict[int, int] = {}
@@ -76,21 +75,14 @@ def worst_case_instance(n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def measure_counters(edges: list[tuple[int, int]], n: int,
-                     variant: ParamVariant = ParamVariant.PROCESS_NUMBER):
-    df = inc_build(edges, n, variant)
-    if len(df.roots) != 1:
-        raise AssertionError("instance did not assemble a single tree")
-    return df.counters
-
-
-def loglog_slope(points: list[tuple[int, int]]) -> float:
-    """Least-squares slope of log(messages) against log(n); needs at least
-    two distinct sizes."""
-    if len({n for n, _ in points}) < 2:
+def loglog_slope(points: list[tuple[int, ...]]) -> float:
+    """Least-squares slope of log(messages) against log(n) over rows that
+    start (n, messages), as `scaling_table` gives; needs at least two
+    distinct sizes."""
+    if len({p[0] for p in points}) < 2:
         raise ArgumentError("a slope needs at least two distinct sizes")
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(m) for _, m in points]
+    xs = [math.log(p[0]) for p in points]
+    ys = [math.log(p[1]) for p in points]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
@@ -98,9 +90,14 @@ def loglog_slope(points: list[tuple[int, int]]) -> float:
     return num / den
 
 
-def scaling_table(sizes: list[int], kind: str) -> list[tuple[int, int]]:
+def scaling_table(sizes: list[int], kind: str) -> list[tuple[int, int, int]]:
+    """(n, messages, bits) of a paper-mode `inc_build` of the `kind` ("best"
+    or "worst") instance at each size."""
     out = []
     for n in sizes:
         edges = best_case_instance(n) if kind == "best" else worst_case_instance(n)
-        out.append((n, measure_counters(edges, n).messages))
+        df = inc_build(edges, n)
+        if len(df.roots) != 1:
+            raise AssertionError("instance did not assemble a single tree")
+        out.append((n, df.counters.messages, df.counters.bits))
     return out

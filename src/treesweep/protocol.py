@@ -52,10 +52,6 @@ class CostCounters:
     bits: int = 0
     steps: int = 0
 
-    def add_message(self, wire: WireMessage) -> None:
-        self.messages += 1
-        self.bits += len(wire)
-
 
 @dataclass(slots=True)
 class NodeState:

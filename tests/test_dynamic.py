@@ -295,7 +295,7 @@ def test_unknown_encoding_dynamic_values():
 def test_script_runner():
     out, df = run_script(
         "add 0 1\nadd 1 2\nadd 2 3\nquery 0\ndel 1 2\nquery 0\nquery 3\n"
-        "add 1 2\nquery 2\nreroot 0\nquery 2\n", 4)
+        "add 1 2\nquery 2\nreroot 0\nquery 2\n")
     assert out == ["query 0 value=2", "query 0 value=1", "query 3 value=1",
                    "query 2 value=2", "query 2 value=2"]
     df.check_invariants()

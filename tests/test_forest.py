@@ -521,8 +521,8 @@ def test_bulk_build_cost_is_linear(monkeypatch):
 
 
 def test_parse_validates_each_endpoint_once(monkeypatch):
-    # the "n" line adds every vertex once; then each edge validates its two
-    # endpoints once, not again inside the insertion it makes
+    # the tokeniser checks each id once; the bulk build then trusts it and
+    # creates vertices itself, never through `Graph.add_vertex`
     from treesweep.forest import Graph
 
     calls = {"add_vertex": 0}
@@ -537,7 +537,7 @@ def test_parse_validates_each_endpoint_once(monkeypatch):
     monkeypatch.setattr(Graph, "add_vertex", counting)
     tree = parse_edge_list(text)
     assert tree.n == n and tree.is_tree()
-    assert calls["add_vertex"] <= n + 2 * (n - 1)
+    assert calls["add_vertex"] == 0
 
 
 @pytest.mark.parametrize("build,n", [(path_tree, 4096), (lambda n: star_tree(n - 1), 4096)],
