@@ -17,6 +17,19 @@ Every dynamic message carries the leading flag bit (0 replace-entry,
 counted where they are built: `_send` frames, counts and stores a replace
 entry and sets the sender's father; `_notify` counts a walk of h hops as h
 copies of its one notification frame, in two additions.
+
+A query walks no father chain.  Each tree of two or more vertices has one
+shared `TreeRecord`, its root and vertex set, and `record_of` maps each of
+its vertices to it; an isolated vertex has no record and is its own root.
+So `root_of` reads the record, or finds none, and `value_of` reads the
+value held at that root in `roots`.  The records are local bookkeeping,
+not messages.  `add_edge` relabels the smaller tree into the larger
+record (union by size), so any sequence of additions relabels each vertex
+O(log n) times.  `delete_edge` finds the smaller side of the cut with the
+lockstep search of `Graph.exhausted_side` and moves it to a new record,
+in O(min(|A|, |B|)) for the two sides A and B (Even and Shiloach, "An
+on-line edge-deletion problem", J. ACM 1981); `Forest.add_edge` already
+pays that much for its cycle check.
 """
 
 from __future__ import annotations
@@ -30,6 +43,13 @@ from .protocol import (CostCounters, NodeState, default_scheme, elect_root,
                        run_static)
 
 
+@dataclass(slots=True)
+class TreeRecord:
+    """The root and vertex set of one tree of two or more vertices."""
+    root: int
+    vertices: set[int]
+
+
 @dataclass
 class DynamicForest:
     forest: Forest
@@ -37,6 +57,7 @@ class DynamicForest:
     scheme: Scheme
     states: dict[int, NodeState]
     roots: dict[int, int] = field(default_factory=dict)
+    record_of: dict[int, TreeRecord] = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
     early_stop: bool = False
 
@@ -70,15 +91,19 @@ class DynamicForest:
         run = run_static(tree, variant)
         df = cls(tree.copy(), variant, scheme, run.states, early_stop=early_stop)
         df.roots[run.root] = run.value
+        if tree.n > 1:
+            record = TreeRecord(run.root, set(tree.vertices))
+            df.record_of = dict.fromkeys(tree.vertices, record)
         return df
 
     # -- queries -----------------------------------------------------------
 
     def root_of(self, v: int) -> int:
+        record = self.record_of.get(v)
+        if record is not None:
+            return record.root
         if v not in self.states:
             raise ArgumentError(f"vertex {v} not in forest")
-        while self.states[v].father is not None:
-            v = self.states[v].father
         return v
 
     def value_of(self, v: int) -> int:
@@ -122,6 +147,7 @@ class DynamicForest:
             del self.states[node].received[new_father]
             self._send(node, new_father, self._local_hd(node))
         self.states[r2].father = None
+        self.record_of[r2].root = r2
         del self.roots[path[-1]]
         self.roots[r2] = evaluate(self._local_hd(r2)).value
 
@@ -139,6 +165,7 @@ class DynamicForest:
                 w1, w2 = w2, w1
         self._send(w1, w2, self._local_hd(w1))
         del self.roots[w1]
+        self._join(w1, w2)
         node = w2
         while (father := self.states[node].father) is not None:
             hd = self._local_hd(node)
@@ -158,6 +185,7 @@ class DynamicForest:
         else:
             raise ArgumentError(f"edge ({w1}, {w2}) is not a father link")
         self.forest.remove_edge(child, father)
+        self._split(child, father)
         del self.states[father].received[child]
         self.states[child].father = None
         self.roots[child] = evaluate(self._local_hd(child)).value
@@ -166,6 +194,42 @@ class DynamicForest:
             self.roots[father] = evaluate(self._local_hd(father)).value
         else:
             self.change_root(father)
+
+    # -- tree records ----------------------------------------------------------
+
+    def _join(self, w1: int, w2: int) -> None:
+        """Give the tree just made by hanging w1 under w2 one record, rooted
+        at w2's root: the smaller side's vertices move to the larger's."""
+        record_of = self.record_of
+        root = self.root_of(w2)
+        small, big = (record_of.get(w) or TreeRecord(root, {w}) for w in (w1, w2))
+        if len(small.vertices) > len(big.vertices):
+            small, big = big, small
+        big.root = root
+        big.vertices |= small.vertices
+        for v in small.vertices:
+            record_of[v] = big
+        record_of[w1] = record_of[w2] = big  # either side may have been isolated
+
+    def _split(self, child: int, father: int) -> None:
+        """Split the record of the tree that just lost the edge child-father.
+        The side the lockstep search exhausts first moves to a new record;
+        the child's side is rooted at child, the father's keeps the old
+        root.  A side of one vertex is left with no record."""
+        record_of = self.record_of
+        record = record_of[child]
+        side = self.forest.exhausted_side(child, father)
+        record.vertices -= side
+        if child in side:
+            moved = TreeRecord(child, side)
+        else:
+            moved = TreeRecord(record.root, side)
+            record.root = child
+        for v in side:
+            record_of[v] = moved
+        for rec in (moved, record):
+            if len(rec.vertices) == 1:
+                del record_of[next(iter(rec.vertices))]
 
     # -- consistency ---------------------------------------------------------
 
@@ -184,6 +248,38 @@ class DynamicForest:
                     raise AssertionError(f"stale value at root {v}")
         if root_count != len(self.roots):
             raise AssertionError("root bookkeeping drift")
+        self._check_records()
+
+    def _check_records(self) -> None:
+        """Every record against the father chains, in O(n) in all: each
+        chain is walked once, and every vertex on it remembers its root."""
+        chain_root: dict[int, int] = {}
+        for v in self.states:
+            path = []
+            while v not in chain_root:
+                father = self.states[v].father
+                if father is None:
+                    chain_root[v] = v
+                elif len(path) == len(self.states):
+                    raise AssertionError(f"father chain through {v} is a cycle")
+                else:
+                    path.append(v)
+                    v = father
+            for u in path:
+                chain_root[u] = chain_root[v]
+        by_root: dict[int, TreeRecord] = {}
+        for v, root in chain_root.items():
+            record = self.record_of.get(v)
+            if (record is None) != (self.forest.degree(v) == 0):
+                raise AssertionError(f"record presence at {v} disagrees with its degree")
+            if record is None:
+                continue
+            if record.root != root or v not in record.vertices:
+                raise AssertionError(f"record drift at {v}")
+            if by_root.setdefault(root, record) is not record:
+                raise AssertionError(f"two records for the tree of root {root}")
+        if sum(len(record.vertices) for record in by_root.values()) != len(self.record_of):
+            raise AssertionError("record vertex sets drift")
 
 
 def inc_build(edges: list[tuple[int, int]], n: int,
@@ -201,9 +297,9 @@ def run_script(text: str, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
     """Execute a dynamic script: lines "add u v", "del u v", "query u",
     "reroot u", on a forest of max id + 1 vertices.  Returns the printed
     query lines and the final forest.  The ids are read before any line
-    runs, so a bad integer anywhere is reported first; every `GraphError`
-    a line raises when it runs is re-raised as the same class with its
-    message prefixed by "line N: "."""
+    runs, so a bad integer or a negative id anywhere is reported first;
+    every `GraphError` a line raises when it runs is re-raised as the same
+    class with its message prefixed by "line N: "."""
     lines = []
     n = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,6 +312,8 @@ def run_script(text: str, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                 ids = [int(x) for x in parts[1:]]
             except ValueError:
                 raise ArgumentError(f"line {lineno}: bad integer in {raw!r}") from None
+            if min(ids, default=0) < 0:
+                raise ArgumentError(f"line {lineno}: negative vertex id in {raw!r}")
             n = max([n] + [v + 1 for v in ids])
         lines.append((lineno, raw, parts[0], ids))
     if n == 0:

@@ -7,12 +7,13 @@ cycle-creating insertion at the model layer, with one of two cycle checks,
 one per kind of traffic:
 
 - `Forest.add_edge` asks `Graph.connected`, a search from both endpoints in
-  lockstep that stops when the smaller side is exhausted.  One insertion
-  costs O(min(|A|, |B|)) for the two components it joins, so building any
-  tree in any edge order is O(n log n).  It is a search, not a union-find,
-  because edges are also deleted (`DynamicForest.delete_edge` inserts and
-  removes edges here before it touches any node state), and a union cannot
-  be undone.
+  lockstep that stops when the smaller side is exhausted
+  (`Graph.exhausted_side`).  One insertion costs O(min(|A|, |B|)) for the
+  two components it joins, so building any tree in any edge order is
+  O(n log n).  It is a search, not a union-find, because edges are also
+  deleted (`DynamicForest.delete_edge` removes edges here before it touches
+  any node state, and runs the same search to find the smaller side), and
+  a union cannot be undone.
 - The bulk builders, `parse_edge_list`, `prufer_to_tree` and
   `Forest.induced`, only ever insert edges into an edgeless forest.  They
   all go through `_build`, one loop that answers every cycle check from a
@@ -143,23 +144,29 @@ class Graph:
         return self.n <= 1 or len(self.component_of(next(iter(self.adj)))) == self.n
 
     def connected(self, u: int, v: int) -> bool:
-        """Whether u and v lie in one component, by a lockstep search.
+        """Whether u and v lie in one component, by the lockstep search of
+        `exhausted_side`.  This is the cycle check of `Forest.add_edge`."""
+        return self.exhausted_side(u, v) is None
+
+    def exhausted_side(self, u: int, v: int) -> set[int] | None:
+        """The component of u or of v that a lockstep search exhausts first,
+        or None if u and v lie in one component.
 
         Two breadth-first searches, one from each end, take turns one
-        adjacency entry at a time; the answer is True as soon as one side
-        reaches a vertex the other side has seen, and False as soon as
-        either side runs out.  A query therefore costs O(min(|A|, |B|)) for
-        the components A and B holding u and v, sizes counting vertices and
-        edges (in a forest, vertices alone).  Stepping by entry rather
-        than by vertex keeps that bound when the larger side starts at a hub:
-        building a star centre-first stays linear.  This is the cycle check
-        of `Forest.add_edge`, and it is a search rather than a union-find
-        because `Graph.remove_edge` splits components and a union cannot be
-        undone.  Bulk builds, which never remove an edge, use the union-find
-        in `_build` instead.
+        adjacency entry at a time; the answer is None as soon as one side
+        reaches a vertex the other side has seen, and the vertices seen by
+        a side as soon as it runs out.  A query therefore costs
+        O(min(|A|, |B|)) for the components A and B holding u and v, sizes
+        counting vertices and edges (in a forest, vertices alone).  Stepping
+        by entry rather than by vertex keeps that bound when the larger side
+        starts at a hub: building a star centre-first stays linear.  It is a
+        search rather than a union-find because `Graph.remove_edge` splits
+        components and a union cannot be undone; `DynamicForest.delete_edge`
+        runs it to find the side of a deleted edge to relabel.  Bulk builds,
+        which never remove an edge, use the union-find in `_build` instead.
         """
         if u == v:
-            return True
+            return None
         seen = ({u}, {v})
         pending = (deque([iter(self.adj[u])]), deque([iter(self.adj[v])]))
         side = 0
@@ -168,12 +175,12 @@ class Graph:
             if w is None:
                 pending[side].popleft()
             elif w in seen[1 - side]:
-                return True
+                return None
             elif w not in seen[side]:
                 seen[side].add(w)
                 pending[side].append(iter(self.adj[w]))
             side = 1 - side
-        return False
+        return seen[side]
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         keep = set(keep)

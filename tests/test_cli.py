@@ -111,6 +111,16 @@ def test_dynamic_bad_integer_names_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, error", [
+    ("query -1\n", "line 1: negative vertex id in 'query -1'"),
+    ("add 0 1\nquery 1\ndel 0 -3\nadd 0 x\n", "line 3: negative vertex id in 'del 0 -3'"),
+])
+def test_dynamic_negative_id_names_line_before_any_line_runs(tmp_path, capsys, text, error):
+    script = write(tmp_path, "s.txt", text)
+    code, out, err = run_cli(["dynamic", script], capsys)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("text, error", [
     ("add 0 1\nadd 1 2\nadd 2 0\n", "line 3: edge (2, 0) would create a cycle"),
     ("add 0 1\ndel 0 5\n", "line 2: edge (0, 5) does not exist"),
 ])

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import math
 import random
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ from treesweep.dynamic import DynamicForest, inc_build, run_script
 from treesweep.experiments import worst_case_instance
 from treesweep.forest import (ArgumentError, Forest, StructureError,
                               enumerate_trees, path_tree, random_tree,
-                              theorem1_tree)
+                              star_tree, theorem1_tree)
 from treesweep.hd import ParamVariant
 from treesweep.protocol import run_static
 
@@ -124,12 +126,14 @@ def test_rejected_edge_leaves_state_unchanged(early_stop):
     df = inc_build([(0, 1), (1, 2), (2, 3), (4, 5)], 6, early_stop=early_stop)
     df.change_root(0)
     forest, counters, roots = df.forest.copy(), replace(df.counters), dict(df.roots)
+    records = copy.deepcopy(df.record_of)
     # two cycles, a duplicate edge and a self-loop
     for w1, w2 in ((0, 2), (3, 0), (2, 1), (4, 4)):
         with pytest.raises(StructureError):
             df.add_edge(w1, w2)
         assert df.forest == forest and df.forest.m() == 4
         assert df.counters == counters and df.roots == roots
+        assert df.record_of == records
     df.check_invariants()
 
 
@@ -146,6 +150,118 @@ def test_check_invariants_sees_received_drift():
     df.states[child].received[df.states[child].father] = hd
     with pytest.raises(AssertionError, match="received set drift"):
         df.check_invariants()
+
+
+def test_check_invariants_sees_record_drift():
+    df = inc_build([(0, 1), (1, 2), (3, 4)], 6)
+    df.check_invariants()
+    record = df.record_of[0]
+    root = record.root
+    record.root = 1 if root != 1 else 0
+    with pytest.raises(AssertionError, match="record drift at"):
+        df.check_invariants()
+    record.root = root
+    del df.record_of[2]  # a vertex with an edge and no record
+    with pytest.raises(AssertionError, match="disagrees with its degree"):
+        df.check_invariants()
+    df.record_of[2] = record
+    df.record_of[5] = replace(record, root=5, vertices={5})  # an isolated vertex's record
+    with pytest.raises(AssertionError, match="disagrees with its degree"):
+        df.check_invariants()
+    del df.record_of[5]
+    df.record_of[2] = replace(record, vertices=set(record.vertices))
+    with pytest.raises(AssertionError, match="two records"):
+        df.check_invariants()
+    df.record_of[2] = record
+    record.vertices.add(5)
+    with pytest.raises(AssertionError, match="record vertex sets drift"):
+        df.check_invariants()
+    record.vertices.discard(5)
+    df.check_invariants()
+
+
+class _CountingDict(dict):
+    """A dict that counts the reads and writes made through its methods."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = self.writes = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return dict.get(self, key, default)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return dict.__contains__(self, key)
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        dict.__setitem__(self, key, value)
+
+
+def test_query_on_a_deep_path_reads_constant_state():
+    n = 2000
+    df = DynamicForest.from_tree(path_tree(n))
+    df.change_root(0)
+    df.states, df.record_of = _CountingDict(df.states), _CountingDict(df.record_of)
+    assert df.value_of(n - 1) == 2  # a father chain of n - 1 links
+    assert df.states.reads + df.record_of.reads <= 2
+
+
+def test_deleting_an_edge_next_to_a_leaf_reads_constant_adjacency():
+    # the lockstep search of the split stops as soon as the leaf's side,
+    # one vertex, is exhausted; a search of the other side would read
+    # about n entries
+    n = 2000
+    for tree, leaf, other in ((path_tree(n), 0, 1), (path_tree(n), n - 1, n - 2),
+                              (star_tree(n - 1), 5, 0)):
+        df = DynamicForest.from_tree(tree)
+        df.forest.adj = _CountingDict(df.forest.adj)
+        df.delete_edge(leaf, other)
+        assert df.forest.adj.reads <= 12
+        assert leaf not in df.record_of and len(df.record_of[other].vertices) == n - 1
+        df.check_invariants()
+
+
+def _balanced_joins(lo, hi, out):
+    """Path edges ordered so every insertion joins two halves of equal size."""
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        _balanced_joins(lo, mid, out)
+        _balanced_joins(mid, hi, out)
+        out.append((mid - 1, mid))
+    return out
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_inc_build_relabels_n_log_n_vertices(early_stop):
+    # union by size moves each vertex into a record at least twice its old
+    # one's size, so O(log n) times; relabelling the first endpoint's side
+    # every time would be quadratic for one of the two path orders
+    n = 2000
+    sorted_path = [(i, i + 1) for i in range(n - 1)]
+    for edges in (sorted_path, sorted_path[::-1], _balanced_joins(0, n, [])):
+        df = DynamicForest.isolated(n, early_stop=early_stop)
+        df.record_of = _CountingDict()
+        for u, v in edges:
+            df.add_edge(u, v)
+        assert len(df.record_of[0].vertices) == n
+        assert df.record_of.writes <= n * (2 + math.log2(n))
+
+
+def test_check_invariants_walks_each_father_link_once():
+    n = 2000
+    df = DynamicForest.from_tree(path_tree(n))
+    df.change_root(0)
+    df.states = _CountingDict(df.states)
+    df.check_invariants()
+    # one walk per vertex from scratch would read about n * n / 2 links
+    assert df.states.reads <= 2 * n
 
 
 def test_bad_arguments():

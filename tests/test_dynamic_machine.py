@@ -1,6 +1,7 @@
 """Stateful fuzzing of `DynamicForest`: interleaved add, del, reroot and
 query on up to 12 vertices, for every variant, both encodings and both
-add-edge modes.  After every step the invariants hold, each component's
+add-edge modes.  After every step the invariants hold (the tree records
+among them, checked against the father chains), each component's
 value equals a static run on that component alone, and every stored entry
 equals the descriptor of the subtree it stands for."""
 
@@ -38,10 +39,11 @@ class DynamicMachine(RuleBasedStateMachine):
         df = self.df
         u, v = self._vertex(data), self._vertex(data)
         if df.forest.connected(u, v):
-            before = copy.deepcopy((df.states, df.roots, df.counters, df.forest))
+            before = copy.deepcopy((df.states, df.roots, df.counters, df.forest,
+                                    df.record_of))
             with pytest.raises(StructureError):
                 df.add_edge(u, v)
-            assert (df.states, df.roots, df.counters, df.forest) == before
+            assert (df.states, df.roots, df.counters, df.forest, df.record_of) == before
         else:
             df.add_edge(u, v)
 
