@@ -9,14 +9,21 @@ Adjacency lives in `forest` alone.  Edge addition inserts into it first, so
 the forest's own cycle check rejects a bad edge before any reroot, message
 or counter change.
 Edge addition has one path: reroot w1's tree at w1, hang w1 under w2, and
-push replacement entries up from w2 until one is unchanged or the root is
+push replacement entries up from w1 until one is unchanged or the root is
 reached.  Paper mode also reroots at w2 first and hangs the loser of
 `elect_root`, so its push ends at once; `early_stop` keeps w2's root.
 Every dynamic message carries the leading flag bit (0 replace-entry,
-1 change-root notification), costing one extra bit per frame.  Messages are
-counted where they are built: `_send` frames, counts and stores a replace
-entry and sets the sender's father; `_notify` counts a walk of h hops as h
-copies of its one notification frame, in two additions.
+1 change-root notification), costing one extra bit per frame.  Every
+replace entry is sent by one loop, `_push`: it follows father pointers from
+a node, and at each hop merges the sender's received entries, encodes, and
+stores the receiver's decode.  It adds the walk's messages, bits and steps
+to `counters` once, as `_notify` counts a walk of h hops as h copies of its
+one notification frame.  `change_root` flips the father pointers on its
+way up, dropping each path node's entry from its child, then pushes from
+the old root down to the new one; `add_edge` pushes from w1, stopping where
+a receiver already holds the descriptor (never at the first hop: w2 has no
+entry from w1 yet).  A root's value is read off the `MergeInfo` of its
+memoised merge, one step, without evaluating the descriptor again.
 
 A query walks no father chain.  Each tree of two or more vertices has one
 shared `TreeRecord`, its root and vertex set, and `record_of` maps each of
@@ -38,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .codec import REPLACE_FLAG, Scheme, decode, encode, notification
 from .forest import ArgumentError, Forest, GraphError
-from .hd import HDescriptor, ParamVariant, evaluate, merge
+from .hd import ParamVariant, evaluate, merge, merge_detailed
 from .protocol import (CostCounters, NodeState, default_scheme, elect_root,
                        run_static)
 
@@ -109,24 +116,44 @@ class DynamicForest:
     def value_of(self, v: int) -> int:
         return self.roots[self.root_of(v)]
 
-    # -- messaging helpers ---------------------------------------------------
+    # -- messaging ---------------------------------------------------------
 
     def _notify(self, hops: int) -> None:
         frame = notification(self.scheme)
         self.counters.messages += hops
         self.counters.bits += hops * len(frame.bits)
 
-    def _send(self, sender: int, receiver: int, hd: HDescriptor) -> None:
-        wire = encode(hd, self.scheme, dyn_flag=REPLACE_FLAG)
-        self.counters.messages += 1
-        self.counters.bits += len(wire.bits)
-        self.states[receiver].received[sender] = decode(wire)
-        self.states[sender].father = receiver
+    def _push(self, node: int, stop_when_unchanged: bool) -> int | None:
+        """Send replace entries up the father chain from `node`: each hop
+        merges the sender's received entries, encodes, and stores the
+        receiver's decode.  Returns the root reached, or None once a
+        receiver already holds the descriptor (`stop_when_unchanged`)."""
+        states, variant, scheme = self.states, self.variant, self.scheme
+        messages = bits = steps = 0
+        state = states[node]
+        while (father := state.father) is not None:
+            hd = merge(state.received.values(), variant)
+            steps += 1
+            state = states[father]
+            if stop_when_unchanged and state.received.get(node) == hd:
+                node = None  # nothing upstream can change
+                break
+            wire = encode(hd, scheme, dyn_flag=REPLACE_FLAG)
+            messages += 1
+            bits += len(wire.bits)
+            state.received[node] = decode(wire)
+            node = father
+        counters = self.counters
+        counters.messages += messages
+        counters.bits += bits
+        counters.steps += steps
+        return node
 
-    def _local_hd(self, v: int) -> HDescriptor:
-        hd = merge(list(self.states[v].received.values()), self.variant)
+    def _root_value(self, v: int) -> int:
+        """The value at root v, read off the memoised merge's result."""
+        info = merge_detailed(tuple(self.states[v].received.values()), self.variant)[1]
         self.counters.steps += 1
-        return hd
+        return info.result.value
 
     # -- operations ----------------------------------------------------------
 
@@ -135,21 +162,20 @@ class DynamicForest:
         messages (the notification walk up, the corrected wave down)."""
         if r2 not in self.states:
             raise ArgumentError(f"vertex {r2} not in forest")
-        path = [r2]
-        while (father := self.states[path[-1]].father) is not None:
-            path.append(father)
-        if len(path) == 1:
+        states = self.states
+        hops, child, node = 0, None, r2
+        while (father := states[node].father) is not None:
+            del states[father].received[node]
+            states[node].father = child
+            hops, child, node = hops + 1, node, father
+        if child is None:
             return
-        self._notify(len(path) - 1)
-
-        for idx in range(len(path) - 1, 0, -1):
-            node, new_father = path[idx], path[idx - 1]
-            del self.states[node].received[new_father]
-            self._send(node, new_father, self._local_hd(node))
-        self.states[r2].father = None
+        states[node].father = child
+        self._notify(hops)
+        self._push(node, False)
         self.record_of[r2].root = r2
-        del self.roots[path[-1]]
-        self.roots[r2] = evaluate(self._local_hd(r2)).value
+        del self.roots[node]
+        self.roots[r2] = self._root_value(r2)
 
     def add_edge(self, w1: int, w2: int) -> None:
         """Hang w1's tree, rerooted at w1, under w2 (see the module notes);
@@ -163,17 +189,12 @@ class DynamicForest:
             self.change_root(w2)
             if elect_root(w1, w2) == w1:
                 w1, w2 = w2, w1
-        self._send(w1, w2, self._local_hd(w1))
+        self.states[w1].father = w2
         del self.roots[w1]
         self._join(w1, w2)
-        node = w2
-        while (father := self.states[node].father) is not None:
-            hd = self._local_hd(node)
-            if self.states[father].received[node] == hd:
-                return  # nothing upstream can change
-            self._send(node, father, hd)
-            node = father
-        self.roots[node] = evaluate(self._local_hd(node)).value
+        root = self._push(w1, True)
+        if root is not None:
+            self.roots[root] = self._root_value(root)
 
     def delete_edge(self, w1: int, w2: int) -> None:
         if not self.forest.has_edge(w1, w2):
@@ -188,10 +209,10 @@ class DynamicForest:
         self._split(child, father)
         del self.states[father].received[child]
         self.states[child].father = None
-        self.roots[child] = evaluate(self._local_hd(child)).value
+        self.roots[child] = self._root_value(child)
 
         if self.states[father].father is None:
-            self.roots[father] = evaluate(self._local_hd(father)).value
+            self.roots[father] = self._root_value(father)
         else:
             self.change_root(father)
 
