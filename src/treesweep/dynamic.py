@@ -151,7 +151,7 @@ class DynamicForest:
 
     def _root_value(self, v: int) -> int:
         """The value at root v, read off the memoised merge's result."""
-        info = merge_detailed(tuple(self.states[v].received.values()), self.variant)[1]
+        info = merge_detailed(self.states[v].received.values(), self.variant)[1]
         self.counters.steps += 1
         return info.result.value
 

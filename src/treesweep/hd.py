@@ -47,11 +47,10 @@ else is computed and validated afresh.  The tag is the private subclass
 descriptor known to be minimal and made of plain ints.  Only two places hand
 it out: the memoised merge (its children carried the tag, so its output is
 minimal and made of plain ints too) and `codec.decode_bits`, after
-`validate_descriptor(..., minimal=True)`.  `merge_detailed`, and `merge`
-(which runs once per message, so makes the same test itself rather than
-call it), send children that all carry the tag to the memo; any other
-input, a user-built `HDescriptor` included, goes to the uncached `_merge`
-and gets its exact result or error.  The tag, not equality, opens the memo because keys compare
+`validate_descriptor(..., minimal=True)`.  `merge_detailed` sends children
+that all carry the tag to the memo; any other input, a user-built
+`HDescriptor` included, goes to the uncached `_merge` and gets its exact
+result or error.  The tag, not equality, opens the memo because keys compare
 by value and 1.0 == 1: a hand-built child with a cell of 1.0 would otherwise
 hit the entry of an equal tagged one.  The tag never changes a result or an
 error, only how fast it comes.
@@ -325,12 +324,7 @@ def _merge_memo(kids: tuple[HDescriptor, ...],
 
 
 def merge(children: Iterable[HDescriptor], variant: ParamVariant) -> HDescriptor:
-    """The descriptor of `merge_detailed`, by the same tag test."""
-    kids = tuple(children)
-    for kid in kids:
-        if type(kid) is not _Minimal:
-            return _merge(kids, variant)[0]
-    return _merge_memo(kids, variant)[0]
+    return merge_detailed(children, variant)[0]
 
 
 def simplify(hd: HDescriptor) -> HDescriptor:

@@ -359,6 +359,45 @@ def test_dynamic_message_sizes(record_frames):
     assert df.counters.bits == sum(len(w) for _, w in frames["replace"]) + hops * 5
 
 
+@pytest.mark.parametrize("encoding", ["known", "unknown"])
+@pytest.mark.parametrize("target,k", [(3, 1), (0, 4)])
+def test_change_root_walk_accounting(record_frames, encoding, target, k):
+    # k hops: k replace frames in one wave, one notification walk counted k
+    # times, and k merges on the way plus one for the new root's value
+    t = path_tree(9)
+    df = DynamicForest.from_tree(t, encoding=encoding)
+    assert _dist(t, target, df.root_of(target)) == k
+    frames = record_frames()
+    df.change_root(target)
+    assert len(frames["replace"]) == k and len(frames["notify"]) == 1
+    c = df.counters
+    assert (c.messages, c.steps) == (2 * k, k + 1)
+    assert c.bits == (k * len(frames["notify"][0].bits)
+                      + sum(len(w.bits) for _, w in frames["replace"]))
+    assert df.root_of(0) == target
+    df.check_invariants()
+
+
+def test_early_stop_push_ends_at_an_unchanged_receiver(record_frames):
+    # 3 hangs under 1, whose leaf child 2 already made it a star centre: the
+    # frame 3 -> 1 is sent, 1's merge is unchanged, so 1 -> 0 is not
+    df = DynamicForest.isolated(4, early_stop=True)
+    df.add_edge(1, 0)
+    df.add_edge(2, 1)
+    before = replace(df.counters)
+    held = dict(df.states[0].received)
+    frames = record_frames()
+    df.add_edge(3, 1)
+    assert [df.states[1].received[3]] == [hd for hd, _ in frames["replace"]]
+    assert frames["notify"] == [] and df.states[0].received == held
+    c = df.counters
+    sent = frames["replace"][0][1]
+    assert (c.messages - before.messages, c.bits - before.bits) == (1, len(sent.bits))
+    assert c.steps - before.steps == 2  # the merges at 3 and at 1, no root value
+    assert df.roots == {0: 1}
+    df.check_invariants()
+
+
 @pytest.mark.parametrize("variant", list(ParamVariant))
 def test_from_tree_states_do_not_depend_on_encoding(variant):
     # the set-up run is known-size whatever the encoding; its states equal

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treesweep.codec import UnknownSize, decode, encode
-from treesweep.forest import enumerate_trees, random_tree, star_tree
+from treesweep.forest import Forest, enumerate_trees, random_tree, star_tree
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
                           Vect, ceil_log3, evaluate, hdesc, merge,
                           merge_detailed, pn_plus_of, rooted_descriptors,
                           rooted_value, simplify, validate_descriptor)
 from treesweep.hd import _merge, _merge_memo, _Minimal
 from treesweep.oracle import pn_exact, stable_exact
+from treesweep.protocol import run_static
 
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
@@ -206,6 +207,32 @@ def test_rooting_invariance(n, seed):
     for variant in ParamVariant:
         values = {rooted_value(t, r, variant) for r in t.vertices}
         assert len(values) == 1
+
+
+# Shrunk from random_tree(50, 3): the smallest tree found on which the
+# edge-search value depends on the root (38 vertices, sparse ids).
+ES_ROOT_WITNESS = Forest(edges=[
+    (0, 22), (0, 42), (0, 43), (1, 17), (1, 48), (2, 19), (2, 37), (4, 10),
+    (4, 20), (4, 44), (6, 34), (9, 33), (9, 36), (9, 40), (10, 48), (12, 45),
+    (14, 27), (14, 39), (14, 40), (16, 35), (17, 30), (18, 37), (19, 49),
+    (21, 38), (24, 33), (24, 45), (24, 46), (25, 35), (25, 40), (30, 34),
+    (30, 38), (31, 34), (32, 35), (37, 47), (38, 46), (42, 49), (45, 49)])
+
+
+@pytest.mark.xfail(strict=True, reason="es depends on the root on this tree: "
+                   "12 of its 38 roots give 4, run_static gives 3")
+def test_es_is_root_independent_on_the_witness():
+    t = ES_ROOT_WITNESS
+    want = run_static(t, ES).value
+    assert {r: rooted_value(t, r, ES) for r in t.vertices} == dict.fromkeys(t.vertices, want)
+
+
+@pytest.mark.parametrize("variant", [PN, NS])
+def test_pn_and_ns_are_root_independent_on_the_es_witness(variant):
+    t = ES_ROOT_WITNESS
+    assert t.n == 38 and t.is_tree()
+    want = run_static(t, variant).value
+    assert {rooted_value(t, r, variant) for r in t.vertices} == {want}
 
 
 # --- the type tag of trusted descriptors --------------------------------------
