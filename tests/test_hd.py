@@ -209,8 +209,8 @@ def test_rooting_invariance(n, seed):
         assert len(values) == 1
 
 
-# Shrunk from random_tree(50, 3): the smallest tree found on which the
-# edge-search value depends on the root (38 vertices, sparse ids).
+# random_tree(50, 3) shrunk leaf by leaf while its edge-search value still
+# depends on the root (38 vertices, sparse ids).
 ES_ROOT_WITNESS = Forest(edges=[
     (0, 22), (0, 42), (0, 43), (1, 17), (1, 48), (2, 19), (2, 37), (4, 10),
     (4, 20), (4, 44), (6, 34), (9, 33), (9, 36), (9, 40), (10, 48), (12, 45),
