@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -117,14 +118,18 @@ def _check_gap(payload) -> list[str]:
 
 
 def cmd_conformance(args) -> int:
+    if args.jobs < 1:
+        raise ArgumentError("--jobs must be at least 1")
     checker = {"relations": _check_relations, "gap": _check_gap}.get(
         args.param, _check_values)
     payloads = [(serialize(t), args.param)
                 for n in range(1, args.max_n + 1)
                 for t in enumerate_trees(n)]
     failures: list[str] = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts every worker at once, so never more than can run
+    workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for bad in pool.map(checker, payloads, chunksize=8):
                 failures.extend(bad)
     else:

@@ -18,7 +18,18 @@ replace entry is sent by one loop, `_push`: it follows father pointers from
 a node, and at each hop merges the sender's received entries, encodes, and
 stores the receiver's decode.  It adds the walk's messages, bits and steps
 to `counters` once, as `_notify` counts a walk of h hops as h copies of its
-one notification frame.  `change_root` flips the father pointers on its
+one notification frame.
+A hop is one lookup.  `_hop` maps the sender's ordered entries, the variant
+and the scheme to the merged descriptor, its replace frame and the
+receiver's decode of that frame; all three are pure, so `_hop_memo` keeps
+the triple, bounded by `hd.MEMO_SIZE` entries like the memos it stands in
+front of.  The rule of `hd` holds: the hop takes the memo only when every
+entry carries the `hd._Minimal` tag; any other input goes through the same
+`merge`, `encode` and `decode` uncached and gets its exact result or
+error, and a failure is never cached.  A hit runs none of the three, so it
+is counted as a message all the same but calls no `encode`; the early stop
+still compares the merged descriptor with the receiver's entry before
+anything is counted.  `change_root` flips the father pointers on its
 way up, dropping each path node's entry from its child, then pushes from
 the old root down to the new one; `add_edge` pushes from w1, stopping where
 a receiver already holds the descriptor (never at the first hop: w2 has no
@@ -42,13 +53,37 @@ pays that much for its cycle check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .codec import REPLACE_FLAG, Scheme, decode, encode, notification
+from .codec import (REPLACE_FLAG, Scheme, WireMessage, decode, encode,
+                    notification)
 from .forest import ArgumentError, Forest, GraphError
-from .hd import ParamVariant, evaluate, merge, merge_detailed
+from .hd import (MEMO_SIZE, HDescriptor, ParamVariant, _Minimal, evaluate,
+                 merge, merge_detailed)
 from .protocol import (CostCounters, NodeState, default_scheme, elect_root,
                        run_static)
 
+
+
+def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
+         scheme: Scheme) -> tuple[HDescriptor, WireMessage, HDescriptor]:
+    """One replace hop: the merge of the sender's entries `kids`, its frame
+    with the replace flag, and the receiver's decode of that frame.  Tagged
+    entries take the memo (see the module notes)."""
+    for kid in kids:
+        if type(kid) is not _Minimal:
+            return _hop_uncached(kids, variant, scheme)
+    return _hop_memo(kids, variant, scheme)
+
+
+def _hop_uncached(kids: tuple[HDescriptor, ...], variant: ParamVariant,
+                  scheme: Scheme) -> tuple[HDescriptor, WireMessage, HDescriptor]:
+    hd = merge(kids, variant)
+    wire = encode(hd, scheme, dyn_flag=REPLACE_FLAG)
+    return hd, wire, decode(wire)
+
+
+_hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop_uncached)
 
 @dataclass(slots=True)
 class TreeRecord:
@@ -126,22 +161,22 @@ class DynamicForest:
     def _push(self, node: int, stop_when_unchanged: bool) -> int | None:
         """Send replace entries up the father chain from `node`: each hop
         merges the sender's received entries, encodes, and stores the
-        receiver's decode.  Returns the root reached, or None once a
-        receiver already holds the descriptor (`stop_when_unchanged`)."""
+        receiver's decode, all in one `_hop`.  Returns the root reached, or
+        None once a receiver already holds the descriptor
+        (`stop_when_unchanged`)."""
         states, variant, scheme = self.states, self.variant, self.scheme
         messages = bits = steps = 0
         state = states[node]
         while (father := state.father) is not None:
-            hd = merge(state.received.values(), variant)
+            hd, wire, decoded = _hop(tuple(state.received.values()), variant, scheme)
             steps += 1
             state = states[father]
             if stop_when_unchanged and state.received.get(node) == hd:
                 node = None  # nothing upstream can change
                 break
-            wire = encode(hd, scheme, dyn_flag=REPLACE_FLAG)
             messages += 1
             bits += len(wire.bits)
-            state.received[node] = decode(wire)
+            state.received[node] = decoded
             node = father
         counters = self.counters
         counters.messages += messages

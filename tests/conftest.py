@@ -10,14 +10,16 @@ def trees_up_to_8():
 
 @pytest.fixture
 def cold_memos():
-    """Empties the memos of `hd.merge_detailed`, `codec.encode` and
-    `codec.decode_bits` before the test; returns a function that empties
-    them again."""
+    """Empties the memos of `hd.merge_detailed`, `codec.encode`,
+    `codec.decode_bits` and the dynamic hop before the test; returns a
+    function that empties them again."""
     import treesweep.codec as codec
+    import treesweep.dynamic as dynamic
     import treesweep.hd as hd
 
     def clear():
-        for memo in (hd._merge_memo, codec._encode_memo, codec._decode_memo):
+        for memo in (hd._merge_memo, codec._encode_memo, codec._decode_memo,
+                     dynamic._hop_memo):
             memo.cache_clear()
     clear()
     return clear
@@ -26,24 +28,26 @@ def cold_memos():
 @pytest.fixture
 def record_frames(monkeypatch):
     """Call to start recording the frames a DynamicForest builds into a
-    fresh dict: (hd, wire) per replace-entry encode under "replace", one
-    wire per change-root notification walk under "notify"."""
+    fresh dict: (hd, wire) per replace hop computed under "replace", one
+    wire per change-root notification walk under "notify".  A push that
+    stops early computes its last hop without sending it."""
     import treesweep.codec as codec
     import treesweep.dynamic as dynamic
+    real_hop = dynamic._hop
 
     def start():
         frames = {"replace": [], "notify": []}
 
-        def encode(hd, *args, **kwargs):
-            wire = codec.encode(hd, *args, **kwargs)
+        def hop(*args):
+            hd, wire, decoded = real_hop(*args)
             frames["replace"].append((hd, wire))
-            return wire
+            return hd, wire, decoded
 
         def notification(scheme):
             wire = codec.notification(scheme)
             frames["notify"].append(wire)
             return wire
-        monkeypatch.setattr(dynamic, "encode", encode)
+        monkeypatch.setattr(dynamic, "_hop", hop)
         monkeypatch.setattr(dynamic, "notification", notification)
         return frames
     return start

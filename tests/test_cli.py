@@ -162,6 +162,42 @@ def test_conformance_parallel(capsys):
     assert code == 0 and "fail=0" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_conformance_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(["conformance", "--max-n", "3", "--jobs", jobs], capsys)
+    assert (code, out, err) == (2, "", "error: --jobs must be at least 1\n")
+
+
+@pytest.mark.parametrize("cpus,max_n,pools", [
+    (3, 6, [3]),      # capped by the CPUs
+    (64, 3, [3]),     # capped by the three trees of up to 3 vertices
+    (None, 6, []),    # an unknown CPU count runs in this process
+])
+def test_conformance_caps_its_workers(capsys, monkeypatch, cpus, max_n, pools):
+    import treesweep.cli as cli
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(["conformance", "--max-n", str(max_n), "--param", "pn",
+                            "--jobs", "100000"], capsys)
+    assert code == 0 and "fail=0" in out
+    assert made == pools
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(["gen", "spider", "2", "2", "2"], capsys)
     assert code == 0

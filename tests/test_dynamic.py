@@ -380,7 +380,8 @@ def test_change_root_walk_accounting(record_frames, encoding, target, k):
 
 def test_early_stop_push_ends_at_an_unchanged_receiver(record_frames):
     # 3 hangs under 1, whose leaf child 2 already made it a star centre: the
-    # frame 3 -> 1 is sent, 1's merge is unchanged, so 1 -> 0 is not
+    # frame 3 -> 1 is sent, 1's merge is unchanged, so 1 -> 0 is computed
+    # but not sent
     df = DynamicForest.isolated(4, early_stop=True)
     df.add_edge(1, 0)
     df.add_edge(2, 1)
@@ -388,10 +389,11 @@ def test_early_stop_push_ends_at_an_unchanged_receiver(record_frames):
     held = dict(df.states[0].received)
     frames = record_frames()
     df.add_edge(3, 1)
-    assert [df.states[1].received[3]] == [hd for hd, _ in frames["replace"]]
+    (first, sent), (unsent, _) = frames["replace"]
+    assert df.states[1].received[3] == first
+    assert unsent == held[1]
     assert frames["notify"] == [] and df.states[0].received == held
     c = df.counters
-    sent = frames["replace"][0][1]
     assert (c.messages - before.messages, c.bits - before.bits) == (1, len(sent.bits))
     assert c.steps - before.steps == 2  # the merges at 3 and at 1, no root value
     assert df.roots == {0: 1}

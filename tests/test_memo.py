@@ -1,7 +1,9 @@
-"""The memos of `hd.merge_detailed`, `codec.encode` and `codec.decode_bits`:
-a hit returns what the uncached code returns, a failure is never cached,
-and runs give the same results from a cold cache and a warm one."""
+"""The memos of `hd.merge_detailed`, `codec.encode`, `codec.decode_bits`
+and the dynamic hop: a hit returns what the uncached code returns, a
+failure is never cached, and runs give the same results from a cold cache
+and a warm one."""
 
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 import treesweep.codec as codec
+import treesweep.dynamic as dynamic
 import treesweep.hd as hd
 from treesweep.codec import (CapacityError, CodecError, FramingError,
                              KnownSize, UnknownSize, decode_bits, encode)
@@ -104,6 +107,60 @@ def test_merge_info_carries_the_evaluation_of_its_output(trees_up_to_8, cold_mem
                         assert info.pn_plus == hd.pn_plus_of(out[v])
     memo = hd._merge_memo.cache_info()
     assert memo.misses and memo.hits > memo.misses
+
+
+def _hung_under_the_root():
+    """A dynamic forest rooted at the father of a node v that holds an entry
+    with a cell of 1, with v and the key of that entry: a push from v is
+    one hop."""
+    df = DynamicForest.from_tree(random_tree(60, 1))
+    v, kid = next((v, kid) for v, state in df.states.items() if state.father is not None
+                  for kid, entry in state.received.items() if 1 in entry.table)
+    df.change_root(df.states[v].father)
+    return df, v, kid
+
+
+def test_push_of_an_equal_untagged_entry_takes_no_hop_memo(cold_memos):
+    tagged, v, kid = _hung_under_the_root()
+    planted, _, _ = _hung_under_the_root()
+    tagged._push(v, False)  # caches the hop of the tagged entries
+    entry = planted.states[v].received[kid]
+    planted.states[v].received[kid] = HDescriptor(*entry)
+    kids = tuple(planted.states[v].received.values())
+    memo = dynamic._hop_memo.cache_info()
+    planted._push(v, False)
+    assert dynamic._hop_memo.cache_info() == memo
+    father = planted.states[v].father
+    assert planted.states[father].received[v] == dynamic._hop_uncached(
+        kids, PN, planted.scheme)[2]
+    assert planted.counters == tagged.counters
+
+
+def test_push_of_a_float_cell_raises_every_time(cold_memos):
+    df, v, kid = _hung_under_the_root()
+    df._push(v, False)  # caches the hop of the tagged entries
+    entry = df.states[v].received[kid]
+    df.states[v].received[kid] = HDescriptor(
+        entry.vect, tuple(1.0 if c == 1 else c for c in entry.table))
+    size = dynamic._hop_memo.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ContractError, match="non-negative ints"):
+            df._push(v, False)
+    assert dynamic._hop_memo.cache_info().currsize == size
+
+
+def test_a_repeated_reroot_walk_hits_the_hop_memo_once_per_replace_message(cold_memos):
+    tree = random_tree(60, 1)
+    far = max(tree.vertices)
+    df = DynamicForest.from_tree(tree, encoding="unknown")
+    for target in (0, far, 0, far):  # the walk from far to 0 is cached
+        df.change_root(target)
+    memo, before = dynamic._hop_memo.cache_info(), replace(df.counters)
+    df.change_root(0)
+    after = dynamic._hop_memo.cache_info()
+    replaces = (df.counters.messages - before.messages) // 2  # one notify per replace
+    assert replaces > 1
+    assert (after.hits - memo.hits, after.misses - memo.misses) == (replaces, 0)
 
 
 def _everything(tree, seed):
