@@ -27,8 +27,9 @@ bounded by `hd.MEMO_SIZE` entries each.  Both are pure and return immutable
 values, so one cached frame or descriptor serves every caller.  Every
 static message still goes through `encode`, is counted and is decoded by
 its receiver with `decode`, which reads the `decode_bits` memo directly.
-A dynamic replace hop calls both only when its own memo, which keeps the
-frame and the decode beside the merge, misses (see `dynamic`).  The checks above run once per
+A dynamic replace hop calls both only on a miss of its own memo, which
+keeps the frame and the decode beside the merge (see `dynamic`).
+The checks above run once per
 distinct input; a repeat reuses that result, and a failure is never cached,
 so a bad frame or descriptor raises on every call.  The rule of `hd` holds here too: tagged input takes
 the memo; anything else is computed and validated afresh.  `decode_bits`

@@ -18,23 +18,23 @@ replace entry is sent by one loop, `_push`: it follows father pointers from
 a node, and at each hop merges the sender's received entries, encodes, and
 stores the receiver's decode.  It adds the walk's messages, bits and steps
 to `counters` once, as `_notify` counts a walk of h hops as h copies of its
-one notification frame.
-A hop is one lookup.  `_hop` maps the sender's ordered entries, the variant
-and the scheme to the merged descriptor, its replace frame and the
-receiver's decode of that frame; all three are pure, so `_hop_memo` keeps
-the triple, bounded by `hd.MEMO_SIZE` entries like the memos it stands in
-front of.  The rule of `hd` holds: the hop takes the memo only when every
-entry carries the `hd._Minimal` tag; any other input goes through the same
-`merge`, `encode` and `decode` uncached and gets its exact result or
-error, and a failure is never cached.  A hit runs none of the three, so it
-is counted as a message all the same but calls no `encode`; the early stop
-still compares the merged descriptor with the receiver's entry before
-anything is counted.  `change_root` flips the father pointers on its
+one notification frame.  `change_root` flips the father pointers on its
 way up, dropping each path node's entry from its child, then pushes from
 the old root down to the new one; `add_edge` pushes from w1, stopping where
 a receiver already holds the descriptor (never at the first hop: w2 has no
 entry from w1 yet).  A root's value is read off the `MergeInfo` of its
 memoised merge, one step, without evaluating the descriptor again.
+
+A hop is one lookup.  `_hop` maps the sender's ordered entries, the
+variant and the scheme to the merged descriptor, its replace frame and the
+receiver's decode of that frame.  All three are pure, so `_hop_memo` keeps
+the triple, bounded by `hd.MEMO_SIZE` entries like the memos it stands in
+front of.  The rule of `hd` holds: the hop takes the memo only when every
+entry carries the `hd._Minimal` tag; any other input goes through the same
+`merge`, `encode` and `decode` uncached and gets its exact result or error,
+and a failure is never cached.  A hit runs none of the three: the hop is
+counted from its cached frame.  The early stop still compares the merged
+descriptor with the receiver's entry before anything is counted.
 
 A query walks no father chain.  Each tree of two or more vertices has one
 shared `TreeRecord`, its root and vertex set, and `record_of` maps each of
@@ -64,7 +64,6 @@ from .protocol import (CostCounters, NodeState, default_scheme, elect_root,
                        run_static)
 
 
-
 def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
          scheme: Scheme) -> tuple[HDescriptor, WireMessage, HDescriptor]:
     """One replace hop: the merge of the sender's entries `kids`, its frame
@@ -84,6 +83,7 @@ def _hop_uncached(kids: tuple[HDescriptor, ...], variant: ParamVariant,
 
 
 _hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop_uncached)
+
 
 @dataclass(slots=True)
 class TreeRecord:
