@@ -38,15 +38,15 @@ hands out the tag (`hd._Minimal`) on the descriptors it has validated, and
 flag, so a hand-built descriptor, or a flag of `True` or 1.0, is encoded
 afresh.
 
-Memo keys hash in C, or from a stored value: `KnownSize` computes its hash
-once when it is built, `KnownSize.for_tree` hands out one instance per
-argument pair so that later runs' keys match by identity, and `UnknownSize`
-has a single instance.
+Memo keys hash and compare in C.  Both schemes are interned: `UnknownSize`
+has a single instance, and `KnownSize` one instance per n, type of n and
+cell budget (a pickle round trip returns it too), so equality is identity
+and a key holding a scheme hashes by `object.__hash__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .hd import (MEMO_SIZE, HDescriptor, NO_STABLE, ParamVariant, Vect,
@@ -65,28 +65,47 @@ class CapacityError(CodecError):
     pass
 
 
-@dataclass(frozen=True)
 class KnownSize:
-    n: int
-    cells: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    """The scheme for receivers that know n: a fixed budget of `cells`
+    table cells per frame.  One instance per n, type of n and budget, so
+    equality is identity and a memo key holding it hashes and compares in
+    C."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("n", "cells")
+
+    def __new__(cls, n: int, cells: int) -> "KnownSize":
         # schemes are memo keys: 3.0 == 3 must not stand in for a budget
-        if type(self.cells) is not int:
-            raise CodecError(f"cell budget must be an int, got {self.cells!r}")
-        object.__setattr__(self, "_hash", hash((self.n, self.cells)))
+        if type(cells) is not int:
+            raise CodecError(f"cell budget must be an int, got {cells!r}")
+        key = (n, type(n), cells)
+        self = _KNOWN_SIZES.get(key)
+        if self is None:
+            self = _KNOWN_SIZES[key] = object.__new__(cls)
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "cells", cells)
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"KnownSize is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"KnownSize is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return KnownSize, (self.n, self.cells)
+
+    def __repr__(self) -> str:
+        return f"KnownSize(n={self.n!r}, cells={self.cells!r})"
 
     @classmethod
-    @lru_cache(maxsize=MEMO_SIZE, typed=True)
     def for_tree(cls, n: int, variant: ParamVariant) -> "KnownSize":
-        """The scheme of an n-vertex tree; one instance per argument pair,
-        so memo keys of later runs match earlier ones by identity."""
+        """The scheme of an n-vertex tree."""
         extra = 1 if variant is ParamVariant.NODE_SEARCH else 0
         return cls(n, ceil_log3(n) + extra)
+
+
+# the interned instances, kept for the life of the process
+_KNOWN_SIZES: dict[tuple, KnownSize] = {}
 
 
 class UnknownSize:

@@ -15,9 +15,10 @@ other, both are root candidates and the larger identifier wins the election;
 the loser fires, so exactly n - 1 messages cross the wire in every run.  The
 final pair is a ready list of two nodes after n - 2 messages: no edge
 carries two messages before the election, so the two nodes yet to fire are
-the ends of the one silent edge.  A firing node reads its father off its
-received set, which no send of the round changes before it fires: the one
-neighbour missing from it.
+the ends of the one silent edge.  Beside the count, the peel keeps per node
+the xor of the neighbours not heard from yet; once one is left, the xor is
+that neighbour, which a firing node reads as its father.  No send of the
+round changes a node's count or xor before it fires.
 
 The input must be connected.  A `Forest` is acyclic by construction, so it
 is connected exactly when it has n - 1 edges (`Forest.is_connected`); a
@@ -27,13 +28,20 @@ too, so every merge and encode of the run takes its memo without re-checking
 its input (see `hd`).
 
 Every message is genuinely bit-encoded and decoded by the receiver, so the
-codec sits on the hot path and the bit counters measure real frames.
+codec sits on the hot path and the bit counters measure real frames.  The
+run keeps no record per message beyond the stored descriptors: only the
+sending order, as a list of ids.  `RunResult.wires` and `transcript()`
+render each message on demand from that order, the stored descriptors and
+the run's scheme; its frame comes back from the encode memo, which the run
+filled.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 
 from .codec import KnownSize, Scheme, UnknownSize, WireMessage, decode, encode
 from .forest import ArgumentError, Forest
@@ -78,7 +86,20 @@ class RunResult:
     states: dict[int, NodeState]
     counters: CostCounters
     evaluation: EvalResult
-    wires: list[tuple[int, int, HDescriptor, WireMessage]]  # in sending order
+    order: list[int]  # the senders, in sending order
+    scheme: Scheme
+
+    @property
+    def wires(self) -> list[tuple[int, int, HDescriptor, WireMessage]]:
+        """(sender, father, descriptor, frame) per message in sending order,
+        rendered from the states as the run left them."""
+        states, scheme = self.states, self.scheme
+        out = []
+        for v in self.order:
+            father = states[v].father
+            hd = states[father].received[v]
+            out.append((v, father, hd, encode(hd, scheme)))
+        return out
 
     def transcript(self) -> str:
         lines = []
@@ -114,8 +135,10 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
 
     adj = tree.adj
     states = {v: NodeState() for v in adj}
+    # per node, how many neighbours it has not heard from yet, and their xor
     unheard = {v: len(nbrs) for v, nbrs in adj.items()}
-    wires: list[tuple[int, int, HDescriptor, WireMessage]] = []
+    silent = {v: reduce(xor, nbrs, 0) for v, nbrs in adj.items()}
+    order: list[int] = []
     rng = random.Random(schedule.seed)
     messages = bits = 0
     root: int | None = None
@@ -127,13 +150,9 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
             ready.remove(root)
         brought_to_one = []
         for v in schedule.order(ready, rng):
+            father = silent[v]
             st = states[v]
-            received = st.received
-            if received:
-                (father,) = adj[v] - received.keys()
-            else:
-                (father,) = adj[v]
-            hd = merge(tuple(received.values()), variant)
+            hd = merge(tuple(st.received.values()), variant)
             if len(hd.table) > max_cells:
                 raise ContractError(
                     f"table length {len(hd.table)} breaks the log3 bound at node {v}")
@@ -145,7 +164,8 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
                 raise ContractError(f"codec roundtrip broke for {hd}")
             states[father].received[v] = decoded
             st.father = father
-            wires.append((v, father, hd, wire))
+            order.append(v)
+            silent[father] ^= v
             left = unheard[father] - 1
             unheard[father] = left
             if left == 1:
@@ -163,4 +183,4 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
     result = evaluate(root_hd)
     # one merge per send, and one at the root
     counters = CostCounters(messages, bits, messages + 1)
-    return RunResult(result.value, root, states, counters, result, wires)
+    return RunResult(result.value, root, states, counters, result, order, scheme)

@@ -2,11 +2,13 @@
 list, and extraction of an optimal strategy from the per-node descriptors a
 static run leaves behind.
 
-Extraction re-merges every vertex and checks the result against the
-descriptor the run stored; the merge memo hands each merge back with its
-`MergeInfo`, which carries the value, stability and pn+ of the merged
-descriptor, so nothing is evaluated or validated again.  Builders over the
-rooted tree append actions to one list.
+Extraction makes one pass over the run's states: it merges each vertex's
+own stored entries, in the order the run merged them, and checks the result
+against the entry stored at the vertex's father.  The merge memo hands each
+merge back with its `MergeInfo`, which carries the value, stability and pn+
+of the merged descriptor, so nothing is evaluated or validated again.
+Builders over the rooted tree append actions to one list, each built once
+by `_action` and never copied.
 
 end_at(v) processes the subtree with the agent on v removed last.  A node
 is either held first while each child branch is swept (leaves cost
@@ -28,12 +30,19 @@ strictly below the piece value, which keeps its sweep inside the optimal
 budget.  Recursion nests only into side branches, fold branches and
 remainders, never once per tree level: a 4000-vertex path, or a spider with
 three 1500-vertex legs, takes fewer than 15 frames.
+
+Each action is emitted once.  The builders take the kinds they write for
+PLACE and REMOVE, so the reversed end_at(w2) is end_at(w2) run with the two
+swapped, which writes the hand-off backwards step by step, followed by one
+in-place reversal of that list; nested reversals come out right the same
+way, and nothing is rebuilt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
+from typing import Collection, NamedTuple
 
 from .forest import Forest, Graph
 from .hd import (ContractError, EvalResult, HDescriptor, MergeInfo,
@@ -44,7 +53,6 @@ from .protocol import NodeState
 PLACE = "P"
 REMOVE = "R"
 SURROUND = "S"
-_REVERSED = {PLACE: REMOVE, REMOVE: PLACE, SURROUND: SURROUND}  # a run backwards
 
 
 class StrategyError(Exception):
@@ -62,12 +70,17 @@ class Action(NamedTuple):
         return f"{self.kind} {self.vertex}"
 
 
+# Action((kind, vertex)) without NamedTuple's Python-level __new__; every
+# action extraction emits is built here
+_action = partial(tuple.__new__, Action)
+
+
 @dataclass
 class Strategy:
     actions: list[Action] = field(default_factory=list)
 
     def dump(self) -> str:
-        return "\n".join(str(a) for a in self.actions) + "\n"
+        return "\n".join([f"{kind} {v}" for kind, v in self.actions]) + "\n"
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -81,9 +94,9 @@ def validate(g: Graph, strategy: Strategy) -> int:
     unprocessed at the end.
     """
     UNTOUCHED, OCCUPIED, PROCESSED = 0, 1, 2
-    state = {v: UNTOUCHED for v in g.vertices}
-    live = 0
-    peak = 0
+    adj = g.adj
+    state = dict.fromkeys(adj, UNTOUCHED)
+    live = peak = 0
     for step, (kind, v) in enumerate(strategy.actions):
         if v not in state:
             raise StrategyError(f"step {step}: unknown vertex {v}")
@@ -92,23 +105,24 @@ def validate(g: Graph, strategy: Strategy) -> int:
                 raise StrategyError(f"step {step}: place on non-fresh vertex {v}")
             state[v] = OCCUPIED
             live += 1
-            peak = max(peak, live)
+            if live > peak:
+                peak = live
         elif kind == REMOVE:
             if state[v] != OCCUPIED:
                 raise StrategyError(f"step {step}: remove without agent at {v}")
-            bad = [u for u in g.neighbours(v) if state[u] == UNTOUCHED]
-            if bad:
-                raise StrategyError(
-                    f"step {step}: remove at {v} with untouched neighbour {bad[0]}")
+            for u in adj[v]:
+                if state[u] == UNTOUCHED:
+                    raise StrategyError(
+                        f"step {step}: remove at {v} with untouched neighbour {u}")
             state[v] = PROCESSED
             live -= 1
         elif kind == SURROUND:
             if state[v] != UNTOUCHED:
                 raise StrategyError(f"step {step}: surround-process on non-fresh {v}")
-            bad = [u for u in g.neighbours(v) if state[u] != OCCUPIED]
-            if bad:
-                raise StrategyError(
-                    f"step {step}: {v} not surrounded, neighbour {bad[0]} has no agent")
+            for u in adj[v]:
+                if state[u] != OCCUPIED:
+                    raise StrategyError(
+                        f"step {step}: {v} not surrounded, neighbour {u} has no agent")
             state[v] = PROCESSED
         else:
             raise StrategyError(f"step {step}: unknown action kind {kind!r}")
@@ -121,32 +135,34 @@ def validate(g: Graph, strategy: Strategy) -> int:
 class _Extractor:
     """Mutable rooted view of the tree: per node its children, its
     descriptor and the `MergeInfo` of its last merge, which carries the
-    descriptor's value, stability and pn+.  The children are kept in the
-    order the run merged them (the key order of the node's received set),
-    so every merge of `__init__` is a memo hit and `max_children` indexes
-    that list; the builders visit children in id order, so the actions do
-    not depend on the arrival order.  sweep() may cut a processed subtree
-    and re-merge the carrier path above it.  The builders append their
-    actions to the list they are given."""
+    descriptor's value, stability and pn+.  A node's children are the keys
+    of its received set, read in place: the order the run merged them, so
+    every merge of `__init__` is a memo hit and `max_children` indexes
+    them.  The builders visit children in id order, so the actions do not
+    depend on the arrival order.  sweep() may cut a processed subtree,
+    which gives the node above it a list of the children left, and re-merge
+    the carrier path above it; the run's states are never changed.  The
+    builders append their actions to the list they are given."""
 
     def __init__(self, states: dict[int, NodeState]):
-        roots = [v for v, st in states.items() if st.father is None]
+        children: dict[int, Collection[int]] = {}
+        hds: dict[int, HDescriptor] = {}
+        info: dict[int, MergeInfo] = {}
+        self.children, self.hd, self.info = children, hds, info
+        pn = ParamVariant.PROCESS_NUMBER
+        roots = []
+        for v, st in states.items():
+            received = children[v] = st.received
+            hd, info[v] = merge_detailed(tuple(received.values()), pn)
+            hds[v] = hd
+            if st.father is None:
+                roots.append(v)
+            elif states[st.father].received[v] != hd:
+                raise ContractError(
+                    f"stored descriptor at {v} disagrees with a fresh merge")
         if len(roots) != 1:
             raise ContractError(f"states describe {len(roots)} roots, want 1")
         self.root = roots[0]
-        self.children = {v: list(st.received) for v, st in states.items()}
-        self.hd: dict[int, HDescriptor] = {}
-        self.info: dict[int, MergeInfo] = {}
-        order = [self.root]
-        for v in order:
-            order.extend(self.children[v])
-        for v in reversed(order):
-            self._remerge(v)
-            if v != self.root:
-                sent = states[states[v].father].received[v]
-                if self.hd[v] != sent:
-                    raise ContractError(
-                        f"stored descriptor at {v} disagrees with a fresh merge")
 
     def _remerge(self, v: int) -> None:
         kids = [self.hd[c] for c in self.children[v]]
@@ -183,38 +199,46 @@ class _Extractor:
             raise ContractError(f"end_at({v}) cannot meet budget {budget}")
         return plan
 
-    def end_at(self, v: int, out: list[Action]) -> None:
+    def end_at(self, v: int, out: list[Action], place: str = PLACE,
+               remove: str = REMOVE, finish: bool = True) -> None:
+        """Process T_v with v's agent removed last, writing `place` and
+        `remove` for PLACE and REMOVE; without `finish` that last removal
+        is left out."""
         chain = [v]
         while (plan := self._hand_off(chain[-1])) is not None:
             chain.append(plan)
         below = None
         for node in reversed(chain):
-            out.append(Action(PLACE, node))
+            out.append(_action((place, node)))
             if below is not None:
-                out.append(Action(REMOVE, below))
+                out.append(_action((remove, below)))
             for c in sorted(self.children[node]):
                 if c != below:
-                    self.sweep(c, out)
+                    self.sweep(c, out, place, remove)
             below = node
-        out.append(Action(REMOVE, v))
+        if finish:
+            out.append(_action((remove, v)))
 
-    def sweep(self, v: int, out: list[Action]) -> None:
+    def sweep(self, v: int, out: list[Action], place: str = PLACE,
+              remove: str = REMOVE) -> None:
         """Process T_v; a leaf, value 0, is surrounded by its held father."""
         hd, info = self.hd[v], self.info[v]
         value = info.result.value
         if value == 0:
-            out.append(Action(SURROUND, v))
+            out.append(_action((SURROUND, v)))
         elif info.pn_plus == value:
-            self.end_at(v, out)
+            self.end_at(v, out, place, remove)
         elif hd.vect == Vect(1, 2) and not any(hd.table):
             if len(self.children[v]) != 1:
                 raise ContractError(f"pure (1,2) node {v} should have one child")
-            self.end_at(self.children[v][0], out)
-            out.insert(-1, Action(SURROUND, v))  # before the child's removal
+            (c,) = self.children[v]
+            self.end_at(c, out, place, remove, finish=False)
+            out += (_action((SURROUND, v)), _action((remove, c)))
         else:
-            self._sweep_unstable(v, value, out)
+            self._sweep_unstable(v, value, out, place, remove)
 
-    def _sweep_unstable(self, v: int, top: int, out: list[Action]) -> None:
+    def _sweep_unstable(self, v: int, top: int, out: list[Action],
+                        place: str, remove: str) -> None:
         info = self.info
         piece = EvalResult(top, False)
         path, w = [], v
@@ -225,31 +249,34 @@ class _Extractor:
                     f"expected one carrier of the value-{top} piece under {w}")
             path.append(w)
             w = carriers[0]
-        m = [self.children[w][i] for i in info[w].max_children]
+        kids = list(self.children[w])
+        m = [kids[i] for i in info[w].max_children]
         if len(m) != 2:
             raise ContractError(f"fold at {w} without two maximal branches")
         w1, w2 = sorted(m)
 
-        self.end_at(w1, out)
-        out.pop()  # w1 is removed once w is placed
-        out += (Action(PLACE, w), Action(REMOVE, w1))
+        # w1 is removed once w is placed
+        self.end_at(w1, out, place, remove, finish=False)
+        out += (_action((place, w)), _action((remove, w1)))
         for c in sorted(self.children[w]):
             if c != w1 and c != w2:
-                self.sweep(c, out)
+                self.sweep(c, out, place, remove)
+        # the tail places w2, removes w and runs end_at(w2) backwards up to
+        # w2's removal: written with the kinds swapped, then reversed
         back: list[Action] = []
-        self.end_at(w2, back)
-        back.pop()  # the tail places w2 instead
-        tail = [Action(PLACE, w2), Action(REMOVE, w)]
-        tail += [Action(_REVERSED[kind], u) for kind, u in reversed(back)]
+        self.end_at(w2, back, remove, place, finish=False)
+        back.reverse()
         if path:
-            self.children[path[-1]].remove(w)
+            above = path[-1]
+            self.children[above] = [c for c in self.children[above] if c != w]
             for node in reversed(path):
                 self._remerge(node)
             if info[v].result.value >= top:
                 raise ContractError(
                     f"remainder value {info[v].result.value} not below piece value {top}")
-            self.sweep(v, out)
-        out += tail
+            self.sweep(v, out, place, remove)
+        out += (_action((place, w2)), _action((remove, w)))
+        out += back
 
 
 def extract(tree: Forest, states: dict[int, NodeState]) -> Strategy:

@@ -146,3 +146,18 @@ def test_schemes_hash_and_compare_by_value():
     assert UnknownSize() is UnknownSize() and repr(UnknownSize()) == "UnknownSize()"
     assert pickle.loads(pickle.dumps(UnknownSize())) is UnknownSize()
     assert UnknownSize() != KnownSize(27, 3)
+
+
+def test_known_size_is_interned():
+    # one instance per n, type of n and budget: memo keys holding a scheme
+    # hash and compare in C
+    scheme = KnownSize(27, 3)
+    assert KnownSize(27, 3) is KnownSize(27, 3) is scheme
+    assert KnownSize.for_tree(27, PN) is scheme
+    assert KnownSize(27.0, 3) is not scheme
+    assert pickle.loads(pickle.dumps(scheme)) is scheme
+    assert type(KnownSize.for_tree(27, PN)).__hash__ is object.__hash__
+    assert type(scheme).__eq__ is object.__eq__
+    with pytest.raises(AttributeError):
+        scheme.cells = 4
+    assert scheme.cells == 3

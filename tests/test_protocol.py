@@ -1,10 +1,11 @@
+import gc
 import hashlib
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treesweep.codec import UnknownSize
+from treesweep.codec import UnknownSize, decode
 from treesweep.forest import (ArgumentError, Forest, Graph, cycle_graph,
                               gen_tree, parse_edge_list, path_tree,
                               random_tree, star_tree, theorem1_tree)
@@ -307,3 +308,57 @@ def test_connected_graph_with_a_cycle_keeps_its_error(graph, left):
 def test_disconnected_graph_is_rejected():
     with pytest.raises(ArgumentError, match="^tree is disconnected; use the dynamic"):
         run_static(Graph(range(4), [(0, 1), (2, 3)]))
+
+
+def test_a_run_keeps_nothing_per_message():
+    # what a run leaves alive is one NodeState and one received set per
+    # vertex; the sending order is a list of ids, and frames are rendered
+    # on demand, so no container is kept per message
+    tree = random_tree(2000, 4)
+    run_static(tree)  # fills the memos
+    gc.collect()
+    before = len(gc.get_objects())
+    run = run_static(tree)
+    gc.collect()
+    alive = len(gc.get_objects()) - before
+    assert run.counters.messages == 1999
+    assert alive <= 2 * tree.n + 20
+
+
+@pytest.mark.parametrize("encoding", ["known", "unknown"])
+@pytest.mark.parametrize("variant", list(ParamVariant), ids=lambda v: v.value)
+def test_rendered_wires_decode_to_the_stored_entries(variant, encoding):
+    for seed in range(3):
+        tree = random_tree(150, seed)
+        scheme = default_scheme(tree.n, variant, encoding)
+        run = run_static(tree, variant, scheme, Schedule(seed))
+        wires = run.wires
+        assert [v for v, *_ in wires] == run.order
+        assert len(wires) == run.counters.messages
+        assert sum(len(wire) for *_, wire in wires) == run.counters.bits
+        for v, father, hd, wire in wires:
+            assert father == run.states[v].father
+            assert wire.scheme is scheme and wire.dyn_flag is None
+            assert decode(wire) == hd == run.states[father].received[v]
+
+
+@pytest.mark.parametrize("encoding", ["known", "unknown"])
+def test_rendering_wires_builds_no_frame(monkeypatch, encoding):
+    # the run encoded every message it renders, so each frame comes back
+    # from the encode memo
+    import treesweep.codec as codec
+    fresh = []
+    real = codec._encode
+
+    def counting(*args):
+        fresh.append(args)
+        return real(*args)
+    monkeypatch.setattr(codec, "_encode", counting)
+    tree = random_tree(400, 6)
+    for variant in ParamVariant:
+        run = run_static(tree, variant, default_scheme(tree.n, variant, encoding))
+        misses = codec._encode_memo.cache_info().misses
+        assert len(run.wires) == tree.n - 1
+        assert run.transcript().count("SEND ") == tree.n - 1
+        assert codec._encode_memo.cache_info().misses == misses
+    assert fresh == []

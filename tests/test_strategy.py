@@ -95,6 +95,33 @@ def test_dump_format():
     assert s.dump() == "P 3\nS 1\nR 3\n"
 
 
+def test_dump_matches_the_actions_text():
+    assert Strategy().dump() == "\n"
+    t = random_tree(60, 2)
+    s = extract(t, run_static(t).states)
+    assert s.dump() == "\n".join(str(a) for a in s.actions) + "\n"
+
+
+@pytest.mark.parametrize("tree", [theorem1_tree(7), spider_tree(300, 300, 300)],
+                         ids=["theorem1_7", "spider300x3"])
+def test_extract_builds_each_action_once(monkeypatch, tree):
+    # reversed hand-offs are written backwards in place, not rebuilt from a
+    # forward copy, so no action is built that the strategy does not keep
+    import treesweep.strategy as strategy
+    built = []
+    real = strategy._action
+
+    def counting(pair):
+        built.append(pair)
+        return real(pair)
+    monkeypatch.setattr(strategy, "_action", counting)
+    run = run_static(tree)
+    s = extract(tree, run.states)
+    assert validate(tree, s) == run.value
+    assert all(type(a) is Action for a in s.actions)
+    assert len(built) <= len(s) + 2
+
+
 # sha256 over each tree's edge list and extracted strategy, in order; pinned
 # from the recursive extractor, which needed one stack frame per tree level
 GOLDEN = {
