@@ -18,7 +18,8 @@ from .dynamic import run_script
 from .forest import (ArgumentError, Forest, GraphError, enumerate_trees,
                      gen_tree, parse_edge_list, serialize)
 from .hd import ContractError, ParamVariant, rooted_value
-from .oracle import (es_exact, gap_characterization_check, ns_exact, pn_exact,
+from .oracle import (ES_LIMIT, NS_LIMIT, PN_LIMIT, PW_LIMIT, es_exact,
+                     gap_characterization_check, ns_exact, pn_exact,
                      pathwidth_exact, stable_exact)
 from .protocol import Schedule, default_scheme, run_static
 from .strategy import extract, validate
@@ -31,6 +32,16 @@ VARIANT_FOR = {
 }
 
 ORACLE_FOR = {"pn": pn_exact, "ns": ns_exact, "es": es_exact}
+
+# the largest tree each conformance sweep's oracles accept
+MAX_N_FOR = {
+    "pn": PN_LIMIT,
+    "ns": NS_LIMIT,
+    "es": ES_LIMIT,
+    "all": min(PN_LIMIT, NS_LIMIT, ES_LIMIT),
+    "relations": min(PW_LIMIT, PN_LIMIT, NS_LIMIT, ES_LIMIT),
+    "gap": min(PW_LIMIT, PN_LIMIT),
+}
 
 
 def cmd_compute(args) -> int:
@@ -120,6 +131,10 @@ def _check_gap(payload) -> list[str]:
 def cmd_conformance(args) -> int:
     if args.jobs < 1:
         raise ArgumentError("--jobs must be at least 1")
+    cap = MAX_N_FOR[args.param]
+    if args.max_n > cap:
+        raise ArgumentError(f"--max-n {args.max_n} exceeds the oracle cap of {cap} "
+                            f"for --param {args.param}")
     checker = {"relations": _check_relations, "gap": _check_gap}.get(
         args.param, _check_values)
     payloads = [(serialize(t), args.param)

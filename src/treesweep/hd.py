@@ -85,10 +85,6 @@ class HDescriptor(NamedTuple):
     vect: Vect
     table: tuple[int, ...]
 
-    def cell(self, i: int) -> int:
-        """1-based table access; cells beyond the length read as 0."""
-        return self.table[i - 1] if 1 <= i <= len(self.table) else 0
-
     @property
     def length(self) -> int:
         return len(self.table)

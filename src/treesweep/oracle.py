@@ -1,17 +1,25 @@
 """Exhaustive ground-truth solvers for the searching parameters on small graphs.
 
-Every solver is a plain reachability search over explicit game states, kept
-deliberately independent of the hierarchical-decomposition machinery so the
-two can arbitrate each other.  State spaces: 3^n for the process game
-(untouched / occupied / processed per vertex), occupied-set x cleared-edges
-for node search, searcher-multiset x cleared-edges for edge search, and a
-subset DP for vertex separation.
+The three games share one search, `_fewest`: the least number of agents p
+for which a breadth-first search over explicit game states, with at most p
+agents in play, reaches a done state.  A game is a start state, a move
+function and a done test; there are two kinds:
+
+- the process game, shared by `pn_exact` and `pn_plus_exact`, which differ
+  only in the done state.  A state is a base-3 number with one digit per
+  vertex (untouched / occupied / processed), and the rules test a vertex's
+  neighbours with bitmasks;
+- the edge games, node search (`ns_exact`) and edge search (`es_exact`).
+  They share one edge index (`_EdgeGame`: incident-edge masks, the
+  all-cleared goal) and one recontamination rule, keyed on the set of
+  guarded vertices.  A state is (guards, cleared edges): the occupied set
+  for node search, the searcher count of each vertex for edge search.
+
+Vertex separation is a subset DP, not a game.  Nothing here uses the
+hierarchical-decomposition machinery, so the two can arbitrate each other.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from functools import lru_cache
 
 from .forest import ArgumentError, Forest, Graph
 
@@ -37,99 +45,70 @@ def _dense(g: Graph) -> tuple[int, list[int], dict[int, int]]:
     return len(order), masks, pos
 
 
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask &= mask - 1
+
+
+def _fewest(agents: int, most: int, start, moves, done) -> int:
+    """Least p in agents..most for which a state passing `done` is reachable
+    from `start`, where `moves(state, p)` yields the states one move away
+    with at most p agents in play."""
+    if done(start):
+        return agents
+    for p in range(agents, most + 1):
+        seen = {start}
+        queue = [start]
+        for state in queue:  # the queue grows behind the loop: breadth first
+            for nxt in moves(state, p):
+                if nxt not in seen:
+                    if done(nxt):
+                        return p
+                    seen.add(nxt)
+                    queue.append(nxt)
+    raise AssertionError(f"unreachable: {most} agents always win")
+
+
 # ---------------------------------------------------------------------------
 # process number
 
-_UNTOUCHED, _OCCUPIED, _PROCESSED = 0, 1, 2
+def _process_game(g: Graph):
+    """(n, old->new map, moves) of the process game on g; vertex i is digit i
+    of the base-3 state (0 untouched, 1 occupied, 2 processed)."""
+    n, nbr, pos = _dense(g)
+    cells = [(1 << v, nbr[v], 3 ** v) for v in range(n)]
 
-
-def _pn_search(n: int, nbr: list[int], agents: int, goal_occupied: int | None) -> bool:
-    """Reachability of the process game with at most `agents` agents.
-
-    goal_occupied None: reach all-processed.  Otherwise reach the state where
-    exactly that vertex is occupied and everything else is processed (the
-    final removal then ends the strategy there).
-    """
-    code = [3 ** i for i in range(n)]
-    all_processed = sum(2 * c for c in code)
-    if goal_occupied is not None:
-        goal = all_processed - 2 * code[goal_occupied] + code[goal_occupied]
-    else:
-        goal = all_processed
-    start = 0
-    if start == goal:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        digits = []
+    def moves(state: int, agents: int):
+        untouched = occupied = 0
         s = state
-        for i in range(n):
-            digits.append(s % 3)
+        for bit, _, _ in cells:
+            d = s % 3
             s //= 3
-        occupied = sum(1 for d in digits if d == _OCCUPIED)
-        for v in range(n):
-            d = digits[v]
-            if d == _UNTOUCHED:
-                # place an agent
-                if occupied < agents:
-                    nxt = state + code[v]
-                    if nxt not in seen:
-                        if nxt == goal:
-                            return True
-                        seen.add(nxt)
-                        queue.append(nxt)
-                # rule 3: process when surrounded by agents
-                mask = nbr[v]
-                surrounded = True
-                u = 0
-                m = mask
-                while m:
-                    if m & 1 and digits[u] != _OCCUPIED:
-                        surrounded = False
-                        break
-                    m >>= 1
-                    u += 1
-                if surrounded:
-                    nxt = state + 2 * code[v]
-                    if nxt not in seen:
-                        if nxt == goal:
-                            return True
-                        seen.add(nxt)
-                        queue.append(nxt)
-            elif d == _OCCUPIED:
-                # rule 2: remove when every neighbour is processed or occupied
-                ok = True
-                u = 0
-                m = nbr[v]
-                while m:
-                    if m & 1 and digits[u] == _UNTOUCHED:
-                        ok = False
-                        break
-                    m >>= 1
-                    u += 1
-                if ok:
-                    nxt = state + code[v]
-                    if nxt not in seen:
-                        if nxt == goal:
-                            return True
-                        seen.add(nxt)
-                        queue.append(nxt)
-    return False
+            if d == 0:
+                untouched |= bit
+            elif d == 1:
+                occupied |= bit
+        room = occupied.bit_count() < agents
+        for bit, around, code in cells:
+            if untouched & bit:
+                if room:  # place an agent
+                    yield state + code
+                if not around & ~occupied:  # rule 3: surrounded by agents
+                    yield state + 2 * code
+            elif occupied & bit and not around & untouched:
+                yield state + code  # rule 2: no untouched neighbour is left
+    return n, pos, moves
 
 
 def pn_exact(g: Graph) -> int:
     """Least p such that a p-agent process strategy processes all of g."""
     if g.n > PN_LIMIT:
         raise CapacityError(f"pn oracle limited to n <= {PN_LIMIT}")
-    if g.n == 0:
-        return 0
-    n, nbr, _ = _dense(g)
-    for p in range(n + 1):
-        if _pn_search(n, nbr, p, None):
-            return p
-    raise AssertionError("unreachable: n agents always suffice")
+    n, _, moves = _process_game(g)
+    all_processed = 3 ** n - 1
+    return _fewest(0, n, 0, moves, all_processed.__eq__)
 
 
 def pn_plus_exact(g: Graph, r: int) -> int:
@@ -142,11 +121,10 @@ def pn_plus_exact(g: Graph, r: int) -> int:
         raise CapacityError(f"pn+ oracle limited to n <= {PN_PLUS_LIMIT}")
     if r not in g.vertices:
         raise ArgumentError(f"vertex {r} not in graph")
-    n, nbr, pos = _dense(g)
-    for p in range(1, n + 1):
-        if _pn_search(n, nbr, p, pos[r]):
-            return p
-    raise AssertionError("unreachable")
+    n, pos, moves = _process_game(g)
+    # everything processed but r, which is occupied: the final removal ends there
+    last = 3 ** n - 1 - 3 ** pos[r]
+    return _fewest(1, n, 0, moves, last.__eq__)
 
 
 def stable_exact(g: Graph, r: int) -> bool:
@@ -184,15 +162,42 @@ def pathwidth_exact(g: Graph) -> int:
     return dp[full]
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
-
-
 # ---------------------------------------------------------------------------
-# node search
+# node and edge search
+
+class _EdgeGame:
+    """What node and edge search share.  Edge i of `g.edges()` is bit i of an
+    edge mask; `incident[v]` masks the edges at vertex v and `goal` all of
+    them.  A state is (guards, cleared edges), done once every edge is clear."""
+
+    start = (0, 0)
+
+    def __init__(self, g: Graph):
+        self.n, self.nbr, pos = _dense(g)
+        self.incident = [0] * self.n
+        edges = g.edges()
+        for i, (u, v) in enumerate(edges):
+            self.incident[pos[u]] |= 1 << i
+            self.incident[pos[v]] |= 1 << i
+        self.goal = (1 << len(edges)) - 1
+        self.cells = [(1 << v, inc) for v, inc in enumerate(self.incident)]
+
+    def done(self, state) -> bool:
+        return state[1] == self.goal
+
+    def recontaminate(self, guarded: int, cleared: int) -> int:
+        """The cleared edges left once contamination has spread from every
+        dirty edge through each vertex outside `guarded` that it touches."""
+        goal, cells = self.goal, self.cells
+        dirty = goal & ~cleared
+        while True:
+            before = dirty
+            for bit, inc in cells:
+                if inc & dirty and not guarded & bit:
+                    dirty |= inc
+            if dirty == before:
+                return goal & ~dirty
+
 
 def ns_exact(g: Graph) -> int:
     """Node search with recontamination: an edge is cleared while both its
@@ -201,85 +206,25 @@ def ns_exact(g: Graph) -> int:
     capture convention (the fugitive sits on the vertex)."""
     if g.n > NS_LIMIT:
         raise CapacityError(f"ns oracle limited to n <= {NS_LIMIT}")
-    if g.n == 0:
-        return 0
-    edges = g.edges()
-    if not edges:
-        return 1
-    n, nbr, pos = _dense(g)
-    ne = len(edges)
-    incident = [0] * n
-    endpoints = []
-    for i, (u, v) in enumerate(edges):
-        a, b = pos[u], pos[v]
-        incident[a] |= 1 << i
-        incident[b] |= 1 << i
-        endpoints.append((a, b))
-    goal = (1 << ne) - 1
+    game = _EdgeGame(g)
+    cells, recontaminate = game.cells, game.recontaminate
 
-    def closure(occ: int, cleared: int) -> int:
-        changed = True
-        while changed:
-            changed = False
-            dirty = goal & ~cleared
-            if not dirty:
-                break
-            m = cleared
-            while m:
-                e = (m & -m).bit_length() - 1
-                a, b = endpoints[e]
-                for x in (a, b):
-                    if not (occ >> x) & 1 and (incident[x] & dirty & ~(1 << e)):
-                        cleared &= ~(1 << e)
-                        changed = True
-                        break
-                m &= m - 1
-        return cleared
+    def moves(state, agents: int):
+        occupied, cleared = state
+        room = occupied.bit_count() < agents
+        held = 0  # the edges at occupied vertices
+        for bit, inc in cells:
+            if occupied & bit:
+                held |= inc
+        for bit, inc in cells:
+            if occupied & bit:
+                left = occupied ^ bit
+                yield left, recontaminate(left, cleared)
+            elif room:  # placing clears the edges to occupied neighbours
+                yield occupied | bit, cleared | inc & held
+    # one agent even when there is no edge to clear, none on the empty graph
+    return _fewest(min(game.n, 1), game.n, game.start, moves, game.done)
 
-    for p in range(1, n + 1):
-        start = (0, 0)
-        seen = {start}
-        queue = deque([start])
-        found = False
-        while queue and not found:
-            occ, cleared = queue.popleft()
-            count = bin(occ).count("1")
-            for v in range(n):
-                if (occ >> v) & 1:
-                    nocc = occ & ~(1 << v)
-                    ncl = closure(nocc, cleared)
-                    s = (nocc, ncl)
-                    if s not in seen:
-                        if ncl == goal:
-                            found = True
-                            break
-                        seen.add(s)
-                        queue.append(s)
-                elif count < p:
-                    nocc = occ | (1 << v)
-                    ncl = cleared
-                    m = incident[v]
-                    while m:
-                        e = (m & -m).bit_length() - 1
-                        a, b = endpoints[e]
-                        other = a if b == v else b
-                        if (nocc >> other) & 1:
-                            ncl |= 1 << e
-                        m &= m - 1
-                    s = (nocc, ncl)
-                    if s not in seen:
-                        if ncl == goal:
-                            found = True
-                            break
-                        seen.add(s)
-                        queue.append(s)
-        if found:
-            return p
-    raise AssertionError("unreachable")
-
-
-# ---------------------------------------------------------------------------
-# edge search
 
 def es_exact(g: Graph) -> int:
     """Edge search with recontamination: searchers are placed, removed, or
@@ -287,79 +232,37 @@ def es_exact(g: Graph) -> int:
     vertex."""
     if g.n > ES_LIMIT:
         raise CapacityError(f"es oracle limited to n <= {ES_LIMIT}")
-    edges = g.edges()
-    if not edges:
-        return 0
-    n, nbr, pos = _dense(g)
-    eidx = {}
-    for i, (u, v) in enumerate(edges):
-        eidx[(pos[u], pos[v])] = i
-        eidx[(pos[v], pos[u])] = i
-    ne = len(edges)
-    incident = [0] * n
-    endpoints = []
-    for i, (u, v) in enumerate(edges):
-        a, b = pos[u], pos[v]
-        incident[a] |= 1 << i
-        incident[b] |= 1 << i
-        endpoints.append((a, b))
-    goal = (1 << ne) - 1
-    adj_lists = [sorted(_bits(nbr[v])) for v in range(n)]
+    game = _EdgeGame(g)
+    n, incident, recontaminate = game.n, game.incident, game.recontaminate
+    # guards pack the searcher count of vertex v into `width` bits at width*v;
+    # n + 1 searchers always win (one on each vertex and one to slide)
+    width = (n + 1).bit_length()
+    full = (1 << width) - 1
+    unit = [1 << width * v for v in range(n)]
+    cells = [(1 << v, width * v, unit[v],
+              [(unit[u], 1 << u, incident[v] & incident[u]) for u in _bits(game.nbr[v])])
+             for v in range(n)]
 
-    def closure(counts: tuple[int, ...], cleared: int) -> int:
-        changed = True
-        while changed:
-            changed = False
-            dirty = goal & ~cleared
-            if not dirty:
-                break
-            m = cleared
-            while m:
-                e = (m & -m).bit_length() - 1
-                a, b = endpoints[e]
-                for x in (a, b):
-                    if counts[x] == 0 and (incident[x] & dirty & ~(1 << e)):
-                        cleared &= ~(1 << e)
-                        changed = True
-                        break
-                m &= m - 1
-        return cleared
-
-    for p in range(1, n + ne + 1):
-        start = ((0,) * n, 0)
-        seen = {start}
-        queue = deque([start])
-        found = False
-        while queue and not found:
-            counts, cleared = queue.popleft()
-            total = sum(counts)
-            moves = []
-            for v in range(n):
-                if total < p:
-                    c2 = list(counts)
-                    c2[v] += 1
-                    moves.append((tuple(c2), cleared))
-                if counts[v] > 0:
-                    c2 = list(counts)
-                    c2[v] -= 1
-                    moves.append((tuple(c2), closure(tuple(c2), cleared)))
-                    for u in adj_lists[v]:
-                        c3 = list(counts)
-                        c3[v] -= 1
-                        c3[u] += 1
-                        t3 = tuple(c3)
-                        ncl = closure(t3, cleared | (1 << eidx[(v, u)]))
-                        moves.append((t3, ncl))
-            for s in moves:
-                if s not in seen:
-                    if s[1] == goal:
-                        found = True
-                        break
-                    seen.add(s)
-                    queue.append(s)
-        if found:
-            return p
-    raise AssertionError("unreachable")
+    def moves(state, agents: int):
+        counts, cleared = state
+        total = guarded = 0
+        for bit, shift, _, _ in cells:
+            k = counts >> shift & full
+            if k:
+                total += k
+                guarded |= bit
+        room = total < agents
+        for bit, shift, one, slides in cells:
+            if room:
+                yield counts + one, cleared
+            if guarded & bit:
+                left = counts - one
+                # the vertex stays guarded only if another searcher is there
+                still = guarded if left >> shift & full else guarded ^ bit
+                yield left, recontaminate(still, cleared)
+                for there, to, edge in slides:
+                    yield left + there, recontaminate(still | to, cleared | edge)
+    return _fewest(0, n + 1, game.start, moves, game.done)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,20 @@ def test_conformance_rejects_jobs_below_one(capsys, jobs):
     assert (code, out, err) == (2, "", "error: --jobs must be at least 1\n")
 
 
+@pytest.mark.parametrize("param,cap", [
+    ("ns", 11), ("es", 10), ("all", 10), ("relations", 10), ("pn", 13), ("gap", 13)])
+def test_conformance_refuses_max_n_above_the_oracle_cap(capsys, monkeypatch, param, cap):
+    import treesweep.cli as cli
+    enumerated = []
+    monkeypatch.setattr(cli, "enumerate_trees", lambda n: enumerated.append(n) or [])
+    code, out, err = run_cli(["conformance", "--max-n", str(cap + 1), "--param", param],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --max-n {cap + 1} exceeds the oracle cap of {cap} "
+                   f"for --param {param}\n")
+    assert enumerated == []
+
+
 @pytest.mark.parametrize("cpus,max_n,pools", [
     (3, 6, [3]),      # capped by the CPUs
     (64, 3, [3]),     # capped by the three trees of up to 3 vertices

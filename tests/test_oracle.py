@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from treesweep.forest import (ArgumentError, cycle_graph, enumerate_trees,
-                              grid_graph, path_tree, spider_tree, star_tree,
-                              theorem1_tree)
+                              grid_graph, path_tree, serialize, spider_tree,
+                              star_tree, theorem1_tree)
 from treesweep.oracle import (CapacityError, es_exact,
                               gap_characterization_check, ns_exact,
                               pathwidth_exact, pn_exact, pn_plus_exact,
@@ -70,6 +72,32 @@ def test_relations_small(trees_up_to_8):
         for r in t.vertices:
             plus = pn_plus_exact(t, r)
             assert pn <= plus <= pn + 1 or (t.n == 1 and plus == 1)
+
+
+# sha256 of the lines `_golden_lines` yields: pn, ns, es and pw on every tree
+# of up to 9 vertices, pn+ at every root of the trees of up to 8, and pn, ns
+# and pw on the cycles C3..C7 and the 2x2, 2x3 and 3x3 grids.
+ORACLE_GOLDEN = "2ee3103cd7f822381422230e020a9b2c0c42939ca13555431b4a24c1be20a610"
+
+
+def _golden_lines():
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            key = serialize(t).replace("\n", ";")
+            yield (f"{key} pn={pn_exact(t)} ns={ns_exact(t)} es={es_exact(t)} "
+                   f"pw={pathwidth_exact(t)}")
+            if n <= 8:
+                plus = " ".join(str(pn_plus_exact(t, r)) for r in sorted(t.vertices))
+                yield f"{key} pn+={plus}"
+    graphs = ([(f"C{k}", cycle_graph(k)) for k in range(3, 8)]
+              + [(f"grid{r}x{c}", grid_graph(r, c)) for r, c in ((2, 2), (2, 3), (3, 3))])
+    for name, g in graphs:
+        yield f"{name} pn={pn_exact(g)} ns={ns_exact(g)} pw={pathwidth_exact(g)}"
+
+
+def test_oracle_values_golden():
+    text = "\n".join(_golden_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_GOLDEN
 
 
 def test_theorem1_growth():
