@@ -15,8 +15,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .dynamic import run_script
-from .forest import (ArgumentError, Forest, GraphError, enumerate_trees,
-                     gen_tree, parse_edge_list, serialize)
+from .forest import (_GENERATORS, ArgumentError, Forest, GraphError,
+                     enumerate_trees, gen_tree, parse_edge_list, serialize)
 from .hd import ContractError, ParamVariant, rooted_value
 from .oracle import (ES_LIMIT, NS_LIMIT, PN_LIMIT, PW_LIMIT, es_exact,
                      gap_characterization_check, ns_exact, pn_exact,
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_conformance)
 
     g = sub.add_parser("gen", help="emit a generated tree as an edge list")
-    g.add_argument("kind", choices=("path", "star", "spider", "theorem1", "random"))
+    g.add_argument("kind", choices=tuple(_GENERATORS))
     g.add_argument("args", nargs="+")
     g.set_defaults(func=cmd_gen)
     return p

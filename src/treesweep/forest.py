@@ -3,26 +3,27 @@
 Vertices are dense non-negative integers so that identifier comparison
 doubles as the total order used for root election.  `Graph` allows cycles
 (it only exists as oracle input: cycles, grids); `Forest` rejects any
-cycle-creating insertion at the model layer, with one of two cycle checks,
-one per kind of traffic:
+cycle-creating insertion at the model layer.  Three kinds of traffic
+insert edges, each through one path:
 
-- `Forest.add_edge` asks `Graph.connected`, a search from both endpoints in
-  lockstep that stops when the smaller side is exhausted
-  (`Graph.exhausted_side`).  One insertion costs O(min(|A|, |B|)) for the
-  two components it joins, so building any tree in any edge order is
-  O(n log n).  It is a search, not a union-find, because edges are also
-  deleted (`DynamicForest.delete_edge` removes edges here before it touches
-  any node state, and runs the same search to find the smaller side), and
-  a union cannot be undone.
-- The bulk builders, `parse_edge_list`, `prufer_to_tree` and
-  `Forest.induced`, only ever insert edges into an edgeless forest.  They
-  all go through `_build`, one loop that answers every cycle check from a
+- A forest's edge list known up front (the `Forest` constructor, and so
+  every generator and `induced`; `parse_edge_list`; `prufer_to_tree`)
+  goes through `_build`, one loop that answers every cycle check from a
   union-find local to the call (Tarjan, "Efficiency of a good but not
   linear set union algorithm", J. ACM 1975) in near-constant amortised
-  time, so a parse or a Pruefer decode is near-linear.
+  time, so a build, a parse or a Pruefer decode is near-linear.
+- Incremental insertion into a forest (`DynamicForest`, `random_forest`)
+  goes through `Forest.add_edge`, whose cycle check `Graph.connected`
+  searches from both endpoints in lockstep until the smaller side is
+  exhausted: O(min(|A|, |B|)) for the components A and B it joins, so
+  O(n log n) for any tree in any edge order.  A search, not a union-find,
+  because `DynamicForest.delete_edge` also deletes edges (and runs the
+  same search to find the smaller side); a union cannot be undone.
+- A `Graph`'s edges, which may close cycles, go through `Graph._join`.
 
-Both checks accept and reject the same edges with the same `StructureError`s,
-made in the same order: a self-loop, then a duplicate, then a cycle.
+The two forest paths raise the same `StructureError`s in the same order:
+a self-loop, a duplicate, then a cycle (`Graph._join` the first two).
+The constructors check each endpoint's id first, with `add_vertex`.
 """
 
 from __future__ import annotations
@@ -60,10 +61,17 @@ class Graph:
         self.adj: dict[int, set[int]] = {}
         for v in vertices:
             self.add_vertex(v)
+        for u, v in self._checked(edges):
+            self._join(u, v)
+
+    def _checked(self, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+        """Yield each edge once `add_vertex` has checked and created u, then
+        v, so a bad id is reported before a self-loop."""
+        add_vertex = self.add_vertex
         for u, v in edges:
-            if u == v:
-                self.add_vertex(u)  # a bad id is reported before the self-loop
-            self.add_edge(u, v)
+            add_vertex(u)
+            add_vertex(v)
+            yield u, v
 
     @property
     def n(self) -> int:
@@ -183,11 +191,9 @@ class Graph:
         return seen[side]
 
     def induced(self, keep: Iterable[int]) -> "Graph":
+        """The subgraph on `keep`, of the same kind as this graph."""
         keep = set(keep)
-        g = Graph(keep)
-        for u, v in self._edges_within(keep):
-            g.add_edge(u, v)
-        return g
+        return type(self)(keep, self._edges_within(keep))
 
     def _edges_within(self, keep: set[int]) -> Iterator[tuple[int, int]]:
         for u in keep:
@@ -207,6 +213,10 @@ class Forest(Graph):
 
     __slots__ = ()
 
+    def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
+        super().__init__(vertices)
+        _build(self, self._checked(edges))
+
     def add_edge(self, u: int, v: int) -> None:
         self.add_vertex(u)
         self.add_vertex(v)
@@ -222,10 +232,6 @@ class Forest(Graph):
     def is_tree(self) -> bool:
         return self.n >= 1 and self.is_connected()
 
-    def induced(self, keep: Iterable[int]) -> "Forest":
-        keep = set(keep)
-        return _build(Forest(keep), self._edges_within(keep))
-
 
 class _UnionFind(dict):
     """Disjoint sets of vertex ids for the cycle checks of `_build`, which
@@ -239,17 +245,18 @@ class _UnionFind(dict):
 def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
     """Insert a stream of edges, in order, into `forest`, which has no edges.
 
-    One loop, which accepts and rejects exactly what `Forest.add_edge`
-    would, with the same errors.  For each edge uv it creates u, then v,
-    if absent; raises for a self-loop, then a duplicate, then a cycle;
-    then adds v to u's neighbours and u to v's, so the vertex order of
-    `adj` and the order of every neighbour set are those of `add_edge`.
+    The one path for a forest's edge list known up front: a loop that
+    accepts and rejects exactly what `Forest.add_edge` would, with the same
+    errors.  For each edge uv it creates u, then v, if absent; raises for a
+    self-loop, then a duplicate, then a cycle; then adds v to u's
+    neighbours and u to v's, so the vertex order of `adj` and the order of
+    every neighbour set are those of `add_edge`.
     The cycle check asks a union-find that lives only for this call: a
     build never removes an edge, so no union needs undoing.  Endpoints are
     trusted to be non-negative ints: the parser checks its tokens,
-    `prufer_to_tree` its sequence, and `Forest.induced` reads ids that
-    are already vertices.  The stream may add vertices to `forest`
-    between edges.
+    `prufer_to_tree` its sequence, and the `Forest` constructor passes
+    each edge through `Graph._checked`.  The stream may add vertices to
+    `forest` between edges.
     """
     adj = forest.adj
     adj_get = adj.get
@@ -384,16 +391,11 @@ def spider_tree(l1: int, l2: int, l3: int) -> Forest:
     """Three legs of the given lengths glued at center 0."""
     if min(l1, l2, l3) < 1:
         raise ArgumentError("spider legs must have length >= 1")
-    f = Forest([0])
-    nxt = 1
+    edges = []
     for leg in (l1, l2, l3):
-        prev = 0
-        for _ in range(leg):
-            f.add_vertex(nxt)
-            f.add_edge(prev, nxt)
-            prev = nxt
-            nxt += 1
-    return f
+        first = len(edges) + 1
+        edges += [(0, first)] + [(v, v + 1) for v in range(first, first + leg - 1)]
+    return Forest([0], edges)
 
 
 def theorem1_tree(k: int) -> Forest:
@@ -405,21 +407,16 @@ def theorem1_tree(k: int) -> Forest:
     """
     if k < 0:
         raise ArgumentError(f"theorem1 level must be >= 0, got {k}")
-    if k == 0:
-        return Forest([0])
-    sub = theorem1_tree(k - 1)
-    m = sub.n
-    f = Forest()
-    for off in (0, m, 2 * m):
-        for u, v in sub.edges():
-            f.add_edge(u + off, v + off)
-        for u in sub.vertices:
-            f.add_vertex(u + off)
-    center = 3 * m
-    f.add_vertex(center)
-    for off in (0, m, 2 * m):
-        f.add_edge(center, off + m - 1)
-    return f
+    n, edges = 1, []
+    for _ in range(k):
+        below = sorted(edges)
+        copies = (0, n, 2 * n)
+        edges = [(u + off, v + off) for off in copies for u, v in below]
+        edges += [(off + n - 1, 3 * n) for off in copies]
+        n = 3 * n + 1
+    # vertices appear in the order the edges name them, but a level-0 copy
+    # has no edge to name it: up to level 1 they appear in id order
+    return Forest(range(n) if k < 2 else (), edges)
 
 
 def theorem1_size(k: int) -> int:
@@ -457,8 +454,6 @@ def random_tree(n: int, seed: int) -> Forest:
         raise ArgumentError(f"random tree needs n >= 1, got {n}")
     if n == 1:
         return Forest([0])
-    if n == 2:
-        return Forest([0, 1], [(0, 1)])
     rng = random.Random(seed)
     return prufer_to_tree([rng.randrange(n) for _ in range(n - 2)], n)
 
@@ -479,23 +474,26 @@ def random_forest(n: int, edges: int, seed: int) -> Forest:
     return f
 
 
+# the tree kinds of `gen_tree`, in the order `treesweep gen` lists them
+_GENERATORS = {
+    "path": path_tree,
+    "star": star_tree,
+    "spider": spider_tree,
+    "theorem1": theorem1_tree,
+    "random": random_tree,
+}
+
+
 def gen_tree(kind: str, *args) -> Forest:
     """Dispatcher used by the CLI: path k | star k | spider l1 l2 l3 |
     theorem1 k | random n seed."""
-    table = {
-        "path": path_tree,
-        "star": star_tree,
-        "spider": spider_tree,
-        "theorem1": theorem1_tree,
-        "random": random_tree,
-    }
-    if kind not in table:
+    if kind not in _GENERATORS:
         raise ArgumentError(f"unknown tree kind {kind!r}")
-    names = list(inspect.signature(table[kind]).parameters)
+    names = list(inspect.signature(_GENERATORS[kind]).parameters)
     if len(args) != len(names):
         raise ArgumentError(f"{kind} expects {' '.join(names)}, "
                             f"got {len(args)} argument(s)")
-    return table[kind](*args)
+    return _GENERATORS[kind](*args)
 
 
 def cycle_graph(k: int) -> Graph:
@@ -620,12 +618,11 @@ def _split_layout(layout):
 
 
 def _layout_to_forest(layout) -> Forest:
-    f = Forest([0])
-    stack = []
+    edges, stack = [], []
     for i in range(len(layout)):
         while stack and layout[stack[-1]] >= layout[i]:
             stack.pop()
         if stack:
-            f.add_edge(i, stack[-1])
+            edges.append((i, stack[-1]))
         stack.append(i)
-    return f
+    return Forest([0], edges)

@@ -147,8 +147,7 @@ def pathwidth_exact(g: Graph) -> int:
     n, nbr, _ = _dense(g)
     full = (1 << n) - 1
     dp = [0] * (full + 1)
-    order = sorted(range(1, full + 1), key=lambda s: bin(s).count("1"))
-    for s in order:
+    for s in range(1, full + 1):  # every proper subset of s is smaller than s
         boundary = 0
         rest = ~s
         m = s

@@ -80,6 +80,15 @@ def test_gen_wrong_argument_count(capsys):
     assert err == "error: spider expects l1 l2 l3, got 2 argument(s)\n"
 
 
+def test_gen_lists_the_generator_kinds(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen", "frob", "3"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument kind: invalid choice: 'frob' (choose from 'path', 'star', "
+        "'spider', 'theorem1', 'random')\n")
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     from treesweep.forest import random_tree, serialize
     path = write(tmp_path, "t.txt", serialize(random_tree(19, 3)))
@@ -144,6 +153,11 @@ def test_conformance_all_and_relations(capsys):
     code, out, _ = run_cli(["conformance", "--max-n", "5", "--param", "relations"],
                            capsys)
     assert code == 0 and "fail=0" in out
+
+
+def test_conformance_gap(capsys):
+    code, out, _ = run_cli(["conformance", "--max-n", "7", "--param", "gap"], capsys)
+    assert code == 0 and "param=gap fail=0" in out
 
 
 def test_conformance_checks_every_root(capsys, monkeypatch):

@@ -190,6 +190,34 @@ def test_theorem1_structure():
         assert t.is_tree()
 
 
+# each family's adjacency, vertex order and every neighbour set's iteration
+# order included, as its generators built it before they emitted edge lists
+GENERATOR_GOLDENS = {
+    "path-star": ("9a150978947b7bb1dca4eb15f49e2cbee3ed3ba294466b7f06b7f9d320d58649",
+                  lambda: [f(k) for f in (path_tree, star_tree) for k in (1, 2, 100)]),
+    "spider": ("fefba214e3366e2ab75b5668b03e9d424eb5304239370b0c681d6e19ebc362df",
+               lambda: [spider_tree(1, 1, 1), spider_tree(5, 7, 9)]),
+    "theorem1": ("2f86978f655428339d0406ed624f9e04f2c6ea3b379aeceb77a452d883aa27ce",
+                 lambda: [theorem1_tree(k) for k in range(7)]),
+    "random": ("31e9d200fda62e625ef655571adaa289f0302eb0424e36d8dde6055e962a05e1",
+               lambda: [random_tree(n, s) for n in range(1, 41) for s in range(3)]),
+    "enumerate": ("59244efdbe14a878cbe60b22862bc98afc3baea78e7d529b313eb35fc01e9b87",
+                  lambda: [t for n in range(1, 11) for t in enumerate_trees(n)]),
+    "induced": ("07d31344c536c3fea885c147cb5264a73789f924529856fd17c300f3a0ba2f28",
+                lambda: [random_tree(40, 2).induced(set(range(0, 40, 2)) | {1, 3}),
+                         grid_graph(3, 4).induced({0, 1, 2, 4, 5, 6, 9, 11})]),
+}
+
+
+@pytest.mark.parametrize("family", GENERATOR_GOLDENS)
+def test_generators_golden(family):
+    import hashlib
+
+    want, build = GENERATOR_GOLDENS[family]
+    adjacency = [[(v, list(nbrs)) for v, nbrs in g.adj.items()] for g in build()]
+    assert hashlib.sha256(repr(adjacency).encode()).hexdigest() == want
+
+
 @given(st.integers(1, 50), st.integers(0, 10_000))
 def test_random_tree_is_tree(n, seed):
     t = random_tree(n, seed)
@@ -560,7 +588,7 @@ def test_constructor_validates_each_endpoint_once(monkeypatch, build, n):
     assert calls["add_vertex"] == n + 2 * (n - 1) == 12286
 
 
-@pytest.mark.parametrize("edge", [(-1, -1), (1.5, 1.5), (-1, 2), (2, -1)])
+@pytest.mark.parametrize("edge", [(-1, -1), (1.5, 1.5), (-1, 2), (2, -1), (2, 2.0)])
 @pytest.mark.parametrize("kind", ["Graph", "Forest"])
 def test_constructor_reports_a_bad_id_before_a_self_loop(kind, edge):
     from treesweep.forest import Graph

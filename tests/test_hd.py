@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treesweep.codec import UnknownSize, decode, encode
-from treesweep.forest import Forest, enumerate_trees, random_tree, star_tree
+from treesweep.codec import FramingError, UnknownSize, decode, decode_bits, encode
+from treesweep.forest import (ArgumentError, Forest, enumerate_trees, prufer_to_tree,
+                              random_tree, star_tree)
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
                           Vect, ceil_log3, evaluate, hdesc, merge,
                           merge_detailed, pn_plus_of, rooted_descriptors,
@@ -22,6 +23,33 @@ ES = ParamVariant.EDGE_SEARCH
 def test_ceil_log3():
     assert [ceil_log3(n) for n in (1, 2, 3, 4, 9, 10, 27, 1000)] == \
         [0, 1, 1, 2, 2, 3, 3, 7]
+
+
+def _value_of_absent_vertex():
+    from treesweep.dynamic import DynamicForest
+    return DynamicForest.isolated(3).value_of(7)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: merge([hdesc(0, 0, (0, 1, 0))], PN), ContractError,
+     "table length not normalized: HDescriptor(vect=Vect(pn=0, pn_plus=0), "
+     "table=(0, 1, 0))"),
+    (lambda: decode_bits("", UnknownSize(), True), FramingError, "empty message"),
+    (lambda: decode_bits("11000", UnknownSize()), FramingError,
+     "expected 2 vector bits after terminator, got 3"),
+    (lambda: rooted_descriptors(star_tree(2), 7, PN), ContractError,
+     "root 7 not in tree"),
+    (lambda: rooted_descriptors(Forest(range(4), [(0, 1), (2, 3)]), 0, PN),
+     ContractError, "tree is not connected"),
+    (_value_of_absent_vertex, ArgumentError, "vertex 7 not in forest"),
+    (lambda: ceil_log3(0), ContractError, "ceil_log3 needs n >= 1, got 0"),
+    (lambda: prufer_to_tree([], 1), ArgumentError, "Pruefer decoding needs n >= 2"),
+], ids=["merge", "decode-empty", "decode-vector", "root-missing", "disconnected",
+        "value-of", "ceil-log3", "pruefer"])
+def test_error_paths(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 # --- evaluate ---------------------------------------------------------------
