@@ -3,7 +3,7 @@ decompositions: process number, node and edge search numbers, pathwidth."""
 
 from .codec import (CapacityError, FramingError, KnownSize, UnknownSize,
                     WireMessage, decode, decode_bits, encode)
-from .dynamic import DynamicForest, inc_build, run_script
+from .dynamic import DynamicForest, NodeState, inc_build, run_script
 from .forest import (ArgumentError, Forest, Graph, GraphError, ParseError,
                      StructureError, cycle_graph, enumerate_trees, gen_tree,
                      grid_graph, number_of_free_trees, parse_edge_list,
@@ -16,8 +16,8 @@ from .hd import (ContractError, EvalResult, HDescriptor, NO_STABLE,
 from .oracle import (CapacityError as OracleCapacityError,
                      es_exact, gap_characterization_check, ns_exact,
                      pathwidth_exact, pn_exact, pn_plus_exact, stable_exact)
-from .protocol import (CostCounters, NodeState, RunResult, Schedule,
-                       default_scheme, elect_root, run_static)
+from .protocol import (CostCounters, RunResult, Schedule, default_scheme,
+                       elect_root, run_static)
 from .strategy import Action, Strategy, StrategyError, extract, validate
 
 __version__ = "0.1.0"

@@ -60,7 +60,7 @@ def cmd_compute(args) -> int:
     if args.transcript:
         sys.stdout.write(run.transcript())
     if args.strategy:
-        strat = extract(tree, run.states)
+        strat = extract(tree, run)
         peak = validate(tree, strat)
         sys.stdout.write(strat.dump())
         print(f"strategy_peak={peak}")

@@ -60,8 +60,7 @@ from .codec import (REPLACE_FLAG, Scheme, WireMessage, decode, encode,
 from .forest import ArgumentError, Forest, GraphError
 from .hd import (MEMO_SIZE, HDescriptor, ParamVariant, _Minimal, evaluate,
                  merge, merge_detailed)
-from .protocol import (CostCounters, NodeState, default_scheme, elect_root,
-                       run_static)
+from .protocol import CostCounters, default_scheme, elect_root, run_static
 
 
 def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
@@ -83,6 +82,14 @@ def _hop_uncached(kids: tuple[HDescriptor, ...], variant: ParamVariant,
 
 
 _hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop_uncached)
+
+
+@dataclass(slots=True)
+class NodeState:
+    """What one node stores: the entry received from each neighbour but its
+    father, in arrival order, and the father pointer (None at a root)."""
+    received: dict[int, HDescriptor] = field(default_factory=dict)
+    father: int | None = None
 
 
 @dataclass(slots=True)
@@ -122,7 +129,8 @@ class DynamicForest:
     @classmethod
     def from_tree(cls, tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                   encoding: str = "known", early_stop: bool = False) -> "DynamicForest":
-        """Adopt the per-node state left behind by a static run.
+        """Adopt the entries and fathers left behind by a static run, one
+        `NodeState` per vertex.
 
         The set-up run uses the known-size scheme whatever `encoding` asks
         for; `encoding` sets only the scheme of later messages.  This is
@@ -131,7 +139,9 @@ class DynamicForest:
         messages are not counted: `counters` start at zero."""
         scheme = default_scheme(tree.n, variant, encoding)
         run = run_static(tree, variant)
-        df = cls(tree.copy(), variant, scheme, run.states, early_stop=early_stop)
+        received, father = run.received, run.father
+        states = {v: NodeState(received.get(v, {}), father.get(v)) for v in tree.adj}
+        df = cls(tree.copy(), variant, scheme, states, early_stop=early_stop)
         df.roots[run.root] = run.value
         if tree.n > 1:
             record = TreeRecord(run.root, set(tree.vertices))

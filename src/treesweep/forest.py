@@ -23,7 +23,8 @@ insert edges, each through one path:
 
 The two forest paths raise the same `StructureError`s in the same order:
 a self-loop, a duplicate, then a cycle (`Graph._join` the first two).
-The constructors check each endpoint's id first, with `add_vertex`.
+The constructors and both `add_edge` methods check each endpoint's id
+first, u then v, with `add_vertex`.
 """
 
 from __future__ import annotations
@@ -97,9 +98,8 @@ class Graph:
         return u in self.adj and v in self.adj[u]
 
     def add_edge(self, u: int, v: int) -> None:
-        if u != v:
-            self.add_vertex(u)
-            self.add_vertex(v)
+        self.add_vertex(u)
+        self.add_vertex(v)
         self._join(u, v)
 
     def _join(self, u: int, v: int) -> None:

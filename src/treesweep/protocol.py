@@ -2,12 +2,15 @@
 
 A node stores only what the paper gives it: the descriptor received from
 each neighbour and its father pointer; adjacency is read from the tree.
+The run keeps exactly that in two maps: `received`, which gives each node
+that heard a message its entries in arrival order (a leaf that only sends
+gets none), and `father`, from each sender to its father.
 Execution is organized in peel rounds: every node that currently misses a
 message from exactly one neighbour fires during the round, sending its
-merged descriptor to that neighbour (its father).  The peel keeps, per node,
-the count of neighbours not heard from yet: round one fires the leaves, and
-each later round fires the fathers that a send brought down to a count of
-one.  The seeded schedule permutes firing order inside a round, which
+merged descriptor to that neighbour (its father).  A node misses
+`len(adj[v]) - len(received[v])` neighbours, so round one fires the leaves,
+and each later round fires the fathers that a send brought down to one.
+The seeded schedule permutes firing order inside a round, which
 reorders transcripts without affecting results; a ready list fixed per round
 keeps the emergent root, hence every per-node descriptor,
 schedule-independent.  When the final two unvisited nodes each miss only the
@@ -15,10 +18,11 @@ other, both are root candidates and the larger identifier wins the election;
 the loser fires, so exactly n - 1 messages cross the wire in every run.  The
 final pair is a ready list of two nodes after n - 2 messages: no edge
 carries two messages before the election, so the two nodes yet to fire are
-the ends of the one silent edge.  Beside the count, the peel keeps per node
-the xor of the neighbours not heard from yet; once one is left, the xor is
-that neighbour, which a firing node reads as its father.  No send of the
-round changes a node's count or xor before it fires.
+the ends of the one silent edge.  A firing leaf's father is its one
+neighbour; any other node scans its adjacency once for the neighbour
+missing from its entries.  A node fires once, so the scans visit each edge
+at most twice and the run stays linear on any shape, stars included.  No
+send of the round gives a node an entry before it fires.
 
 The input must be connected.  A `Forest` is acyclic by construction, so it
 is connected exactly when it has n - 1 edges (`Forest.is_connected`); a
@@ -39,9 +43,7 @@ filled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import reduce
-from operator import xor
+from dataclasses import dataclass
 
 from .codec import KnownSize, Scheme, UnknownSize, WireMessage, decode, encode
 from .forest import ArgumentError, Forest
@@ -61,12 +63,6 @@ class CostCounters:
     steps: int = 0
 
 
-@dataclass(slots=True)
-class NodeState:
-    received: dict[int, HDescriptor] = field(default_factory=dict)
-    father: int | None = None
-
-
 @dataclass(frozen=True)
 class Schedule:
     seed: int = 0
@@ -83,7 +79,9 @@ class Schedule:
 class RunResult:
     value: int
     root: int
-    states: dict[int, NodeState]
+    # per vertex that heard a message, its entries in arrival order
+    received: dict[int, dict[int, HDescriptor]]
+    father: dict[int, int]  # per sender, its father: every vertex but the root
     counters: CostCounters
     evaluation: EvalResult
     order: list[int]  # the senders, in sending order
@@ -92,13 +90,13 @@ class RunResult:
     @property
     def wires(self) -> list[tuple[int, int, HDescriptor, WireMessage]]:
         """(sender, father, descriptor, frame) per message in sending order,
-        rendered from the states as the run left them."""
-        states, scheme = self.states, self.scheme
+        rendered from the entries as the run left them."""
+        received, father, scheme = self.received, self.father, self.scheme
         out = []
         for v in self.order:
-            father = states[v].father
-            hd = states[father].received[v]
-            out.append((v, father, hd, encode(hd, scheme)))
+            f = father[v]
+            hd = received[f][v]
+            out.append((v, f, hd, encode(hd, scheme)))
         return out
 
     def transcript(self) -> str:
@@ -134,25 +132,30 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
     max_cells = KnownSize.for_tree(n, variant).cells
 
     adj = tree.adj
-    states = {v: NodeState() for v in adj}
-    # per node, how many neighbours it has not heard from yet, and their xor
-    unheard = {v: len(nbrs) for v, nbrs in adj.items()}
-    silent = {v: reduce(xor, nbrs, 0) for v, nbrs in adj.items()}
+    received: dict[int, dict[int, HDescriptor]] = {}
+    father: dict[int, int] = {}
     order: list[int] = []
     rng = random.Random(schedule.seed)
     messages = bits = 0
     root: int | None = None
 
-    ready = [v for v, count in unheard.items() if count == 1]
+    ready = [v for v, nbrs in adj.items() if len(nbrs) == 1]
     while ready:
         if len(ready) == 2 and messages == n - 2:  # the final pair
             root = elect_root(*ready)
             ready.remove(root)
         brought_to_one = []
         for v in schedule.order(ready, rng):
-            father = silent[v]
-            st = states[v]
-            hd = merge(tuple(st.received.values()), variant)
+            heard = received.get(v)
+            if heard is None:  # a leaf
+                (f,) = adj[v]
+                kids = ()
+            else:  # the one neighbour it has not heard from
+                for f in adj[v]:
+                    if f not in heard:
+                        break
+                kids = tuple(heard.values())
+            hd = merge(kids, variant)
             if len(hd.table) > max_cells:
                 raise ContractError(
                     f"table length {len(hd.table)} breaks the log3 bound at node {v}")
@@ -162,25 +165,26 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
             decoded = decode(wire)
             if decoded != hd:
                 raise ContractError(f"codec roundtrip broke for {hd}")
-            states[father].received[v] = decoded
-            st.father = father
+            into = received.get(f)
+            if into is None:
+                into = received[f] = {}
+            into[v] = decoded
+            father[v] = f
             order.append(v)
-            silent[father] ^= v
-            left = unheard[father] - 1
-            unheard[father] = left
-            if left == 1:
-                brought_to_one.append(father)
+            if len(adj[f]) - len(into) == 1:
+                brought_to_one.append(f)
         # a later send of the same round may bring a father on to zero: the root
-        ready = [f for f in brought_to_one if unheard[f] == 1]
+        ready = [f for f in brought_to_one if len(adj[f]) - len(received[f]) == 1]
 
-    fatherless = [v for v, st in states.items() if st.father is None]
+    fatherless = [v for v in adj if v not in father]
     if len(fatherless) != 1 or (root is not None and fatherless != [root]):
         raise ContractError(f"peeling left {fatherless} without a father")
     root = fatherless[0]
-    root_hd = merge(tuple(states[root].received.values()), variant)
+    root_hd = merge(tuple(received.get(root, {}).values()), variant)
     if len(root_hd.table) > max_cells:
         raise ContractError("root table length breaks the log3 bound")
     result = evaluate(root_hd)
     # one merge per send, and one at the root
     counters = CostCounters(messages, bits, messages + 1)
-    return RunResult(result.value, root, states, counters, result, order, scheme)
+    return RunResult(result.value, root, received, father, counters, result,
+                     order, scheme)

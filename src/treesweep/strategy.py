@@ -2,9 +2,12 @@
 list, and extraction of an optimal strategy from the per-node descriptors a
 static run leaves behind.
 
-Extraction makes one pass over the run's states: it merges each vertex's
-own stored entries, in the order the run merged them, and checks the result
-against the entry stored at the vertex's father.  The merge memo hands each
+Extraction reads the run's two maps in place, `received` and `father`,
+and builds no object per vertex.  It makes one pass over the tree's
+vertices: it merges each vertex's own stored entries (none for a leaf), in
+the order the run merged them, and checks the result against the entry
+stored at the vertex's father; the one vertex without a father is the
+root.  The merge memo hands each
 merge back with its `MergeInfo`, which carries the value, stability and pn+
 of the merged descriptor, so nothing is evaluated or validated again.
 Builders over the rooted tree append actions to one list, each built once
@@ -44,11 +47,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Collection, NamedTuple
 
-from .forest import Forest, Graph
+from .forest import Graph
 from .hd import (ContractError, EvalResult, HDescriptor, MergeInfo,
                  ParamVariant, Vect, merge_detailed)
 from .hd import evaluate  # noqa: F401  (perfbench/tracer.py patches strategy.evaluate)
-from .protocol import NodeState
+from .protocol import RunResult
 
 PLACE = "P"
 REMOVE = "R"
@@ -136,32 +139,36 @@ class _Extractor:
     """Mutable rooted view of the tree: per node its children, its
     descriptor and the `MergeInfo` of its last merge, which carries the
     descriptor's value, stability and pn+.  A node's children are the keys
-    of its received set, read in place: the order the run merged them, so
+    of its entries in the run's `received` map, read in place (a leaf has
+    none): the order the run merged them, so
     every merge of `__init__` is a memo hit and `max_children` indexes
     them.  The builders visit children in id order, so the actions do not
     depend on the arrival order.  sweep() may cut a processed subtree,
     which gives the node above it a list of the children left, and re-merge
-    the carrier path above it; the run's states are never changed.  The
+    the carrier path above it; the run's maps are never changed.  The
     builders append their actions to the list they are given."""
 
-    def __init__(self, states: dict[int, NodeState]):
+    def __init__(self, tree: Graph, run: RunResult):
         children: dict[int, Collection[int]] = {}
         hds: dict[int, HDescriptor] = {}
         info: dict[int, MergeInfo] = {}
         self.children, self.hd, self.info = children, hds, info
+        received, father = run.received, run.father
         pn = ParamVariant.PROCESS_NUMBER
         roots = []
-        for v, st in states.items():
-            received = children[v] = st.received
-            hd, info[v] = merge_detailed(tuple(received.values()), pn)
+        for v in tree.adj:
+            heard = children[v] = received.get(v, ())
+            hd, info[v] = merge_detailed(
+                tuple(heard.values()) if heard else (), pn)
             hds[v] = hd
-            if st.father is None:
+            f = father.get(v)
+            if f is None:
                 roots.append(v)
-            elif states[st.father].received[v] != hd:
+            elif received[f][v] != hd:
                 raise ContractError(
                     f"stored descriptor at {v} disagrees with a fresh merge")
         if len(roots) != 1:
-            raise ContractError(f"states describe {len(roots)} roots, want 1")
+            raise ContractError(f"the run describes {len(roots)} roots, want 1")
         self.root = roots[0]
 
     def _remerge(self, v: int) -> None:
@@ -279,14 +286,15 @@ class _Extractor:
         out += back
 
 
-def extract(tree: Forest, states: dict[int, NodeState]) -> Strategy:
-    """Optimal process strategy from a static run's retained descriptors.
+def extract(tree: Graph, run: RunResult) -> Strategy:
+    """Optimal process strategy from the descriptors a static run of `tree`
+    left behind.
 
     Only meaningful for the process-number variant: the descriptors must be
     the ones the run computed, and the returned strategy validates to
     exactly the computed process number.
     """
-    ex = _Extractor(states)
+    ex = _Extractor(tree, run)
     actions: list[Action] = []
     ex.sweep(ex.root, actions)
     return Strategy(actions)

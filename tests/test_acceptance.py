@@ -217,7 +217,7 @@ def test_criterion_10_strategy_extraction():
     for n in range(1, 11):
         for tree in enumerate_trees(n):
             run = run_static(tree)
-            strategy = extract(tree, run.states)
+            strategy = extract(tree, run)
             assert validate(tree, strategy) == run.value
             trees += 1
     _report(10, "strategy extraction n<=10", f"{trees} trees, peak == value everywhere")

@@ -600,6 +600,20 @@ def test_constructor_reports_a_bad_id_before_a_self_loop(kind, edge):
         cls((), [(0, 1), (3, 3)])
 
 
+@pytest.mark.parametrize("edge,bad", [((-1, -1), "-1"), ((1.5, 1.5), "1.5"),
+                                      ((2, 2.0), "2.0")])
+@pytest.mark.parametrize("kind", ["Graph", "Forest"])
+def test_add_edge_reports_a_bad_id_before_a_self_loop(kind, edge, bad):
+    from treesweep.forest import Graph
+
+    g = {"Graph": Graph, "Forest": Forest}[kind]()
+    with pytest.raises(StructureError) as err:
+        g.add_edge(*edge)
+    assert str(err.value) == f"vertex ids must be non-negative integers, got {bad}"
+    with pytest.raises(StructureError, match="^self-loop at vertex 3$"):
+        g.add_edge(3, 3)
+
+
 def test_induced_subgraph_keeps_the_kind_of_graph():
     tree = random_tree(40, 2)
     keep = set(range(0, 40, 2)) | {1, 3}

@@ -173,9 +173,9 @@ def _everything(tree, seed):
             run = run_static(tree, variant, default_scheme(n, variant, encoding),
                              Schedule(seed))
             out.append((run.transcript(), run.counters, run.root, run.value,
-                        {v: state.received for v, state in run.states.items()}))
+                        run.received, run.father))
             if variant is PN and encoding == "known":
-                out.append(extract(tree, run.states).dump())
+                out.append(extract(tree, run).dump())
             df = DynamicForest.from_tree(tree, variant, encoding=encoding)
             df.change_root(0)
             if n > 1:

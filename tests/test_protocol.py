@@ -73,7 +73,7 @@ def test_hot_paths_stay_on_the_memos(monkeypatch, cold_memos):
     father = df.states[tree.n - 1].father
     df.delete_edge(tree.n - 1, father)
     df.add_edge(father, tree.n - 1)
-    extract(tree, run_static(tree).states)
+    extract(tree, run_static(tree))
     assert merges and len(merges) == hd._merge_memo.cache_info().misses
     assert fresh_encodes == []
 
@@ -147,8 +147,9 @@ def test_schedule_independence():
         values = {r.value for r in runs}
         roots = {r.root for r in runs}
         snapshots = {
-            tuple(sorted((v, st.father, tuple(sorted(st.received.items())))
-                         for v, st in r.states.items()))
+            (tuple(sorted(r.father.items())),
+             tuple(sorted((v, tuple(sorted(entries.items())))
+                          for v, entries in r.received.items())))
             for r in runs
         }
         assert len(values) == 1 and len(roots) == 1 and len(snapshots) == 1
@@ -283,6 +284,44 @@ def test_scale_transcript_golden(kind, args, variant, encoding, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of what a Schedule(1) run leaves per vertex, in id order: its
+# father and its received entries in arrival order
+@pytest.mark.parametrize("kind,args,variant,digest", [
+    ("random", (4096, 1), PN,
+     "f9c6c67412592acb7e74308c3ccfd818e33dde08484dfcc3ac41a0c2ff63305c"),
+    ("random", (4096, 1), NS,
+     "0717eac403302f764dccee36d46fbf6ccfbf497ddf5c94baa00bbe64975bc995"),
+    ("random", (4096, 1), ES,
+     "f3100ac8a2137d314d6126ded5e60d130924a2947c43b7b7d8fa37a53308bba6"),
+    ("path", (3000,), PN,
+     "d4fac6a5fdcbbcd3d43422e3225fd46fcb5bf6a1d759bbd082d92ddcf196dcc5"),
+    ("path", (3000,), NS,
+     "082624f3d0f6d290f29357ee34445c2f81a6d2004abfd28bc78000410215e79e"),
+    ("path", (3000,), ES,
+     "23eae6af7507afcf081cd18e3f1505e02bdc12bd6f267f58e9b955acc5577b2a"),
+    ("spider", (1000, 1000, 1000), PN,
+     "2212a256e5bab72436383215c4cafa6c9b70c57e0208ea1873f68e931d4bdddd"),
+    ("spider", (1000, 1000, 1000), NS,
+     "348f57bfa6cacd9387032f5989267ab7c1011dd7a9243696807d93907cdf60d8"),
+    ("spider", (1000, 1000, 1000), ES,
+     "4cc9e54e95eac3f0aa853f35971681f177a0ab51c76f2efa118dc161e20172d7"),
+    ("theorem1", (6,), PN,
+     "dc2ddc3cf003ff9ca241258f4f13c90b6d45dd76b42a0f2bfa4479448394ebe5"),
+    ("theorem1", (6,), NS,
+     "b8fcf664f38bc4534228d54658984b286eee05adf90885180156091048500d06"),
+    ("theorem1", (6,), ES,
+     "902446756a2536e8d9edcc3bf3ffc2a88dc0c2bc745c8bdd344cf4d4444e1189"),
+])
+def test_scale_states_golden(kind, args, variant, digest):
+    t = gen_tree(kind, *args)
+    run = run_static(t, variant, schedule=Schedule(1))
+    h = hashlib.sha256()
+    for v in sorted(t.vertices):
+        items = [(u, *hd.vect, hd.table) for u, hd in run.received.get(v, {}).items()]
+        h.update(f"{v} {run.father.get(v)} {items}\n".encode())
+    assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("forest", [
     Forest(range(6), [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two paths
     Forest(range(4), [(0, 1), (1, 2)]),                  # an isolated vertex
@@ -310,10 +349,61 @@ def test_disconnected_graph_is_rejected():
         run_static(Graph(range(4), [(0, 1), (2, 3)]))
 
 
+class _CountedSet(set):
+    __slots__ = ()
+    visits = 0
+
+    def __iter__(self):
+        for u in set.__iter__(self):
+            _CountedSet.visits += 1
+            yield u
+
+
+class _CountedAdj(dict):
+    lookups = 0
+
+    def __getitem__(self, v):
+        _CountedAdj.lookups += 1
+        return dict.__getitem__(self, v)
+
+
+def _broom(handle: int, bristles: int) -> Forest:
+    """A path 0..handle-1 with `bristles` leaves hung on its end 0."""
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(0, handle + i) for i in range(bristles)]
+    return Forest(range(handle + bristles), edges)
+
+
+def _double_star(k: int) -> Forest:
+    """Hubs 0 and 1, joined, each with k leaves."""
+    edges = [(0, 1)] + [(hub, 2 + 2 * i + hub) for i in range(k) for hub in (0, 1)]
+    return Forest(range(2 * k + 2), edges)
+
+
+@pytest.mark.parametrize("build", [lambda: _broom(5000, 5000), lambda: _double_star(5000)],
+                         ids=["broom", "double-star"])
+@pytest.mark.parametrize("variant", [PN, ES], ids=lambda v: v.value)
+def test_peel_reads_each_adjacency_a_constant_number_of_times(build, variant,
+                                                              monkeypatch):
+    # a firing node reads its own adjacency once, to find its father, and
+    # its father's size once: a hub that hears thousands of leaves is
+    # scanned once, not once per message
+    tree = build()
+    want = run_static(tree, variant)
+    tree.adj = _CountedAdj({v: _CountedSet(nbrs) for v, nbrs in tree.adj.items()})
+    monkeypatch.setattr(_CountedAdj, "lookups", 0)
+    monkeypatch.setattr(_CountedSet, "visits", 0)
+    run = run_static(tree, variant)
+    assert (run.value, run.root, run.order) == (want.value, want.root, want.order)
+    assert _CountedAdj.lookups <= 3 * tree.n
+    assert _CountedSet.visits <= 3 * tree.n
+
+
 def test_a_run_keeps_nothing_per_message():
-    # what a run leaves alive is one NodeState and one received set per
-    # vertex; the sending order is a list of ids, and frames are rendered
-    # on demand, so no container is kept per message
+    # what a run leaves alive is one entries dict per vertex that heard a
+    # message, beside a few containers for the whole run (the two maps and
+    # the sending order, a list of ids); frames are rendered on demand, so
+    # nothing is kept per message, nor per leaf
     tree = random_tree(2000, 4)
     run_static(tree)  # fills the memos
     gc.collect()
@@ -322,7 +412,7 @@ def test_a_run_keeps_nothing_per_message():
     gc.collect()
     alive = len(gc.get_objects()) - before
     assert run.counters.messages == 1999
-    assert alive <= 2 * tree.n + 20
+    assert alive <= len(run.received) + 20
 
 
 @pytest.mark.parametrize("encoding", ["known", "unknown"])
@@ -337,9 +427,9 @@ def test_rendered_wires_decode_to_the_stored_entries(variant, encoding):
         assert len(wires) == run.counters.messages
         assert sum(len(wire) for *_, wire in wires) == run.counters.bits
         for v, father, hd, wire in wires:
-            assert father == run.states[v].father
+            assert father == run.father[v]
             assert wire.scheme is scheme and wire.dyn_flag is None
-            assert decode(wire) == hd == run.states[father].received[v]
+            assert decode(wire) == hd == run.received[father][v]
 
 
 @pytest.mark.parametrize("encoding", ["known", "unknown"])

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import random
@@ -10,7 +11,7 @@ import hypothesis.strategies as st
 from treesweep.forest import (Forest, enumerate_trees, path_tree, random_tree,
                               serialize, spider_tree, star_tree, theorem1_tree)
 from treesweep.hd import ContractError, hdesc
-from treesweep.protocol import NodeState, Schedule, run_static
+from treesweep.protocol import Schedule, run_static
 from treesweep.strategy import (Action, Strategy, StrategyError, extract,
                                 validate)
 
@@ -53,21 +54,21 @@ def test_validator_rejects_illegal_moves():
 def test_path4_extraction():
     t = path_tree(4)
     run = run_static(t)
-    s = extract(t, run.states)
+    s = extract(t, run)
     assert validate(t, s) == 2 == run.value
 
 
 def test_theorem1_level2_two_agents():
     t = theorem1_tree(2)
     run = run_static(t)
-    s = extract(t, run.states)
+    s = extract(t, run)
     assert validate(t, s) == 2
 
 
 def test_extraction_exhaustive(trees_up_to_8):
     for t in trees_up_to_8:
         run = run_static(t)
-        s = extract(t, run.states)
+        s = extract(t, run)
         assert validate(t, s) == run.value
         assert len(s) <= 3 * t.n
 
@@ -77,7 +78,7 @@ def test_extraction_seed_stable():
     want = run_static(t).value
     for seed in range(6):
         run = run_static(t, schedule=Schedule(seed))
-        assert validate(t, extract(t, run.states)) == want
+        assert validate(t, extract(t, run)) == want
 
 
 @given(st.integers(2, 48), st.integers(0, 3000))
@@ -85,7 +86,7 @@ def test_extraction_seed_stable():
 def test_extraction_random(n, seed):
     t = random_tree(n, seed)
     run = run_static(t)
-    s = extract(t, run.states)
+    s = extract(t, run)
     assert validate(t, s) == run.value
     assert len(s) <= 3 * n
 
@@ -98,7 +99,7 @@ def test_dump_format():
 def test_dump_matches_the_actions_text():
     assert Strategy().dump() == "\n"
     t = random_tree(60, 2)
-    s = extract(t, run_static(t).states)
+    s = extract(t, run_static(t))
     assert s.dump() == "\n".join(str(a) for a in s.actions) + "\n"
 
 
@@ -116,7 +117,7 @@ def test_extract_builds_each_action_once(monkeypatch, tree):
         return real(pair)
     monkeypatch.setattr(strategy, "_action", counting)
     run = run_static(tree)
-    s = extract(tree, run.states)
+    s = extract(tree, run)
     assert validate(tree, s) == run.value
     assert all(type(a) is Action for a in s.actions)
     assert len(built) <= len(s) + 2
@@ -142,7 +143,7 @@ def test_extraction_golden(group, seed):
     for t in build():
         run = run_static(t, schedule=Schedule(seed))
         h.update(serialize(t).encode())
-        h.update(extract(t, run.states).dump().encode())
+        h.update(extract(t, run).dump().encode())
     assert h.hexdigest() == want
 
 
@@ -183,25 +184,22 @@ SCALE_GOLDEN = {
 def test_extraction_golden_at_scale(name):
     build, want = SCALE_GOLDEN[name]
     t = build()
-    dump = extract(t, run_static(t).states).dump()
+    dump = extract(t, run_static(t)).dump()
     assert hashlib.sha256(dump.encode()).hexdigest() == want
 
 
 def test_extract_rejects_a_tampered_stored_descriptor():
     t = random_tree(200, 4)
     run = run_static(t)
-    v = next(u for u, state in run.states.items()
-             if state.father is not None and state.received)
-    father = run.states[v].father
-    states = {u: NodeState(dict(state.received), state.father)
-              for u, state in run.states.items()}
-    received = states[father].received
-    assert received[v] != hdesc(0, 0)
-    received[v] = hdesc(0, 0)  # a valid descriptor, but a leaf's
+    v = next(u for u in t.adj if u in run.father and u in run.received)
+    father = run.father[v]
+    received = {u: dict(entries) for u, entries in run.received.items()}
+    assert received[father][v] != hdesc(0, 0)
+    received[father][v] = hdesc(0, 0)  # a valid descriptor, but a leaf's
     with pytest.raises(ContractError,
                        match=f"stored descriptor at {v} disagrees with a fresh merge"):
-        extract(t, states)
-    assert validate(t, extract(t, run.states)) == run.value
+        extract(t, dataclasses.replace(run, received=received))
+    assert validate(t, extract(t, run)) == run.value
 
 
 @functools.cache
@@ -214,7 +212,7 @@ def _deep_run(name):
 def test_extraction_on_deep_trees(name):
     t, run = _deep_run(name)
     assert run.value == DEEP[name][1]
-    assert validate(t, extract(t, run.states)) == run.value
+    assert validate(t, extract(t, run)) == run.value
 
 
 def _stack_depth():
@@ -232,7 +230,7 @@ def test_extraction_stack_headroom(name):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
-        s = extract(t, run.states)
+        s = extract(t, run)
     finally:
         sys.setrecursionlimit(limit)
     assert validate(t, s) == run.value
@@ -253,7 +251,7 @@ def test_extract_validates_few_descriptors(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(hd, "validate_descriptor", counting)
-    extract(t, run.states)
+    extract(t, run)
     assert run.counters.messages == 4095
     assert len(calls) <= 0.5 * run.counters.messages
 
@@ -277,7 +275,7 @@ def test_extract_remerges_about_once_per_vertex(monkeypatch, name):
         calls.append(v)
         return original(self, v)
     monkeypatch.setattr(_Extractor, "_remerge", counting)
-    assert validate(t, extract(t, run.states)) == run.value
+    assert validate(t, extract(t, run)) == run.value
     assert len(calls) <= bound
 
 
@@ -291,6 +289,6 @@ def test_extract_rebuilds_the_run_from_the_memo(seed, cold_memos):
     t = random_tree(4096, seed)
     run = run_static(t, schedule=Schedule(seed))
     before = hd._merge_memo.cache_info()
-    _Extractor(run.states)
+    _Extractor(t, run)
     after = hd._merge_memo.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (t.n, 0)
