@@ -5,6 +5,9 @@ Each node permanently stores the descriptor received from every neighbour
 except its father, which is exactly the state the change-root walk needs:
 the old root drops the entry toward the new root, re-merges, and the
 corrected descriptors ripple down the path while father pointers flip.
+It is kept as a static run keeps it, in two maps, `received` and `father`;
+every vertex is a key in both, with an empty dict when it holds no entry
+and None at a root.
 Adjacency lives in `forest` alone.  Edge addition inserts into it first, so
 the forest's own cycle check rejects a bad edge before any reroot, message
 or counter change.
@@ -85,14 +88,6 @@ _hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop_uncached)
 
 
 @dataclass(slots=True)
-class NodeState:
-    """What one node stores: the entry received from each neighbour but its
-    father, in arrival order, and the father pointer (None at a root)."""
-    received: dict[int, HDescriptor] = field(default_factory=dict)
-    father: int | None = None
-
-
-@dataclass(slots=True)
 class TreeRecord:
     """The root and vertex set of one tree of two or more vertices."""
     root: int
@@ -104,7 +99,8 @@ class DynamicForest:
     forest: Forest
     variant: ParamVariant
     scheme: Scheme
-    states: dict[int, NodeState]
+    received: dict[int, dict[int, HDescriptor]]
+    father: dict[int, int | None]
     roots: dict[int, int] = field(default_factory=dict)
     record_of: dict[int, TreeRecord] = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
@@ -119,29 +115,29 @@ class DynamicForest:
             raise ArgumentError("need at least one vertex")
         scheme = default_scheme(n, variant, encoding)
         forest = Forest(range(n))
-        states = {v: NodeState() for v in range(n)}
-        df = cls(forest, variant, scheme, states, early_stop=early_stop)
         base = evaluate(merge([], variant)).value
-        for v in range(n):
-            df.roots[v] = base
-        return df
+        return cls(forest, variant, scheme, {v: {} for v in range(n)},
+                   dict.fromkeys(range(n)), dict.fromkeys(range(n), base),
+                   early_stop=early_stop)
 
     @classmethod
     def from_tree(cls, tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                   encoding: str = "known", early_stop: bool = False) -> "DynamicForest":
-        """Adopt the entries and fathers left behind by a static run, one
-        `NodeState` per vertex.
+        """Adopt the entries and fathers left behind by a static run: its
+        two maps, with an empty dict for each vertex that heard nothing and
+        None at the root.
 
         The set-up run uses the known-size scheme whatever `encoding` asks
         for; `encoding` sets only the scheme of later messages.  This is
         harmless: descriptors, fathers and root do not depend on the scheme,
-        so the states equal those of an unknown-size run.  The set-up
+        so the maps equal those of an unknown-size run.  The set-up
         messages are not counted: `counters` start at zero."""
         scheme = default_scheme(tree.n, variant, encoding)
         run = run_static(tree, variant)
         received, father = run.received, run.father
-        states = {v: NodeState(received.get(v, {}), father.get(v)) for v in tree.adj}
-        df = cls(tree.copy(), variant, scheme, states, early_stop=early_stop)
+        received.update((v, {}) for v in tree.adj if v not in received)
+        father[run.root] = None
+        df = cls(tree.copy(), variant, scheme, received, father, early_stop=early_stop)
         df.roots[run.root] = run.value
         if tree.n > 1:
             record = TreeRecord(run.root, set(tree.vertices))
@@ -154,7 +150,7 @@ class DynamicForest:
         record = self.record_of.get(v)
         if record is not None:
             return record.root
-        if v not in self.states:
+        if v not in self.father:
             raise ArgumentError(f"vertex {v} not in forest")
         return v
 
@@ -174,19 +170,20 @@ class DynamicForest:
         receiver's decode, all in one `_hop`.  Returns the root reached, or
         None once a receiver already holds the descriptor
         (`stop_when_unchanged`)."""
-        states, variant, scheme = self.states, self.variant, self.scheme
+        received, father_of = self.received, self.father
+        variant, scheme = self.variant, self.scheme
         messages = bits = steps = 0
-        state = states[node]
-        while (father := state.father) is not None:
-            hd, wire, decoded = _hop(tuple(state.received.values()), variant, scheme)
+        entries = received[node]  # the sender's; each receiver's is the next sender's
+        while (father := father_of[node]) is not None:
+            hd, wire, decoded = _hop(tuple(entries.values()), variant, scheme)
             steps += 1
-            state = states[father]
-            if stop_when_unchanged and state.received.get(node) == hd:
+            entries = received[father]
+            if stop_when_unchanged and entries.get(node) == hd:
                 node = None  # nothing upstream can change
                 break
             messages += 1
             bits += len(wire.bits)
-            state.received[node] = decoded
+            entries[node] = decoded
             node = father
         counters = self.counters
         counters.messages += messages
@@ -196,7 +193,7 @@ class DynamicForest:
 
     def _root_value(self, v: int) -> int:
         """The value at root v, read off the memoised merge's result."""
-        info = merge_detailed(self.states[v].received.values(), self.variant)[1]
+        info = merge_detailed(self.received[v].values(), self.variant)[1]
         self.counters.steps += 1
         return info.result.value
 
@@ -205,17 +202,17 @@ class DynamicForest:
     def change_root(self, r2: int) -> None:
         """Move the component root to r2 along the father chain; 2*dist
         messages (the notification walk up, the corrected wave down)."""
-        if r2 not in self.states:
+        if r2 not in self.father:
             raise ArgumentError(f"vertex {r2} not in forest")
-        states = self.states
+        received, father_of = self.received, self.father
         hops, child, node = 0, None, r2
-        while (father := states[node].father) is not None:
-            del states[father].received[node]
-            states[node].father = child
+        while (father := father_of[node]) is not None:
+            del received[father][node]
+            father_of[node] = child
             hops, child, node = hops + 1, node, father
         if child is None:
             return
-        states[node].father = child
+        father_of[node] = child
         self._notify(hops)
         self._push(node, False)
         self.record_of[r2].root = r2
@@ -226,7 +223,7 @@ class DynamicForest:
         """Hang w1's tree, rerooted at w1, under w2 (see the module notes);
         unless `early_stop`, also reroot at w2 and let `elect_root` pick
         which endpoint hangs."""
-        if w1 not in self.states or w2 not in self.states:
+        if w1 not in self.father or w2 not in self.father:
             raise ArgumentError(f"unknown vertex in edge ({w1}, {w2})")
         self.forest.add_edge(w1, w2)  # rejects a cycle before any state changes
         self.change_root(w1)
@@ -234,7 +231,7 @@ class DynamicForest:
             self.change_root(w2)
             if elect_root(w1, w2) == w1:
                 w1, w2 = w2, w1
-        self.states[w1].father = w2
+        self.father[w1] = w2
         del self.roots[w1]
         self._join(w1, w2)
         root = self._push(w1, True)
@@ -244,19 +241,19 @@ class DynamicForest:
     def delete_edge(self, w1: int, w2: int) -> None:
         if not self.forest.has_edge(w1, w2):
             raise ArgumentError(f"edge ({w1}, {w2}) does not exist")
-        if self.states[w1].father == w2:
+        if self.father[w1] == w2:
             child, father = w1, w2
-        elif self.states[w2].father == w1:
+        elif self.father[w2] == w1:
             child, father = w2, w1
         else:
             raise ArgumentError(f"edge ({w1}, {w2}) is not a father link")
         self.forest.remove_edge(child, father)
         self._split(child, father)
-        del self.states[father].received[child]
-        self.states[child].father = None
+        del self.received[father][child]
+        self.father[child] = None
         self.roots[child] = self._root_value(child)
 
-        if self.states[father].father is None:
+        if self.father[father] is None:
             self.roots[father] = self._root_value(father)
         else:
             self.change_root(father)
@@ -300,16 +297,18 @@ class DynamicForest:
     # -- consistency ---------------------------------------------------------
 
     def check_invariants(self) -> None:
+        if self.received.keys() != self.father.keys():
+            raise AssertionError("received and father maps hold different vertices")
         root_count = 0
-        for v, st in self.states.items():
-            expect = self.forest.neighbours(v) - {st.father}
-            if set(st.received) != expect:
+        for v, father in self.father.items():
+            entries = self.received[v]
+            if set(entries) != self.forest.neighbours(v) - {father}:
                 raise AssertionError(f"received set drift at {v}")
-            if st.father is None:
+            if father is None:
                 root_count += 1
                 if v not in self.roots:
                     raise AssertionError(f"untracked root {v}")
-                fresh = evaluate(merge(list(st.received.values()), self.variant)).value
+                fresh = evaluate(merge(list(entries.values()), self.variant)).value
                 if self.roots[v] != fresh:
                     raise AssertionError(f"stale value at root {v}")
         if root_count != len(self.roots):
@@ -320,13 +319,13 @@ class DynamicForest:
         """Every record against the father chains, in O(n) in all: each
         chain is walked once, and every vertex on it remembers its root."""
         chain_root: dict[int, int] = {}
-        for v in self.states:
+        for v in self.father:
             path = []
             while v not in chain_root:
-                father = self.states[v].father
+                father = self.father[v]
                 if father is None:
                     chain_root[v] = v
-                elif len(path) == len(self.states):
+                elif len(path) == len(self.father):
                     raise AssertionError(f"father chain through {v} is a cycle")
                 else:
                     path.append(v)

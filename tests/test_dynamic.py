@@ -140,15 +140,25 @@ def test_rejected_edge_leaves_state_unchanged(early_stop):
 def test_check_invariants_sees_received_drift():
     df = DynamicForest.from_tree(random_tree(15, 2))
     df.check_invariants()
-    child = next(v for v, st in df.states.items() if st.father is not None)
-    st = df.states[df.states[child].father]
-    hd = st.received.pop(child)
+    child = next(v for v, father in sorted(df.father.items()) if father is not None)
+    entries = df.received[df.father[child]]
+    hd = entries.pop(child)
     with pytest.raises(AssertionError, match="received set drift"):
         df.check_invariants()
-    st.received[child] = hd
+    entries[child] = hd
     df.check_invariants()
-    df.states[child].received[df.states[child].father] = hd
+    df.received[child][df.father[child]] = hd
     with pytest.raises(AssertionError, match="received set drift"):
+        df.check_invariants()
+
+
+def test_check_invariants_sees_a_vertex_missing_from_one_map():
+    df = DynamicForest.from_tree(random_tree(15, 2))
+    for held in (df.received, df.father):
+        kept = held.pop(3)
+        with pytest.raises(AssertionError, match="hold different vertices"):
+            df.check_invariants()
+        held[3] = kept
         df.check_invariants()
 
 
@@ -208,9 +218,9 @@ def test_query_on_a_deep_path_reads_constant_state():
     n = 2000
     df = DynamicForest.from_tree(path_tree(n))
     df.change_root(0)
-    df.states, df.record_of = _CountingDict(df.states), _CountingDict(df.record_of)
+    df.father, df.record_of = _CountingDict(df.father), _CountingDict(df.record_of)
     assert df.value_of(n - 1) == 2  # a father chain of n - 1 links
-    assert df.states.reads + df.record_of.reads <= 2
+    assert df.father.reads + df.record_of.reads <= 2
 
 
 def test_deleting_an_edge_next_to_a_leaf_reads_constant_adjacency():
@@ -258,10 +268,10 @@ def test_check_invariants_walks_each_father_link_once():
     n = 2000
     df = DynamicForest.from_tree(path_tree(n))
     df.change_root(0)
-    df.states = _CountingDict(df.states)
+    df.father = _CountingDict(df.father)
     df.check_invariants()
     # one walk per vertex from scratch would read about n * n / 2 links
-    assert df.states.reads <= 2 * n
+    assert df.father.reads <= 2 * n
 
 
 def test_bad_arguments():
@@ -386,13 +396,13 @@ def test_early_stop_push_ends_at_an_unchanged_receiver(record_frames):
     df.add_edge(1, 0)
     df.add_edge(2, 1)
     before = replace(df.counters)
-    held = dict(df.states[0].received)
+    held = dict(df.received[0])
     frames = record_frames()
     df.add_edge(3, 1)
     (first, sent), (unsent, _) = frames["replace"]
-    assert df.states[1].received[3] == first
+    assert df.received[1][3] == first
     assert unsent == held[1]
-    assert frames["notify"] == [] and df.states[0].received == held
+    assert frames["notify"] == [] and df.received[0] == held
     c = df.counters
     assert (c.messages - before.messages, c.bits - before.bits) == (1, len(sent.bits))
     assert c.steps - before.steps == 2  # the merges at 3 and at 1, no root value
@@ -409,8 +419,9 @@ def test_from_tree_states_do_not_depend_on_encoding(variant):
     df = DynamicForest.from_tree(t, variant, encoding="unknown")
     assert isinstance(df.scheme, UnknownSize)
     run = run_static(t, variant, UnknownSize())
-    assert {v: (st.received, st.father) for v, st in df.states.items()} == {
-        v: (run.received.get(v, {}), run.father.get(v)) for v in t.vertices}
+    assert (df.received, df.father) == (
+        {v: run.received.get(v, {}) for v in t.vertices},
+        {v: run.father.get(v) for v in t.vertices})
     assert df.roots == {run.root: run.value}
     assert (df.counters.messages, df.counters.bits, df.counters.steps) == (0, 0, 0)
 
@@ -472,8 +483,8 @@ def _digest_of_sequence(variant, encoding, early_stop):
 
     def record():
         c = df.counters
-        states = [(v, st.father, sorted(st.received.items()))
-                  for v, st in sorted(df.states.items())]
+        states = [(v, df.father[v], sorted(df.received[v].items()))
+                  for v in sorted(df.father)]
         digest.update(repr((c.messages, c.bits, c.steps, sorted(df.roots.items()),
                             states)).encode())
 
@@ -519,3 +530,52 @@ SEQUENCE_DIGESTS = {  # (early_stop, variant, encoding) -> digest prefix
     (True, "EDGE_SEARCH", "known"): "687f7821083f26b7",
     (True, "EDGE_SEARCH", "unknown"): "ce8053811f67c1bf",
 }
+
+
+def _static_disagreements(variant, encoding, early_stop, seed, n=200):
+    """Grow random_tree(n, seed) by a shuffled `inc_build`, then run four
+    rounds that each delete 10 edges, reroot, re-add them in another order
+    and reroot again.  After the deletions and at the end of each round the
+    invariants must hold; returns every (when, component, dynamic values,
+    static value) where a vertex's `value_of` differs from a static run on
+    its component alone."""
+    rng = random.Random(seed)
+    edges = random_tree(n, seed).edges()
+    rng.shuffle(edges)
+    df = inc_build(edges, n, variant, encoding, early_stop)
+    found = []
+
+    def check(when):
+        df.check_invariants()
+        for component in df.forest.components():
+            want = run_static(df.forest.induced(component), variant).value
+            got = {df.value_of(v) for v in component}
+            if got != {want}:
+                found.append((when, min(component), got, want))
+
+    check("build")
+    for i in range(4):
+        removed = rng.sample(df.forest.edges(), 10)
+        for u, v in removed:
+            df.delete_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+        df.change_root(rng.randrange(n))
+        check(f"round {i} cut")
+        rng.shuffle(removed)
+        for u, v in removed:
+            df.add_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+        df.change_root(rng.randrange(n))
+        check(f"round {i}")
+    return found
+
+
+@pytest.mark.parametrize("variant,encoding,early_stop,seed", [
+    *((variant, encoding, early_stop, seed) for variant in (PN, NS)
+      for encoding in ("known", "unknown") for early_stop in (False, True)
+      for seed in range(3)),
+    pytest.param(ParamVariant.EDGE_SEARCH, "known", False, 7, marks=pytest.mark.xfail(
+        strict=True, reason="es of random_tree(200, 7) depends on the root (26 of "
+        "200 roots give 4, the elected one 3), so the dynamic forest, rooted "
+        "elsewhere, disagrees with the static run")),
+])
+def test_dynamic_values_equal_static_runs_at_scale(variant, encoding, early_stop, seed):
+    assert _static_disagreements(variant, encoding, early_stop, seed) == []

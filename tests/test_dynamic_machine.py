@@ -39,11 +39,12 @@ class DynamicMachine(RuleBasedStateMachine):
         df = self.df
         u, v = self._vertex(data), self._vertex(data)
         if df.forest.connected(u, v):
-            before = copy.deepcopy((df.states, df.roots, df.counters, df.forest,
-                                    df.record_of))
+            before = copy.deepcopy((df.received, df.father, df.roots, df.counters,
+                                    df.forest, df.record_of))
             with pytest.raises(StructureError):
                 df.add_edge(u, v)
-            assert (df.states, df.roots, df.counters, df.forest, df.record_of) == before
+            assert (df.received, df.father, df.roots, df.counters, df.forest,
+                    df.record_of) == before
         else:
             df.add_edge(u, v)
 
@@ -59,7 +60,7 @@ class DynamicMachine(RuleBasedStateMachine):
     def reroot(self, data):
         v = self._vertex(data)
         self.df.change_root(v)
-        assert self.df.states[v].father is None
+        assert self.df.father[v] is None
 
     @rule(data=st.data())
     def query(self, data):
@@ -73,12 +74,12 @@ class DynamicMachine(RuleBasedStateMachine):
         df.check_invariants()
         for component in df.forest.components():
             tree = df.forest.induced(component)
-            (root,) = (v for v in component if df.states[v].father is None)
+            (root,) = (v for v in component if df.father[v] is None)
             assert df.roots[root] == run_static(tree, self.variant).value
             # every stored entry describes the sender's subtree exactly
             subtree = rooted_descriptors(tree, root, self.variant)
             for v in component - {root}:
-                assert df.states[df.states[v].father].received[v] == subtree[v]
+                assert df.received[df.father[v]][v] == subtree[v]
 
 
 @pytest.mark.parametrize("early_stop", [False, True])

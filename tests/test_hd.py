@@ -12,7 +12,7 @@ from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
                           merge_detailed, pn_plus_of, rooted_descriptors,
                           rooted_value, simplify, validate_descriptor)
 from treesweep.hd import _merge, _merge_memo, _Minimal
-from treesweep.oracle import pn_exact, stable_exact
+from treesweep.oracle import es_exact, pn_exact, stable_exact
 from treesweep.protocol import run_static
 
 PN = ParamVariant.PROCESS_NUMBER
@@ -253,6 +253,69 @@ def test_es_is_root_independent_on_the_witness():
     t = ES_ROOT_WITNESS
     want = run_static(t, ES).value
     assert {r: rooted_value(t, r, ES) for r in t.vertices} == dict.fromkeys(t.vertices, want)
+
+
+# random_tree(50, 3)'s witness shrunk further, by contracting edges and
+# dropping leaves, until its edge-search value is wrong at every root
+# (28 vertices, sparse ids).
+ES_VALUE_WITNESS = Forest(edges=[
+    (0, 22), (0, 43), (0, 49), (1, 20), (1, 30), (1, 44), (2, 18), (2, 47),
+    (2, 49), (6, 34), (9, 24), (9, 36), (9, 40), (12, 45), (14, 27), (14, 39),
+    (14, 40), (16, 25), (21, 38), (24, 38), (24, 45), (25, 32), (25, 40),
+    (30, 34), (30, 38), (31, 34), (45, 49)])
+
+
+def _es_by_parsons(t):
+    """es(t) by Parsons' rule ("Pursuit-evasion in a graph", 1978), reading
+    nothing from `hd`: es >= k + 1 iff some vertex has three branches of
+    es >= k, each branch counted with its edge to that vertex.  So es is 1
+    plus the largest third-largest branch value at any vertex, and 1 for a
+    path, 0 for a single vertex.  Memoised on vertex sets, since a branch
+    of a branch is a branch of t with one side cut off."""
+    memo = {}
+
+    def side(u, v, inside):
+        """The vertices of `inside` reached from u without passing v."""
+        seen, stack = {u, v}, [u]
+        while stack:
+            for w in t.neighbours(stack.pop()) & inside - seen:
+                seen.add(w)
+                stack.append(w)
+        return seen - {v}
+
+    def es(inside):
+        if inside not in memo:
+            best = 1 if len(inside) > 1 else 0
+            for v in inside:
+                near = t.neighbours(v) & inside
+                if len(near) >= 3:  # so every branch is smaller than `inside`
+                    values = sorted(es(frozenset(side(u, v, inside)) | {v})
+                                    for u in near)
+                    best = max(best, values[-3] + 1)
+            memo[inside] = best
+        return memo[inside]
+
+    return es(frozenset(t.vertices))
+
+
+def test_parsons_reference_equals_es_exact_up_to_9_vertices():
+    trees = [t for n in range(1, 10) for t in enumerate_trees(n)]
+    assert len(trees) == 95
+    for t in trees:
+        assert _es_by_parsons(t) == es_exact(t), t.edges()
+
+
+def test_parsons_reference_on_the_witnesses():
+    assert ES_VALUE_WITNESS.n == 28 and ES_VALUE_WITNESS.is_tree()
+    assert _es_by_parsons(ES_VALUE_WITNESS) == 4
+    assert _es_by_parsons(ES_ROOT_WITNESS) == 4
+
+
+@pytest.mark.xfail(strict=True, reason="es is wrong at every root of this tree: "
+                   "the protocol gives 3, Parsons' rule 4")
+def test_es_value_on_the_witness():
+    t = ES_VALUE_WITNESS
+    assert run_static(t, ES).value == _es_by_parsons(t)
 
 
 @pytest.mark.parametrize("variant", [PN, NS])

@@ -114,9 +114,10 @@ def _hung_under_the_root():
     with a cell of 1, with v and the key of that entry: a push from v is
     one hop."""
     df = DynamicForest.from_tree(random_tree(60, 1))
-    v, kid = next((v, kid) for v, state in df.states.items() if state.father is not None
-                  for kid, entry in state.received.items() if 1 in entry.table)
-    df.change_root(df.states[v].father)
+    v, kid = next((v, kid) for v, father in sorted(df.father.items())
+                  if father is not None
+                  for kid, entry in df.received[v].items() if 1 in entry.table)
+    df.change_root(df.father[v])
     return df, v, kid
 
 
@@ -124,14 +125,14 @@ def test_push_of_an_equal_untagged_entry_takes_no_hop_memo(cold_memos):
     tagged, v, kid = _hung_under_the_root()
     planted, _, _ = _hung_under_the_root()
     tagged._push(v, False)  # caches the hop of the tagged entries
-    entry = planted.states[v].received[kid]
-    planted.states[v].received[kid] = HDescriptor(*entry)
-    kids = tuple(planted.states[v].received.values())
+    entry = planted.received[v][kid]
+    planted.received[v][kid] = HDescriptor(*entry)
+    kids = tuple(planted.received[v].values())
     memo = dynamic._hop_memo.cache_info()
     planted._push(v, False)
     assert dynamic._hop_memo.cache_info() == memo
-    father = planted.states[v].father
-    assert planted.states[father].received[v] == dynamic._hop_uncached(
+    father = planted.father[v]
+    assert planted.received[father][v] == dynamic._hop_uncached(
         kids, PN, planted.scheme)[2]
     assert planted.counters == tagged.counters
 
@@ -139,8 +140,8 @@ def test_push_of_an_equal_untagged_entry_takes_no_hop_memo(cold_memos):
 def test_push_of_a_float_cell_raises_every_time(cold_memos):
     df, v, kid = _hung_under_the_root()
     df._push(v, False)  # caches the hop of the tagged entries
-    entry = df.states[v].received[kid]
-    df.states[v].received[kid] = HDescriptor(
+    entry = df.received[v][kid]
+    df.received[v][kid] = HDescriptor(
         entry.vect, tuple(1.0 if c == 1 else c for c in entry.table))
     size = dynamic._hop_memo.cache_info().currsize
     for _ in range(2):
@@ -180,7 +181,7 @@ def _everything(tree, seed):
             df.change_root(0)
             if n > 1:
                 child = n - 1
-                father = df.states[child].father
+                father = df.father[child]
                 df.delete_edge(child, father)
                 df.change_root(child)
                 df.add_edge(father, child)

@@ -70,7 +70,7 @@ def test_hot_paths_stay_on_the_memos(monkeypatch, cold_memos):
             run_static(tree, variant, default_scheme(tree.n, variant, encoding))
     df = DynamicForest.from_tree(tree, PN, encoding="unknown")
     df.change_root(0)
-    father = df.states[tree.n - 1].father
+    father = df.father[tree.n - 1]
     df.delete_edge(tree.n - 1, father)
     df.add_edge(father, tree.n - 1)
     extract(tree, run_static(tree))
