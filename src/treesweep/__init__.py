@@ -2,7 +2,7 @@
 decompositions: process number, node and edge search numbers, pathwidth."""
 
 from .codec import (CapacityError, FramingError, KnownSize, UnknownSize,
-                    WireMessage, decode, decode_bits, encode)
+                    decode, encode)
 from .dynamic import DynamicForest, inc_build, run_script
 from .forest import (ArgumentError, Forest, Graph, GraphError, ParseError,
                      StructureError, cycle_graph, enumerate_trees, gen_tree,

@@ -1,5 +1,6 @@
 """Command-line front end: compute on a tree, drive dynamic scripts, run
-conformance sweeps against the brute-force oracles, and generate inputs.
+conformance sweeps against the brute-force oracles, measure the
+incremental builder, and generate inputs.
 
 Output is plain "key=value" text so golden tests can diff it; identical
 inputs and seed produce byte-identical reports.  Exit status 0 means no
@@ -15,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .dynamic import run_script
+from .experiments import loglog_slope, scaling_table
 from .forest import (_GENERATORS, ArgumentError, Forest, GraphError,
                      enumerate_trees, gen_tree, parse_edge_list, serialize)
 from .hd import ContractError, ParamVariant, rooted_value
@@ -157,6 +159,25 @@ def cmd_conformance(args) -> int:
     return 1 if failures else 0
 
 
+def cmd_experiments(args) -> int:
+    """One table per insertion regime, with the fitted log-log slope of the
+    messages when there are two distinct sizes; every size is measured
+    before anything is printed."""
+    sizes = [int(s) for s in args.sizes.split(",")]
+    tables = {kind: scaling_table(sizes, kind) for kind in ("best", "worst")}
+    for kind, rows in tables.items():
+        print(f"# {kind} case")
+        print("n messages bits messages/n")
+        for n, messages, bits in rows:
+            print(f"{n} {messages} {bits} {messages / n:.2f}")
+        try:
+            print(f"slope={loglog_slope(rows):.3f}")
+        except ArgumentError:  # a single size has no slope
+            pass
+        print()
+    return 0
+
+
 def cmd_gen(args) -> int:
     params = [int(x) for x in args.args]
     tree = gen_tree(args.kind, *params)
@@ -192,6 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(func=cmd_conformance)
+
+    e = sub.add_parser("experiments",
+                       help="messages and bits of the incremental builder, "
+                            "cheap and adversarial insertion orders")
+    e.add_argument("--sizes", default="50,100,200,400,800")
+    e.set_defaults(func=cmd_experiments)
 
     g = sub.add_parser("gen", help="emit a generated tree as an edge list")
     g.add_argument("kind", choices=tuple(_GENERATORS))

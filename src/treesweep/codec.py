@@ -15,6 +15,11 @@ Known-size budget is ceil(log3 n) cells; the node-search variant gets one
 extra cell because its values run one above the process number on small
 subtrees.
 
+A frame is its bit string, a plain `str` of "0" and "1": both ends know
+the scheme, and a dynamic frame's flag is its first bit.  `encode` and
+`notification` return the string, `decode(bits, scheme, has_dyn_flag)`
+reads one back, skipping the flag bit when told there is one.
+
 Validation sits on the receiving side: `decode` checks every descriptor it
 reads off the wire against the minimal-descriptor contract.  `encode` runs
 no full validation; it rejects only what would make a frame lie about its
@@ -22,21 +27,20 @@ descriptor: a vector with no wire encoding, a nonzero cell at or below pn
 (where the artificial 1 goes) and any cell outside {0, 1}, the last while it
 builds the body.
 
-`encode` and `decode_bits` are memoised, keyed on all their arguments and
+`encode` and `decode` are memoised, keyed on all their arguments and
 bounded by `hd.MEMO_SIZE` entries each.  Both are pure and return immutable
 values, so one cached frame or descriptor serves every caller.  Every
 static message still goes through `encode`, is counted and is decoded by
-its receiver with `decode`, which reads the `decode_bits` memo directly.
-A dynamic replace hop calls both only on a miss of its own memo, which
-keeps the frame and the decode beside the merge (see `dynamic`).
-The checks above run once per
-distinct input; a repeat reuses that result, and a failure is never cached,
-so a bad frame or descriptor raises on every call.  The rule of `hd` holds here too: tagged input takes
-the memo; anything else is computed and validated afresh.  `decode_bits`
-hands out the tag (`hd._Minimal`) on the descriptors it has validated, and
-`encode` takes its memo only for a tagged descriptor with an int or absent
-flag, so a hand-built descriptor, or a flag of `True` or 1.0, is encoded
-afresh.
+its receiver with `decode`.  A dynamic replace hop calls both only on a
+miss of its own memo, which keeps the frame and the decode beside the merge
+(see `dynamic`).  The checks above run once per distinct input; a repeat
+reuses that result, and a failure is never cached, so a bad frame or
+descriptor raises on every call.  The rule of `hd` holds here too: tagged
+input takes the memo; anything else is computed and validated afresh.
+`decode` hands out the tag (`hd._Minimal`) on the descriptors it has
+validated, and `encode` takes its memo only for a tagged descriptor with an
+int or absent flag, so a hand-built descriptor, or a flag of `True` or 1.0,
+is encoded afresh.
 
 Memo keys hash and compare in C.  Both schemes are interned: `UnknownSize`
 has a single instance, and `KnownSize` one instance per n, type of n and
@@ -46,7 +50,6 @@ and a key holding a scheme hashes by `object.__hash__`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .hd import (MEMO_SIZE, HDescriptor, NO_STABLE, ParamVariant, Vect,
@@ -131,18 +134,6 @@ _UNKNOWN_SIZE = object.__new__(UnknownSize)
 Scheme = KnownSize | UnknownSize
 
 REPLACE_FLAG = 0
-REROOT_FLAG = 1
-
-
-@dataclass(frozen=True)
-class WireMessage:
-    bits: str
-    scheme: Scheme
-    dyn_flag: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
 
 _KNOWN_SYMBOL = {0: "0", 1: "1"}
 _UNKNOWN_SYMBOL = {0: "00", 1: "01"}
@@ -163,13 +154,13 @@ def _ab_and_artificial(hd: HDescriptor) -> tuple[str, list[int]]:
     return ("10" if vect.pn_plus == vect.pn else "11"), transmitted
 
 
-def encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None = None) -> WireMessage:
+def encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None = None) -> str:
     if type(hd) is _Minimal and (dyn_flag is None or type(dyn_flag) is int):
         return _encode_memo(hd, scheme, dyn_flag)
     return _encode(hd, scheme, dyn_flag)
 
 
-def _encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None) -> WireMessage:
+def _encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None) -> str:
     ab, transmitted = _ab_and_artificial(hd)
     if isinstance(scheme, KnownSize):
         if len(transmitted) > scheme.cells:
@@ -184,30 +175,20 @@ def _encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None) -> WireMessag
     except (KeyError, TypeError):
         raise CodecError(f"table cells must be 0 or 1 on the wire: {hd}") from None
     prefix = "" if dyn_flag is None else str(dyn_flag)
-    return WireMessage(prefix + body + ab, scheme, dyn_flag)
+    return prefix + body + ab
 
 
 _encode_memo = lru_cache(maxsize=MEMO_SIZE)(_encode)
 
 
-def decode(message: WireMessage) -> HDescriptor:
-    return _decode_memo(message.bits, message.scheme, message.dyn_flag is not None)[0]
-
-
-def decode_bits(bits: str, scheme: Scheme,
-                has_dyn_flag: bool = False) -> tuple[HDescriptor, int | None]:
-    return _decode_memo(bits, scheme, has_dyn_flag)
-
-
-def _decode_bits(bits: str, scheme: Scheme,
-                 has_dyn_flag: bool) -> tuple[HDescriptor, int | None]:
+@lru_cache(maxsize=MEMO_SIZE)
+def decode(bits: str, scheme: Scheme, has_dyn_flag: bool = False) -> HDescriptor:
+    """The descriptor a frame carries; `has_dyn_flag` skips its flag bit."""
     if any(b not in "01" for b in bits):
         raise FramingError(f"non-bit character in {bits!r}")
-    dyn = None
     if has_dyn_flag:
         if not bits:
             raise FramingError("empty message")
-        dyn = int(bits[0])
         bits = bits[1:]
     if isinstance(scheme, KnownSize):
         if len(bits) != scheme.cells + 2:
@@ -244,16 +225,13 @@ def _decode_bits(bits: str, scheme: Scheme,
         raw[first - 1] = 0
         hd = _normalized(Vect(first, first + (1 if ab == "11" else 0)), raw)
     validate_descriptor(hd, minimal=True)
-    return _Minimal(*hd), dyn
+    return _Minimal(*hd)
 
 
-_decode_memo = lru_cache(maxsize=MEMO_SIZE)(_decode_bits)
-
-
-def notification(scheme: Scheme) -> WireMessage:
+def notification(scheme: Scheme) -> str:
     """Change-root notification: the dynamic flag bit set, placeholder payload."""
     if isinstance(scheme, KnownSize):
         body = "0" * (scheme.cells + 2)
     else:
         body = "1100"
-    return WireMessage("1" + body, scheme, REROOT_FLAG)
+    return "1" + body

@@ -15,8 +15,9 @@ Edge addition has one path: reroot w1's tree at w1, hang w1 under w2, and
 push replacement entries up from w1 until one is unchanged or the root is
 reached.  Paper mode also reroots at w2 first and hangs the loser of
 `elect_root`, so its push ends at once; `early_stop` keeps w2's root.
-Every dynamic message carries the leading flag bit (0 replace-entry,
-1 change-root notification), costing one extra bit per frame.  Every
+Every dynamic frame is a bit string that starts with a flag bit (0
+replace-entry, 1 change-root notification), costing one extra bit per
+frame; the receiver decodes past it and never reads it back.  Every
 replace entry is sent by one loop, `_push`: it follows father pointers from
 a node, and at each hop merges the sender's received entries, encodes, and
 stores the receiver's decode.  It adds the walk's messages, bits and steps
@@ -58,8 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .codec import (REPLACE_FLAG, Scheme, WireMessage, decode, encode,
-                    notification)
+from .codec import REPLACE_FLAG, Scheme, decode, encode, notification
 from .forest import ArgumentError, Forest, GraphError
 from .hd import (MEMO_SIZE, HDescriptor, ParamVariant, _Minimal, evaluate,
                  merge, merge_detailed)
@@ -67,7 +67,7 @@ from .protocol import CostCounters, default_scheme, elect_root, run_static
 
 
 def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
-         scheme: Scheme) -> tuple[HDescriptor, WireMessage, HDescriptor]:
+         scheme: Scheme) -> tuple[HDescriptor, str, HDescriptor]:
     """One replace hop: the merge of the sender's entries `kids`, its frame
     with the replace flag, and the receiver's decode of that frame.  Tagged
     entries take the memo (see the module notes)."""
@@ -78,10 +78,10 @@ def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
 
 
 def _hop_uncached(kids: tuple[HDescriptor, ...], variant: ParamVariant,
-                  scheme: Scheme) -> tuple[HDescriptor, WireMessage, HDescriptor]:
+                  scheme: Scheme) -> tuple[HDescriptor, str, HDescriptor]:
     hd = merge(kids, variant)
-    wire = encode(hd, scheme, dyn_flag=REPLACE_FLAG)
-    return hd, wire, decode(wire)
+    frame = encode(hd, scheme, REPLACE_FLAG)
+    return hd, frame, decode(frame, scheme, True)
 
 
 _hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop_uncached)
@@ -162,7 +162,7 @@ class DynamicForest:
     def _notify(self, hops: int) -> None:
         frame = notification(self.scheme)
         self.counters.messages += hops
-        self.counters.bits += hops * len(frame.bits)
+        self.counters.bits += hops * len(frame)
 
     def _push(self, node: int, stop_when_unchanged: bool) -> int | None:
         """Send replace entries up the father chain from `node`: each hop
@@ -175,14 +175,14 @@ class DynamicForest:
         messages = bits = steps = 0
         entries = received[node]  # the sender's; each receiver's is the next sender's
         while (father := father_of[node]) is not None:
-            hd, wire, decoded = _hop(tuple(entries.values()), variant, scheme)
+            hd, frame, decoded = _hop(tuple(entries.values()), variant, scheme)
             steps += 1
             entries = received[father]
             if stop_when_unchanged and entries.get(node) == hd:
                 node = None  # nothing upstream can change
                 break
             messages += 1
-            bits += len(wire.bits)
+            bits += len(frame)
             entries[node] = decoded
             node = father
         counters = self.counters

@@ -46,7 +46,7 @@ else is computed and validated afresh.  The tag is the private subclass
 `_Minimal`, which adds no state and prints as an `HDescriptor`; it marks a
 descriptor known to be minimal and made of plain ints.  Only two places hand
 it out: the memoised merge (its children carried the tag, so its output is
-minimal and made of plain ints too) and `codec.decode_bits`, after
+minimal and made of plain ints too) and `codec.decode`, after
 `validate_descriptor(..., minimal=True)`.  `merge_detailed` sends children
 that all carry the tag to the memo; any other input, a user-built
 `HDescriptor` included, goes to the uncached `_merge` and gets its exact

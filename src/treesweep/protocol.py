@@ -32,12 +32,12 @@ too, so every merge and encode of the run takes its memo without re-checking
 its input (see `hd`).
 
 Every message is genuinely bit-encoded and decoded by the receiver, so the
-codec sits on the hot path and the bit counters measure real frames.  The
-run keeps no record per message beyond the stored descriptors: only the
-sending order, as a list of ids.  `RunResult.wires` and `transcript()`
-render each message on demand from that order, the stored descriptors and
-the run's scheme; its frame comes back from the encode memo, which the run
-filled.
+codec sits on the hot path and the bit counters measure real frames: a
+frame is its bit string, and a message costs its length.  The run keeps no
+record per message beyond the stored descriptors: only the sending order,
+as a list of ids.  `RunResult.wires` and `transcript()` render each
+message on demand from that order, the stored descriptors and the run's
+scheme; its bits come back from the encode memo, which the run filled.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codec import KnownSize, Scheme, UnknownSize, WireMessage, decode, encode
+from .codec import KnownSize, Scheme, UnknownSize, decode, encode
 from .forest import ArgumentError, Forest
 from .hd import (ContractError, EvalResult, HDescriptor, ParamVariant,
                  evaluate, merge)
@@ -88,8 +88,8 @@ class RunResult:
     scheme: Scheme
 
     @property
-    def wires(self) -> list[tuple[int, int, HDescriptor, WireMessage]]:
-        """(sender, father, descriptor, frame) per message in sending order,
+    def wires(self) -> list[tuple[int, int, HDescriptor, str]]:
+        """(sender, father, descriptor, bits) per message in sending order,
         rendered from the entries as the run left them."""
         received, father, scheme = self.received, self.father, self.scheme
         out = []
@@ -101,8 +101,8 @@ class RunResult:
 
     def transcript(self) -> str:
         lines = []
-        for v, father, _, wire in self.wires:
-            lines.append(f"SEND {v}→{father} {wire.bits}")
+        for v, father, _, bits in self.wires:
+            lines.append(f"SEND {v}→{father} {bits}")
             lines.append(f"VISIT {v}")
         lines.append(f"VISIT {self.root}")
         return "\n".join(lines) + "\n"
@@ -159,10 +159,10 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
             if len(hd.table) > max_cells:
                 raise ContractError(
                     f"table length {len(hd.table)} breaks the log3 bound at node {v}")
-            wire = encode(hd, scheme)
+            frame = encode(hd, scheme)
             messages += 1
-            bits += len(wire.bits)
-            decoded = decode(wire)
+            bits += len(frame)
+            decoded = decode(frame, scheme)
             if decoded != hd:
                 raise ContractError(f"codec roundtrip broke for {hd}")
             into = received.get(f)

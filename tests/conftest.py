@@ -11,14 +11,14 @@ def trees_up_to_8():
 @pytest.fixture
 def cold_memos():
     """Empties the memos of `hd.merge_detailed`, `codec.encode`,
-    `codec.decode_bits` and the dynamic hop before the test; returns a
+    `codec.decode` and the dynamic hop before the test; returns a
     function that empties them again."""
     import treesweep.codec as codec
     import treesweep.dynamic as dynamic
     import treesweep.hd as hd
 
     def clear():
-        for memo in (hd._merge_memo, codec._encode_memo, codec._decode_memo,
+        for memo in (hd._merge_memo, codec._encode_memo, codec.decode,
                      dynamic._hop_memo):
             memo.cache_clear()
     clear()
@@ -28,8 +28,9 @@ def cold_memos():
 @pytest.fixture
 def record_frames(monkeypatch):
     """Call to start recording the frames a DynamicForest builds into a
-    fresh dict: (hd, wire) per replace hop computed under "replace", one
-    wire per change-root notification walk under "notify".  A push that
+    fresh dict: (hd, frame) per replace hop computed under "replace", one
+    frame per change-root notification walk under "notify"; a frame is its
+    bit string.  A push that
     stops early computes its last hop without sending it."""
     import treesweep.codec as codec
     import treesweep.dynamic as dynamic

@@ -203,9 +203,9 @@ def test_criterion_9_codec_roundtrips(sweep_n10):
     messages = 0
     for _, _, runs in sweep_n10:
         for run in runs.values():
-            for _, _, hd, wire in run.wires:
-                assert decode(wire) == hd
-                assert encode(hd, wire.scheme).bits == wire.bits
+            for _, _, hd, bits in run.wires:
+                assert decode(bits, run.scheme) == hd
+                assert encode(hd, run.scheme) == bits
                 messages += 1
     assert messages > 0
     _report(9, "codec roundtrip identity",

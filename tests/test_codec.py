@@ -6,8 +6,8 @@ import hypothesis.strategies as st
 
 import treesweep.codec as codec
 from treesweep.codec import (CapacityError, CodecError, FramingError,
-                             KnownSize, UnknownSize, decode, decode_bits,
-                             encode, notification)
+                             KnownSize, UnknownSize, decode, encode,
+                             notification)
 from treesweep.forest import random_tree
 from treesweep.hd import ContractError, HDescriptor, ParamVariant, Vect, hdesc
 from treesweep.protocol import run_static
@@ -18,36 +18,38 @@ PN = ParamVariant.PROCESS_NUMBER
 def test_known_size_leaf_message():
     scheme = KnownSize.for_tree(27, PN)
     msg = encode(hdesc(0, 0), scheme)
-    assert msg.bits == "00001" and len(msg) == 5  # 3 table cells + ab
-    assert decode(msg) == hdesc(0, 0)
+    assert msg == "00001" and len(msg) == 5  # 3 table cells + ab
+    assert decode(msg, scheme) == hdesc(0, 0)
 
 
 def test_known_size_artificial_one():
     scheme = KnownSize.for_tree(27, PN)
     msg = encode(hdesc(1, 1, [0]), scheme)
-    assert msg.bits == "10010"
-    assert decode(msg) == hdesc(1, 1, [0])
+    assert msg == "10010"
+    assert decode(msg, scheme) == hdesc(1, 1, [0])
 
 
 def test_unknown_size_symbols():
     msg = encode(hdesc(-1, -1, [0, 1]), UnknownSize())
-    assert msg.bits == "00011100" and len(msg) == 2 * 2 + 4
-    assert decode(msg) == hdesc(-1, -1, [0, 1])
+    assert msg == "00011100" and len(msg) == 2 * 2 + 4
+    assert decode(msg, UnknownSize()) == hdesc(-1, -1, [0, 1])
 
 
 def test_ab_11_means_pair_vector():
-    hd, dyn = decode_bits("10011", KnownSize.for_tree(27, PN))
-    assert hd == hdesc(1, 2, [0]) and dyn is None
+    scheme = KnownSize.for_tree(27, PN)
+    bits = "10011"
+    hd = decode(bits, scheme)
+    assert hd == hdesc(1, 2, [0]) and len(bits) == scheme.cells + 2  # no flag bit
 
 
 def test_dyn_flag_roundtrip():
     scheme = KnownSize.for_tree(9, PN)
     msg = encode(hdesc(2, 2, [0, 0]), scheme, dyn_flag=0)
     assert len(msg) == scheme.cells + 3
-    hd, dyn = decode_bits(msg.bits, scheme, has_dyn_flag=True)
-    assert hd == hdesc(2, 2, [0, 0]) and dyn == 0
+    hd = decode(msg, scheme, has_dyn_flag=True)
+    assert hd == hdesc(2, 2, [0, 0]) and msg[0] == "0"
     note = notification(scheme)
-    assert note.bits[0] == "1" and len(note) == scheme.cells + 3
+    assert note[0] == "1" and len(note) == scheme.cells + 3
     un = encode(hdesc(2, 2, [0, 0]), UnknownSize(), dyn_flag=0)
     assert len(un) == 2 * 2 + 4 + 1
     assert len(notification(UnknownSize())) == 5
@@ -61,20 +63,20 @@ def test_capacity_error():
 
 def test_framing_errors():
     with pytest.raises(FramingError):
-        decode_bits("000", KnownSize.for_tree(27, PN))  # short frame
+        decode("000", KnownSize.for_tree(27, PN))  # short frame
     with pytest.raises(FramingError):
-        decode_bits("10" + "1100", UnknownSize())       # 10 inside the stream
+        decode("10" + "1100", UnknownSize())       # 10 inside the stream
     with pytest.raises(FramingError):
-        decode_bits("0000", UnknownSize())              # no terminator
+        decode("0000", UnknownSize())              # no terminator
     with pytest.raises(FramingError):
-        decode_bits("00010", UnknownSize())             # truncated vector bits
+        decode("00010", UnknownSize())             # truncated vector bits
     with pytest.raises(FramingError):
-        decode_bits("00010", KnownSize.for_tree(27, PN))
+        decode("00010", KnownSize.for_tree(27, PN))
     with pytest.raises(FramingError):
-        decode_bits("00010x", UnknownSize())
+        decode("00010x", UnknownSize())
     # vector bits announce a value but no 1 anywhere in the table
     with pytest.raises(FramingError):
-        decode_bits("00010", KnownSize(27, 3))
+        decode("00010", KnownSize(27, 3))
 
 
 @pytest.mark.parametrize("hd", [
@@ -100,22 +102,22 @@ def test_roundtrip_over_protocol_messages(n, seed):
             from treesweep.protocol import default_scheme
             scheme = default_scheme(tree.n, variant, encoding)
             run = run_static(tree, variant, scheme)
-            for _, _, hd, wire in run.wires:
-                assert decode(wire) == hd
+            for _, _, hd, bits in run.wires:
+                assert decode(bits, scheme) == hd
                 re = encode(hd, scheme)
-                assert re.bits == wire.bits
+                assert re == bits
 
 
 def test_unknown_size_needs_no_n():
     # the unknown-size decoder recovers length from the terminator alone
     msg = encode(hdesc(3, 3, [0, 0, 0]), UnknownSize())
-    assert decode_bits(msg.bits, UnknownSize())[0] == hdesc(3, 3, [0, 0, 0])
+    assert decode(msg, UnknownSize()) == hdesc(3, 3, [0, 0, 0])
 
 
 def test_decoded_descriptors_print_as_plain_ones():
     scheme = KnownSize.for_tree(27, PN)
     for hd in (hdesc(0, 0), hdesc(-1, -1, (0, 1)), hdesc(2, 3, (0, 0, 1))):
-        out = decode(encode(hd, scheme))
+        out = decode(encode(hd, scheme), scheme)
         assert repr(out) == repr(HDescriptor(Vect(*hd.vect), tuple(hd.table)))
         assert out == hd
 
@@ -128,12 +130,12 @@ def test_built_descriptors_never_touch_the_encode_memo(cold_memos):
     wire = encode(built, scheme, 0)
     assert wire == codec._encode(built, scheme, 0)
     assert codec._encode_memo.cache_info()[:2] == (0, 0)
-    tagged, _ = decode_bits(wire.bits, scheme, has_dyn_flag=True)
+    tagged = decode(wire, scheme, has_dyn_flag=True)
     cached = encode(tagged, scheme, 0)
     info = codec._encode_memo.cache_info()
     again = encode(built, scheme, 0)
-    assert again == cached and again is not cached
-    assert codec._encode_memo.cache_info() == info
+    assert again == cached
+    assert codec._encode_memo.cache_info() == info  # not served from the memo
 
 
 def test_schemes_hash_and_compare_by_value():

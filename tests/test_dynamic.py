@@ -346,6 +346,26 @@ def test_early_stop_matches_default():
         assert short.counters.messages <= plain.counters.messages
 
 
+@pytest.mark.parametrize("encoding", ["known", "unknown"])
+def test_dynamic_frames_are_flagged_bit_strings(record_frames, encoding):
+    # paper-mode insertions reroot, so the build sends both kinds of frame
+    from treesweep.codec import decode
+    edges = random_tree(60, 3).edges()
+    random.Random(3).shuffle(edges)
+    frames = record_frames()
+    df = inc_build(edges, 60, encoding=encoding)
+    df.change_root(0)
+    assert frames["replace"] and frames["notify"]
+    for hd, frame in frames["replace"]:
+        assert frame[0] == "0" and set(frame) <= {"0", "1"}
+        assert decode(frame, df.scheme, True) == hd
+    for frame in frames["notify"]:
+        assert frame[0] == "1" and set(frame) <= {"0", "1"}
+    if encoding == "known":
+        sent = [frame for _, frame in frames["replace"]] + frames["notify"]
+        assert {len(frame) for frame in sent} == {df.scheme.cells + 3}
+
+
 def test_dynamic_message_sizes(record_frames):
     from treesweep.hd import ceil_log3
     t = random_tree(20, 8)
@@ -356,16 +376,16 @@ def test_dynamic_message_sizes(record_frames):
     df.change_root(target)
     per = ceil_log3(20) + 3
     wires = [w for _, w in frames["replace"]] + frames["notify"]
-    assert wires and all(len(w.bits) == per for w in wires)
+    assert wires and all(len(w) == per for w in wires)
     assert df.counters.bits == len(frames["replace"]) * per + hops * per
 
     df = DynamicForest.from_tree(t, encoding="unknown")
     frames = record_frames()
     df.change_root(target)
     for hd, wire in frames["replace"]:
-        assert len(wire.bits) == 2 * hd.length + 4 + 1
+        assert len(wire) == 2 * hd.length + 4 + 1
     for wire in frames["notify"]:
-        assert len(wire.bits) == 5
+        assert len(wire) == 5
     assert df.counters.bits == sum(len(w) for _, w in frames["replace"]) + hops * 5
 
 
@@ -382,8 +402,8 @@ def test_change_root_walk_accounting(record_frames, encoding, target, k):
     assert len(frames["replace"]) == k and len(frames["notify"]) == 1
     c = df.counters
     assert (c.messages, c.steps) == (2 * k, k + 1)
-    assert c.bits == (k * len(frames["notify"][0].bits)
-                      + sum(len(w.bits) for _, w in frames["replace"]))
+    assert c.bits == (k * len(frames["notify"][0])
+                      + sum(len(w) for _, w in frames["replace"]))
     assert df.root_of(0) == target
     df.check_invariants()
 
@@ -404,7 +424,7 @@ def test_early_stop_push_ends_at_an_unchanged_receiver(record_frames):
     assert unsent == held[1]
     assert frames["notify"] == [] and df.received[0] == held
     c = df.counters
-    assert (c.messages - before.messages, c.bits - before.bits) == (1, len(sent.bits))
+    assert (c.messages - before.messages, c.bits - before.bits) == (1, len(sent))
     assert c.steps - before.steps == 2  # the merges at 3 and at 1, no root value
     assert df.roots == {0: 1}
     df.check_invariants()

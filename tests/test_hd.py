@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treesweep.codec import FramingError, UnknownSize, decode, decode_bits, encode
+from treesweep.codec import FramingError, UnknownSize, decode, encode
 from treesweep.forest import (ArgumentError, Forest, enumerate_trees, prufer_to_tree,
                               random_tree, star_tree)
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
@@ -34,8 +34,8 @@ def _value_of_absent_vertex():
     (lambda: merge([hdesc(0, 0, (0, 1, 0))], PN), ContractError,
      "table length not normalized: HDescriptor(vect=Vect(pn=0, pn_plus=0), "
      "table=(0, 1, 0))"),
-    (lambda: decode_bits("", UnknownSize(), True), FramingError, "empty message"),
-    (lambda: decode_bits("11000", UnknownSize()), FramingError,
+    (lambda: decode("", UnknownSize(), True), FramingError, "empty message"),
+    (lambda: decode("11000", UnknownSize()), FramingError,
      "expected 2 vector bits after terminator, got 3"),
     (lambda: rooted_descriptors(star_tree(2), 7, PN), ContractError,
      "root 7 not in tree"),
@@ -330,7 +330,7 @@ def test_pn_and_ns_are_root_independent_on_the_es_witness(variant):
 
 def _tagged(hd):
     """The same descriptor as a receiver decodes it, carrying the tag."""
-    return decode(encode(hd, UnknownSize()))
+    return decode(encode(hd, UnknownSize()), UnknownSize())
 
 
 def _outcome(fn, *args):

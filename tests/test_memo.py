@@ -1,4 +1,4 @@
-"""The memos of `hd.merge_detailed`, `codec.encode`, `codec.decode_bits`
+"""The memos of `hd.merge_detailed`, `codec.encode`, `codec.decode`
 and the dynamic hop: a hit returns what the uncached code returns, a
 failure is never cached, and runs give the same results from a cold cache
 and a warm one."""
@@ -15,7 +15,7 @@ import treesweep.codec as codec
 import treesweep.dynamic as dynamic
 import treesweep.hd as hd
 from treesweep.codec import (CapacityError, CodecError, FramingError,
-                             KnownSize, UnknownSize, decode_bits, encode)
+                             KnownSize, UnknownSize, decode, encode)
 from treesweep.dynamic import DynamicForest, inc_build
 from treesweep.forest import random_tree
 from treesweep.hd import (ContractError, HDescriptor, ParamVariant, Vect,
@@ -76,7 +76,7 @@ def test_known_size_budget_must_be_an_int():
 
 @pytest.mark.parametrize("call,error,memo", [
     (lambda: merge([hdesc(-1, -1, (0, 2))], PN), ContractError, hd._merge_memo),
-    (lambda: decode_bits("10", UnknownSize()), FramingError, codec._decode_memo),
+    (lambda: decode("10", UnknownSize()), FramingError, codec.decode),
     (lambda: encode(hdesc(2, 2, (0, 0)), KnownSize.for_tree(3, PN)), CapacityError,
      codec._encode_memo),
 ], ids=["merge", "decode", "encode"])

@@ -41,7 +41,7 @@ def test_descriptor_validated_at_most_twice_per_message(seed, monkeypatch, cold_
     run = run_static(random_tree(500, seed))
     assert run.counters.messages == 499
     assert len(calls) <= 2 * run.counters.messages + 1
-    assert calls.count("treesweep.codec") == len({wire.bits for *_, wire in run.wires})
+    assert calls.count("treesweep.codec") == len({bits for *_, bits in run.wires})
 
 
 def test_hot_paths_stay_on_the_memos(monkeypatch, cold_memos):
@@ -425,11 +425,40 @@ def test_rendered_wires_decode_to_the_stored_entries(variant, encoding):
         wires = run.wires
         assert [v for v, *_ in wires] == run.order
         assert len(wires) == run.counters.messages
-        assert sum(len(wire) for *_, wire in wires) == run.counters.bits
-        for v, father, hd, wire in wires:
+        assert sum(len(bits) for *_, bits in wires) == run.counters.bits
+        for v, father, hd, bits in wires:
             assert father == run.father[v]
-            assert wire.scheme is scheme and wire.dyn_flag is None
-            assert decode(wire) == hd == run.received[father][v]
+            # a static frame is in the run's scheme and carries no flag bit
+            assert len(bits) == (scheme.cells + 2 if encoding == "known"
+                                 else 2 * hd.length + 4)
+            assert decode(bits, scheme) == hd == run.received[father][v]
+
+
+@pytest.mark.parametrize("encoding", ["known", "unknown"])
+@pytest.mark.parametrize("variant", list(ParamVariant), ids=lambda v: v.value)
+def test_encoded_frames_add_up_to_the_counters(monkeypatch, variant, encoding):
+    # the framing rule a traced benchmark pass relies on: each message is
+    # one `protocol.encode` and one `protocol.decode` call, and the frames
+    # encode returns number the messages and sum to the bits
+    import treesweep.protocol as protocol
+    frames, decodes = [], []
+    real_encode, real_decode = protocol.encode, protocol.decode
+
+    def encode(*args):
+        frames.append(real_encode(*args))
+        return frames[-1]
+
+    def decode(*args):
+        decodes.append(args)
+        return real_decode(*args)
+    monkeypatch.setattr(protocol, "encode", encode)
+    monkeypatch.setattr(protocol, "decode", decode)
+    for tree in (random_tree(150, 4), path_tree(40), star_tree(30), theorem1_tree(3)):
+        frames.clear()
+        decodes.clear()
+        run = run_static(tree, variant, default_scheme(tree.n, variant, encoding))
+        assert len(frames) == len(decodes) == run.counters.messages == tree.n - 1
+        assert sum(len(frame) for frame in frames) == run.counters.bits
 
 
 @pytest.mark.parametrize("encoding", ["known", "unknown"])
