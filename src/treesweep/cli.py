@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .dynamic import run_script
 from .experiments import loglog_slope, scaling_table
@@ -146,6 +145,9 @@ def cmd_conformance(args) -> int:
     # the pool starts every worker at once, so never more than can run
     workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
     if workers > 1:
+        # imported only here: the pool and multiprocessing take longer to
+        # load than the whole package, and no other command uses them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for bad in pool.map(checker, payloads, chunksize=8):
                 failures.extend(bad)

@@ -52,11 +52,15 @@ lockstep search of `Graph.exhausted_side` and moves it to a new record,
 in O(min(|A|, |B|)) for the two sides A and B (Even and Shiloach, "An
 on-line edge-deletion problem", J. ACM 1981); `Forest.add_edge` already
 pays that much for its cycle check.
+
+`TreeRecord` is a slotted mutable class, equal when its root and vertex
+set are.  `DynamicForest` is a plain class that compares by identity; its
+`counters` is a `protocol.CostCounters`, so `copy.copy(df.counters)` takes
+a snapshot that later updates leave alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .codec import REPLACE_FLAG, Scheme, decode, encode, notification
@@ -87,24 +91,39 @@ def _hop_uncached(kids: tuple[HDescriptor, ...], variant: ParamVariant,
 _hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop_uncached)
 
 
-@dataclass(slots=True)
 class TreeRecord:
-    """The root and vertex set of one tree of two or more vertices."""
-    root: int
-    vertices: set[int]
+    """The root and vertex set of one tree of two or more vertices; equal
+    when both are."""
+
+    __slots__ = ("root", "vertices")
+
+    def __init__(self, root: int, vertices: set[int]):
+        self.root = root
+        self.vertices = vertices
+
+    def __eq__(self, other):
+        if type(other) is not TreeRecord:
+            return NotImplemented
+        return self.root == other.root and self.vertices == other.vertices
+
+    def __repr__(self) -> str:
+        return f"TreeRecord(root={self.root!r}, vertices={self.vertices!r})"
 
 
-@dataclass
 class DynamicForest:
-    forest: Forest
-    variant: ParamVariant
-    scheme: Scheme
-    received: dict[int, dict[int, HDescriptor]]
-    father: dict[int, int | None]
-    roots: dict[int, int] = field(default_factory=dict)
-    record_of: dict[int, TreeRecord] = field(default_factory=dict)
-    counters: CostCounters = field(default_factory=CostCounters)
-    early_stop: bool = False
+    def __init__(self, forest: Forest, variant: ParamVariant, scheme: Scheme,
+                 received: dict[int, dict[int, HDescriptor]],
+                 father: dict[int, int | None],
+                 roots: dict[int, int] | None = None, early_stop: bool = False):
+        self.forest = forest
+        self.variant = variant
+        self.scheme = scheme
+        self.received = received
+        self.father = father
+        self.roots = {} if roots is None else roots
+        self.record_of: dict[int, TreeRecord] = {}
+        self.counters = CostCounters()
+        self.early_stop = early_stop
 
     # -- construction ------------------------------------------------------
 

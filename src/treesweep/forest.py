@@ -30,7 +30,6 @@ first, u then v, with `add_vertex`.
 from __future__ import annotations
 
 import heapq
-import inspect
 import random
 from collections import deque
 from functools import lru_cache
@@ -489,7 +488,8 @@ def gen_tree(kind: str, *args) -> Forest:
     theorem1 k | random n seed."""
     if kind not in _GENERATORS:
         raise ArgumentError(f"unknown tree kind {kind!r}")
-    names = list(inspect.signature(_GENERATORS[kind]).parameters)
+    code = _GENERATORS[kind].__code__  # positional parameters come first
+    names = code.co_varnames[:code.co_argcount]
     if len(args) != len(names):
         raise ArgumentError(f"{kind} expects {' '.join(names)}, "
                             f"got {len(args)} argument(s)")

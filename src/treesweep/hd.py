@@ -58,7 +58,6 @@ error, only how fast it comes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -123,8 +122,7 @@ class EvalResult(NamedTuple):
     stable: bool
 
 
-@dataclass(frozen=True)
-class MergeInfo:
+class MergeInfo(NamedTuple):
     """Derivation record of one merge, consumed by strategy extraction."""
 
     case: str

@@ -38,12 +38,19 @@ record per message beyond the stored descriptors: only the sending order,
 as a list of ids.  `RunResult.wires` and `transcript()` render each
 message on demand from that order, the stored descriptors and the run's
 scheme; its bits come back from the encode memo, which the run filled.
+
+`Schedule` and `RunResult` are `NamedTuple`s, immutable like the
+descriptors: `run._replace(...)` gives a changed copy.  `CostCounters` is
+a small mutable class, compared and printed by value, that the dynamic
+forest adds to in place.  No record of the package is a dataclass:
+`dataclasses`, and the `inspect` module it loads, took most of the time of
+`import treesweep`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codec import KnownSize, Scheme, UnknownSize, decode, encode
 from .forest import ArgumentError, Forest
@@ -56,15 +63,26 @@ def elect_root(u: int, v: int) -> int:
     return u if u > v else v
 
 
-@dataclass
 class CostCounters:
-    messages: int = 0
-    bits: int = 0
-    steps: int = 0
+    """Running totals, added to in place; equal when all three are."""
+
+    def __init__(self, messages: int = 0, bits: int = 0, steps: int = 0):
+        self.messages = messages
+        self.bits = bits
+        self.steps = steps
+
+    def __eq__(self, other):
+        if type(other) is not CostCounters:
+            return NotImplemented
+        return ((self.messages, self.bits, self.steps)
+                == (other.messages, other.bits, other.steps))
+
+    def __repr__(self) -> str:
+        return (f"CostCounters(messages={self.messages!r}, bits={self.bits!r}, "
+                f"steps={self.steps!r})")
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     seed: int = 0
 
     def order(self, ready: list[int], rng: random.Random) -> list[int]:
@@ -75,8 +93,7 @@ class Schedule:
         return ready
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     value: int
     root: int
     # per vertex that heard a message, its entries in arrival order

@@ -39,11 +39,14 @@ PLACE and REMOVE, so the reversed end_at(w2) is end_at(w2) run with the two
 swapped, which writes the hand-off backwards step by step, followed by one
 in-place reversal of that list; nested reversals come out right the same
 way, and nothing is rebuilt.
+
+`Action` is a `NamedTuple`.  `Strategy` is a small mutable class around
+one action list, equal when the lists are; each `Strategy()` made without
+a list gets its own empty one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Collection, NamedTuple
 
@@ -78,9 +81,20 @@ class Action(NamedTuple):
 _action = partial(tuple.__new__, Action)
 
 
-@dataclass
 class Strategy:
-    actions: list[Action] = field(default_factory=list)
+    """An action list; equal when the lists are.  Each instance made
+    without one gets its own empty list."""
+
+    def __init__(self, actions: list[Action] | None = None):
+        self.actions = [] if actions is None else actions
+
+    def __eq__(self, other):
+        if type(other) is not Strategy:
+            return NotImplemented
+        return self.actions == other.actions
+
+    def __repr__(self) -> str:
+        return f"Strategy(actions={self.actions!r})"
 
     def dump(self) -> str:
         return "\n".join([f"{kind} {v}" for kind, v in self.actions]) + "\n"

@@ -202,6 +202,7 @@ def test_conformance_refuses_max_n_above_the_oracle_cap(capsys, monkeypatch, par
     (None, 6, []),    # an unknown CPU count runs in this process
 ])
 def test_conformance_caps_its_workers(capsys, monkeypatch, cpus, max_n, pools):
+    import concurrent.futures
     import treesweep.cli as cli
     made = []
 
@@ -218,7 +219,8 @@ def test_conformance_caps_its_workers(capsys, monkeypatch, cpus, max_n, pools):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # cmd_conformance imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out, _ = run_cli(["conformance", "--max-n", str(max_n), "--param", "pn",
                             "--jobs", "100000"], capsys)

@@ -2,11 +2,10 @@ import copy
 import hashlib
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
-from treesweep.dynamic import DynamicForest, inc_build, run_script
+from treesweep.dynamic import DynamicForest, TreeRecord, inc_build, run_script
 from treesweep.experiments import worst_case_instance
 from treesweep.forest import (ArgumentError, Forest, StructureError,
                               enumerate_trees, path_tree, random_tree,
@@ -125,7 +124,7 @@ def test_add_edge_rejects_cycles():
 def test_rejected_edge_leaves_state_unchanged(early_stop):
     df = inc_build([(0, 1), (1, 2), (2, 3), (4, 5)], 6, early_stop=early_stop)
     df.change_root(0)
-    forest, counters, roots = df.forest.copy(), replace(df.counters), dict(df.roots)
+    forest, counters, roots = df.forest.copy(), copy.copy(df.counters), dict(df.roots)
     records = copy.deepcopy(df.record_of)
     # two cycles, a duplicate edge and a self-loop
     for w1, w2 in ((0, 2), (3, 0), (2, 1), (4, 4)):
@@ -175,11 +174,11 @@ def test_check_invariants_sees_record_drift():
     with pytest.raises(AssertionError, match="disagrees with its degree"):
         df.check_invariants()
     df.record_of[2] = record
-    df.record_of[5] = replace(record, root=5, vertices={5})  # an isolated vertex's record
+    df.record_of[5] = TreeRecord(5, {5})  # an isolated vertex's record
     with pytest.raises(AssertionError, match="disagrees with its degree"):
         df.check_invariants()
     del df.record_of[5]
-    df.record_of[2] = replace(record, vertices=set(record.vertices))
+    df.record_of[2] = TreeRecord(record.root, set(record.vertices))
     with pytest.raises(AssertionError, match="two records"):
         df.check_invariants()
     df.record_of[2] = record
@@ -415,7 +414,7 @@ def test_early_stop_push_ends_at_an_unchanged_receiver(record_frames):
     df = DynamicForest.isolated(4, early_stop=True)
     df.add_edge(1, 0)
     df.add_edge(2, 1)
-    before = replace(df.counters)
+    before = copy.copy(df.counters)
     held = dict(df.received[0])
     frames = record_frames()
     df.add_edge(3, 1)

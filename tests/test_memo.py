@@ -3,7 +3,7 @@ and the dynamic hop: a hit returns what the uncached code returns, a
 failure is never cached, and runs give the same results from a cold cache
 and a warm one."""
 
-from dataclasses import replace
+import copy
 from decimal import Decimal
 from fractions import Fraction
 
@@ -156,7 +156,7 @@ def test_a_repeated_reroot_walk_hits_the_hop_memo_once_per_replace_message(cold_
     df = DynamicForest.from_tree(tree, encoding="unknown")
     for target in (0, far, 0, far):  # the walk from far to 0 is cached
         df.change_root(target)
-    memo, before = dynamic._hop_memo.cache_info(), replace(df.counters)
+    memo, before = dynamic._hop_memo.cache_info(), copy.copy(df.counters)
     df.change_root(0)
     after = dynamic._hop_memo.cache_info()
     replaces = (df.counters.messages - before.messages) // 2  # one notify per replace

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import random
@@ -198,7 +197,7 @@ def test_extract_rejects_a_tampered_stored_descriptor():
     received[father][v] = hdesc(0, 0)  # a valid descriptor, but a leaf's
     with pytest.raises(ContractError,
                        match=f"stored descriptor at {v} disagrees with a fresh merge"):
-        extract(t, dataclasses.replace(run, received=received))
+        extract(t, run._replace(received=received))
     assert validate(t, extract(t, run)) == run.value
 
 
