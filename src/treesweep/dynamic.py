@@ -53,10 +53,8 @@ in O(min(|A|, |B|)) for the two sides A and B (Even and Shiloach, "An
 on-line edge-deletion problem", J. ACM 1981); `Forest.add_edge` already
 pays that much for its cycle check.
 
-`TreeRecord` is a slotted mutable class, equal when its root and vertex
-set are.  `DynamicForest` is a plain class that compares by identity; its
-`counters` is a `protocol.CostCounters`, so `copy.copy(df.counters)` takes
-a snapshot that later updates leave alone.
+`TreeRecord` is a small mutable class with `__slots__`, compared by value;
+`DynamicForest` is a plain class, compared by identity.
 """
 
 from __future__ import annotations

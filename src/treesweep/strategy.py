@@ -40,9 +40,8 @@ swapped, which writes the hand-off backwards step by step, followed by one
 in-place reversal of that list; nested reversals come out right the same
 way, and nothing is rebuilt.
 
-`Action` is a `NamedTuple`.  `Strategy` is a small mutable class around
-one action list, equal when the lists are; each `Strategy()` made without
-a list gets its own empty one.
+`Action` is a `NamedTuple`; `Strategy` is a small mutable class around
+one action list.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ def test_importing_the_cli_loads_no_unneeded_module():
             f"print([m for m in {NOT_NEEDED!r} if m in sys.modules and m not in before])")
     src = str(Path(treesweep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
