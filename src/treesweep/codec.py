@@ -16,9 +16,10 @@ extra cell because its values run one above the process number on small
 subtrees.
 
 A frame is its bit string, a plain `str` of "0" and "1": both ends know
-the scheme, and a dynamic frame's flag is its first bit.  `encode` and
-`notification` return the string, `decode(bits, scheme, has_dyn_flag)`
-reads one back, skipping the flag bit when told there is one.
+the scheme, and a dynamic frame's flag is its first bit.  `encode(hd,
+scheme, has_dyn_flag)` and `decode(bits, scheme, has_dyn_flag)` mirror
+each other: one writes the replace flag 0, the other skips it.
+`notification` builds the one frame with flag 1.
 
 Validation sits on the receiving side: `decode` checks every descriptor it
 reads off the wire against the minimal-descriptor contract.  `encode` runs
@@ -32,15 +33,15 @@ bounded by `hd.MEMO_SIZE` entries each.  Both are pure and return immutable
 values, so one cached frame or descriptor serves every caller.  Every
 static message still goes through `encode`, is counted and is decoded by
 its receiver with `decode`.  A dynamic replace hop calls both only on a
-miss of its own memo, which keeps the frame and the decode beside the merge
+miss of its own memo, which keeps the frame and the receiver's entry
 (see `dynamic`).  The checks above run once per distinct input; a repeat
 reuses that result, and a failure is never cached, so a bad frame or
 descriptor raises on every call.  The rule of `hd` holds here too: tagged
 input takes the memo; anything else is computed and validated afresh.
 `decode` hands out the tag (`hd._Minimal`) on the descriptors it has
-validated, and `encode` takes its memo only for a tagged descriptor with an
-int or absent flag, so a hand-built descriptor, or a flag of `True` or 1.0,
-is encoded afresh.
+validated, and `encode` takes its memo only for a tagged descriptor, so a
+hand-built descriptor is encoded afresh.  The flag needs no guard: keys
+that compare equal (`True`, 1, 1.0) are all true and give one frame.
 
 Memo keys hash and compare in C.  Both schemes are interned: `UnknownSize`
 has a single instance, and `KnownSize` one instance per n, type of n and
@@ -133,8 +134,6 @@ _UNKNOWN_SIZE = object.__new__(UnknownSize)
 
 Scheme = KnownSize | UnknownSize
 
-REPLACE_FLAG = 0
-
 _KNOWN_SYMBOL = {0: "0", 1: "1"}
 _UNKNOWN_SYMBOL = {0: "00", 1: "01"}
 
@@ -154,13 +153,14 @@ def _ab_and_artificial(hd: HDescriptor) -> tuple[str, list[int]]:
     return ("10" if vect.pn_plus == vect.pn else "11"), transmitted
 
 
-def encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None = None) -> str:
-    if type(hd) is _Minimal and (dyn_flag is None or type(dyn_flag) is int):
-        return _encode_memo(hd, scheme, dyn_flag)
-    return _encode(hd, scheme, dyn_flag)
+def encode(hd: HDescriptor, scheme: Scheme, has_dyn_flag: bool = False) -> str:
+    """The frame of `hd`; `has_dyn_flag` prepends the replace flag bit."""
+    if type(hd) is _Minimal:
+        return _encode_memo(hd, scheme, has_dyn_flag)
+    return _encode(hd, scheme, has_dyn_flag)
 
 
-def _encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None) -> str:
+def _encode(hd: HDescriptor, scheme: Scheme, has_dyn_flag: bool) -> str:
     ab, transmitted = _ab_and_artificial(hd)
     if isinstance(scheme, KnownSize):
         if len(transmitted) > scheme.cells:
@@ -174,8 +174,7 @@ def _encode(hd: HDescriptor, scheme: Scheme, dyn_flag: int | None) -> str:
         body = "".join([symbol[c] for c in transmitted]) + tail
     except (KeyError, TypeError):
         raise CodecError(f"table cells must be 0 or 1 on the wire: {hd}") from None
-    prefix = "" if dyn_flag is None else str(dyn_flag)
-    return prefix + body + ab
+    return ("0" if has_dyn_flag else "") + body + ab
 
 
 _encode_memo = lru_cache(maxsize=MEMO_SIZE)(_encode)

@@ -30,30 +30,34 @@ entry from w1 yet).  A root's value is read off the `MergeInfo` of its
 memoised merge, one step, without evaluating the descriptor again.
 
 A hop is one lookup.  `_hop` maps the sender's ordered entries, the
-variant and the scheme to the merged descriptor, its replace frame and the
-receiver's decode of that frame.  All three are pure, so `_hop_memo` keeps
-the triple, bounded by `hd.MEMO_SIZE` entries like the memos it stands in
-front of.  The rule of `hd` holds: the hop takes the memo only when every
-entry carries the `hd._Minimal` tag; any other input goes through the same
-`merge`, `encode` and `decode` uncached and gets its exact result or error,
-and a failure is never cached.  A hit runs none of the three: the hop is
-counted from its cached frame.  The early stop still compares the merged
-descriptor with the receiver's entry before anything is counted.
+variant and the scheme to the replace frame of their merge and the
+receiver's entry, its decode of that frame; a miss checks, as
+`run_static` does, that the entry equals the merge output.  Both are
+pure, so `_hop_memo` keeps the pair, bounded by `hd.MEMO_SIZE` entries
+like the memos it stands in front of.  The rule of `hd` holds: the hop
+takes the memo only when every entry carries the `hd._Minimal` tag; any
+other input goes through the same `merge`, `encode` and `decode`
+uncached and gets its exact result or error, and a failure is never
+cached.  A hit runs none of the three: the hop is counted from its
+cached frame.  The early stop compares the receiver's entry with the
+one it would store before anything is counted.
 
 A query walks no father chain.  Each tree of two or more vertices has one
-shared `TreeRecord`, its root and vertex set, and `record_of` maps each of
+shared `TreeRecord`, holding its root alone, and `record_of` maps each of
 its vertices to it; an isolated vertex has no record and is its own root.
 So `root_of` reads the record, or finds none, and `value_of` reads the
 value held at that root in `roots`.  The records are local bookkeeping,
-not messages.  `add_edge` relabels the smaller tree into the larger
-record (union by size), so any sequence of additions relabels each vertex
-O(log n) times.  `delete_edge` finds the smaller side of the cut with the
-lockstep search of `Graph.exhausted_side` and moves it to a new record,
-in O(min(|A|, |B|)) for the two sides A and B (Even and Shiloach, "An
-on-line edge-deletion problem", J. ACM 1981); `Forest.add_edge` already
-pays that much for its cycle check.
+not messages.  One rule relabels: the side that the lockstep search
+`Graph.exhausted_side` runs out of first moves (Even and Shiloach, "An
+on-line edge-deletion problem", J. ACM 1981).  `add_edge` moves the side
+that `Forest.add_edge` returns from its cycle check into the other
+endpoint's record; `delete_edge` moves the side it finds on the cut to a
+new record.  An endpoint left with degree 0 keeps no record.  The moved
+side is at most about half of the tree (when one side runs out, the
+other has scanned about as many entries), so a search costs
+O(min(|A|, |B|)) and additions relabel each vertex O(log n) times.
 
-`TreeRecord` is a small mutable class with `__slots__`, compared by value;
+`TreeRecord` is a small mutable class with `__slots__`, compared by root;
 `DynamicForest` is a plain class, compared by identity.
 """
 
@@ -61,18 +65,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .codec import REPLACE_FLAG, Scheme, decode, encode, notification
+from .codec import Scheme, decode, encode, notification
 from .forest import ArgumentError, Forest, GraphError
-from .hd import (MEMO_SIZE, HDescriptor, ParamVariant, _Minimal, evaluate,
-                 merge, merge_detailed)
+from .hd import (MEMO_SIZE, ContractError, HDescriptor, ParamVariant, _Minimal,
+                 evaluate, merge, merge_detailed)
 from .protocol import CostCounters, default_scheme, elect_root, run_static
 
 
 def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
-         scheme: Scheme) -> tuple[HDescriptor, str, HDescriptor]:
-    """One replace hop: the merge of the sender's entries `kids`, its frame
-    with the replace flag, and the receiver's decode of that frame.  Tagged
-    entries take the memo (see the module notes)."""
+         scheme: Scheme) -> tuple[str, HDescriptor]:
+    """One replace hop: the flagged frame of the merge of the sender's
+    entries `kids`, and the receiver's entry, its decode of that frame.
+    Tagged entries take the memo (see the module notes)."""
     for kid in kids:
         if type(kid) is not _Minimal:
             return _hop_uncached(kids, variant, scheme)
@@ -80,32 +84,33 @@ def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
 
 
 def _hop_uncached(kids: tuple[HDescriptor, ...], variant: ParamVariant,
-                  scheme: Scheme) -> tuple[HDescriptor, str, HDescriptor]:
+                  scheme: Scheme) -> tuple[str, HDescriptor]:
     hd = merge(kids, variant)
-    frame = encode(hd, scheme, REPLACE_FLAG)
-    return hd, frame, decode(frame, scheme, True)
+    frame = encode(hd, scheme, True)
+    entry = decode(frame, scheme, True)
+    if entry != hd:
+        raise ContractError(f"codec roundtrip broke for {hd}")
+    return frame, entry
 
 
 _hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop_uncached)
 
 
 class TreeRecord:
-    """The root and vertex set of one tree of two or more vertices; equal
-    when both are."""
+    """The root of one tree of two or more vertices, compared by root."""
 
-    __slots__ = ("root", "vertices")
+    __slots__ = ("root",)
 
-    def __init__(self, root: int, vertices: set[int]):
+    def __init__(self, root: int):
         self.root = root
-        self.vertices = vertices
 
     def __eq__(self, other):
         if type(other) is not TreeRecord:
             return NotImplemented
-        return self.root == other.root and self.vertices == other.vertices
+        return self.root == other.root
 
     def __repr__(self) -> str:
-        return f"TreeRecord(root={self.root!r}, vertices={self.vertices!r})"
+        return f"TreeRecord(root={self.root!r})"
 
 
 class DynamicForest:
@@ -157,8 +162,7 @@ class DynamicForest:
         df = cls(tree.copy(), variant, scheme, received, father, early_stop=early_stop)
         df.roots[run.root] = run.value
         if tree.n > 1:
-            record = TreeRecord(run.root, set(tree.vertices))
-            df.record_of = dict.fromkeys(tree.vertices, record)
+            df.record_of = dict.fromkeys(tree.vertices, TreeRecord(run.root))
         return df
 
     # -- queries -----------------------------------------------------------
@@ -192,15 +196,15 @@ class DynamicForest:
         messages = bits = steps = 0
         entries = received[node]  # the sender's; each receiver's is the next sender's
         while (father := father_of[node]) is not None:
-            hd, frame, decoded = _hop(tuple(entries.values()), variant, scheme)
+            frame, entry = _hop(tuple(entries.values()), variant, scheme)
             steps += 1
             entries = received[father]
-            if stop_when_unchanged and entries.get(node) == hd:
+            if stop_when_unchanged and entries.get(node) == entry:
                 node = None  # nothing upstream can change
                 break
             messages += 1
             bits += len(frame)
-            entries[node] = decoded
+            entries[node] = entry
             node = father
         counters = self.counters
         counters.messages += messages
@@ -242,7 +246,7 @@ class DynamicForest:
         which endpoint hangs."""
         if w1 not in self.father or w2 not in self.father:
             raise ArgumentError(f"unknown vertex in edge ({w1}, {w2})")
-        self.forest.add_edge(w1, w2)  # rejects a cycle before any state changes
+        side = self.forest.add_edge(w1, w2)  # rejects a cycle before any change
         self.change_root(w1)
         if not self.early_stop:
             self.change_root(w2)
@@ -250,7 +254,7 @@ class DynamicForest:
                 w1, w2 = w2, w1
         self.father[w1] = w2
         del self.roots[w1]
-        self._join(w1, w2)
+        self._join(side, w1, w2)
         root = self._push(w1, True)
         if root is not None:
             self.roots[root] = self._root_value(root)
@@ -277,19 +281,17 @@ class DynamicForest:
 
     # -- tree records ----------------------------------------------------------
 
-    def _join(self, w1: int, w2: int) -> None:
+    def _join(self, side: set[int], w1: int, w2: int) -> None:
         """Give the tree just made by hanging w1 under w2 one record, rooted
-        at w2's root: the smaller side's vertices move to the larger's."""
+        at w2's root: `side`, the old tree of one endpoint, moves into the
+        other endpoint's record, made new if that endpoint was isolated."""
         record_of = self.record_of
         root = self.root_of(w2)
-        small, big = (record_of.get(w) or TreeRecord(root, {w}) for w in (w1, w2))
-        if len(small.vertices) > len(big.vertices):
-            small, big = big, small
-        big.root = root
-        big.vertices |= small.vertices
-        for v in small.vertices:
-            record_of[v] = big
-        record_of[w1] = record_of[w2] = big  # either side may have been isolated
+        other = w2 if w1 in side else w1
+        record = record_of.setdefault(other, TreeRecord(root))
+        record.root = root
+        for v in side:
+            record_of[v] = record
 
     def _split(self, child: int, father: int) -> None:
         """Split the record of the tree that just lost the edge child-father.
@@ -299,17 +301,16 @@ class DynamicForest:
         record_of = self.record_of
         record = record_of[child]
         side = self.forest.exhausted_side(child, father)
-        record.vertices -= side
         if child in side:
-            moved = TreeRecord(child, side)
+            moved = TreeRecord(child)
         else:
-            moved = TreeRecord(record.root, side)
+            moved = TreeRecord(record.root)
             record.root = child
         for v in side:
             record_of[v] = moved
-        for rec in (moved, record):
-            if len(rec.vertices) == 1:
-                del record_of[next(iter(rec.vertices))]
+        for w in (child, father):
+            if self.forest.degree(w) == 0:
+                del record_of[w]
 
     # -- consistency ---------------------------------------------------------
 
@@ -356,12 +357,10 @@ class DynamicForest:
                 raise AssertionError(f"record presence at {v} disagrees with its degree")
             if record is None:
                 continue
-            if record.root != root or v not in record.vertices:
+            if record.root != root:
                 raise AssertionError(f"record drift at {v}")
             if by_root.setdefault(root, record) is not record:
                 raise AssertionError(f"two records for the tree of root {root}")
-        if sum(len(record.vertices) for record in by_root.values()) != len(self.record_of):
-            raise AssertionError("record vertex sets drift")
 
 
 def inc_build(edges: list[tuple[int, int]], n: int,

@@ -13,12 +13,13 @@ insert edges, each through one path:
   linear set union algorithm", J. ACM 1975) in near-constant amortised
   time, so a build, a parse or a Pruefer decode is near-linear.
 - Incremental insertion into a forest (`DynamicForest`, `random_forest`)
-  goes through `Forest.add_edge`, whose cycle check `Graph.connected`
-  searches from both endpoints in lockstep until the smaller side is
-  exhausted: O(min(|A|, |B|)) for the components A and B it joins, so
-  O(n log n) for any tree in any edge order.  A search, not a union-find,
-  because `DynamicForest.delete_edge` also deletes edges (and runs the
-  same search to find the smaller side); a union cannot be undone.
+  goes through `Forest.add_edge`, whose cycle check `exhausted_side`
+  searches from both endpoints in lockstep and returns the side it
+  exhausts first, for `DynamicForest` to relabel: O(min(|A|, |B|)) for
+  the components A and B it joins, so O(n log n) for any tree in any edge
+  order.  A search, not a union-find, because `DynamicForest.delete_edge`
+  also deletes edges (and searches the cut the same way); a union cannot
+  be undone.
 - A `Graph`'s edges, which may close cycles, go through `Graph._join`.
 
 The two forest paths raise the same `StructureError`s in the same order:
@@ -150,11 +151,6 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_of(next(iter(self.adj)))) == self.n
 
-    def connected(self, u: int, v: int) -> bool:
-        """Whether u and v lie in one component, by the lockstep search of
-        `exhausted_side`.  This is the cycle check of `Forest.add_edge`."""
-        return self.exhausted_side(u, v) is None
-
     def exhausted_side(self, u: int, v: int) -> set[int] | None:
         """The component of u or of v that a lockstep search exhausts first,
         or None if u and v lie in one component.
@@ -168,9 +164,9 @@ class Graph:
         by entry rather than by vertex keeps that bound when the larger side
         starts at a hub: building a star centre-first stays linear.  It is a
         search rather than a union-find because `Graph.remove_edge` splits
-        components and a union cannot be undone; `DynamicForest.delete_edge`
-        runs it to find the side of a deleted edge to relabel.  Bulk builds,
-        which never remove an edge, use the union-find in `_build` instead.
+        components and a union cannot be undone.  `Forest.add_edge` and
+        `DynamicForest.delete_edge` run it.  Bulk builds, which never
+        remove an edge, use the union-find in `_build` instead.
         """
         if u == v:
             return None
@@ -216,12 +212,17 @@ class Forest(Graph):
         super().__init__(vertices)
         _build(self, self._checked(edges))
 
-    def add_edge(self, u: int, v: int) -> None:
+    def add_edge(self, u: int, v: int) -> set[int]:
+        """Link u and v; return the side their cycle check exhausted first."""
         self.add_vertex(u)
         self.add_vertex(v)
-        if u != v and not self.has_edge(u, v) and self.connected(u, v):
-            raise StructureError(f"edge ({u}, {v}) would create a cycle")
+        side = None
+        if u != v and not self.has_edge(u, v):
+            side = self.exhausted_side(u, v)
+            if side is None:
+                raise StructureError(f"edge ({u}, {v}) would create a cycle")
         self._join(u, v)
+        return side
 
     def is_connected(self) -> bool:
         """No search needed: a forest is acyclic by construction, so it is

@@ -4,7 +4,9 @@ A node stores only what the paper gives it: the descriptor received from
 each neighbour and its father pointer; adjacency is read from the tree.
 The run keeps exactly that in two maps: `received`, which gives each node
 that heard a message its entries in arrival order (a leaf that only sends
-gets none), and `father`, from each sender to its father.
+gets none), and `father`, from each sender to its father.  A node sends
+once and `father[v]` is written at that send, so `father`'s key order is
+the sending order; the run keeps no other list of senders.
 Execution is organized in peel rounds: every node that currently misses a
 message from exactly one neighbour fires during the round, sending its
 merged descriptor to that neighbour (its father).  A node misses
@@ -34,10 +36,10 @@ its input (see `hd`).
 Every message is genuinely bit-encoded and decoded by the receiver, so the
 codec sits on the hot path and the bit counters measure real frames: a
 frame is its bit string, and a message costs its length.  The run keeps no
-record per message beyond the stored descriptors: only the sending order,
-as a list of ids.  `RunResult.wires` and `transcript()` render each
-message on demand from that order, the stored descriptors and the run's
-scheme; its bits come back from the encode memo, which the run filled.
+record per message beyond the stored descriptors.  `RunResult.wires` and
+`transcript()` render each message on demand from `father`, in its key
+order, the stored descriptors and the run's scheme; its bits come back
+from the encode memo, which the run filled.
 
 `Schedule` and `RunResult` are `NamedTuple`s, immutable like the
 descriptors: `run._replace(...)` gives a changed copy.  `CostCounters` is
@@ -98,20 +100,18 @@ class RunResult(NamedTuple):
     root: int
     # per vertex that heard a message, its entries in arrival order
     received: dict[int, dict[int, HDescriptor]]
-    father: dict[int, int]  # per sender, its father: every vertex but the root
+    father: dict[int, int]  # per sender, in sending order: all but the root
     counters: CostCounters
     evaluation: EvalResult
-    order: list[int]  # the senders, in sending order
     scheme: Scheme
 
     @property
     def wires(self) -> list[tuple[int, int, HDescriptor, str]]:
         """(sender, father, descriptor, bits) per message in sending order,
         rendered from the entries as the run left them."""
-        received, father, scheme = self.received, self.father, self.scheme
+        received, scheme = self.received, self.scheme
         out = []
-        for v in self.order:
-            f = father[v]
+        for v, f in self.father.items():
             hd = received[f][v]
             out.append((v, f, hd, encode(hd, scheme)))
         return out
@@ -151,7 +151,6 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
     adj = tree.adj
     received: dict[int, dict[int, HDescriptor]] = {}
     father: dict[int, int] = {}
-    order: list[int] = []
     rng = random.Random(schedule.seed)
     messages = bits = 0
     root: int | None = None
@@ -187,7 +186,6 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
                 into = received[f] = {}
             into[v] = decoded
             father[v] = f
-            order.append(v)
             if len(adj[f]) - len(into) == 1:
                 brought_to_one.append(f)
         # a later send of the same round may bring a father on to zero: the root
@@ -204,4 +202,4 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
     # one merge per send, and one at the root
     counters = CostCounters(messages, bits, messages + 1)
     return RunResult(result.value, root, received, father, counters, result,
-                     order, scheme)
+                     scheme)

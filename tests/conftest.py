@@ -28,10 +28,11 @@ def cold_memos():
 @pytest.fixture
 def record_frames(monkeypatch):
     """Call to start recording the frames a DynamicForest builds into a
-    fresh dict: (hd, frame) per replace hop computed under "replace", one
-    frame per change-root notification walk under "notify"; a frame is its
-    bit string.  A push that
-    stops early computes its last hop without sending it."""
+    fresh dict: (entry, frame) per replace hop computed under "replace",
+    the entry being the receiver's decode, equal to the merged descriptor;
+    one frame per change-root notification walk under "notify"; a frame is
+    its bit string.  A push that stops early computes its last hop without
+    sending it."""
     import treesweep.codec as codec
     import treesweep.dynamic as dynamic
     real_hop = dynamic._hop
@@ -40,9 +41,9 @@ def record_frames(monkeypatch):
         frames = {"replace": [], "notify": []}
 
         def hop(*args):
-            hd, wire, decoded = real_hop(*args)
-            frames["replace"].append((hd, wire))
-            return hd, wire, decoded
+            wire, entry = real_hop(*args)
+            frames["replace"].append((entry, wire))
+            return wire, entry
 
         def notification(scheme):
             wire = codec.notification(scheme)

@@ -24,6 +24,8 @@ from treesweep.oracle import (es_exact, gap_characterization_check, ns_exact,
 from treesweep.protocol import default_scheme, run_static
 from treesweep.strategy import extract, validate
 
+from helpers import _dist
+
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
 ES = ParamVariant.EDGE_SEARCH
@@ -170,21 +172,6 @@ def test_criterion_7_dynamics():
         assert set(df.roots.values()) == {want}
     _report(7, "dynamics", f"{reroots} reroots, {deletions} deletions, "
             "100 insertion orders on n=50, all values match static reruns")
-
-
-def _dist(tree, a, b):
-    from collections import deque
-    seen = {a: 0}
-    q = deque([a])
-    while q:
-        v = q.popleft()
-        if v == b:
-            return seen[v]
-        for u in tree.neighbours(v):
-            if u not in seen:
-                seen[u] = seen[v] + 1
-                q.append(u)
-    raise AssertionError
 
 
 def test_criterion_8_incremental_scaling():

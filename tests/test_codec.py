@@ -44,13 +44,13 @@ def test_ab_11_means_pair_vector():
 
 def test_dyn_flag_roundtrip():
     scheme = KnownSize.for_tree(9, PN)
-    msg = encode(hdesc(2, 2, [0, 0]), scheme, dyn_flag=0)
+    msg = encode(hdesc(2, 2, [0, 0]), scheme, has_dyn_flag=True)
     assert len(msg) == scheme.cells + 3
     hd = decode(msg, scheme, has_dyn_flag=True)
     assert hd == hdesc(2, 2, [0, 0]) and msg[0] == "0"
     note = notification(scheme)
     assert note[0] == "1" and len(note) == scheme.cells + 3
-    un = encode(hdesc(2, 2, [0, 0]), UnknownSize(), dyn_flag=0)
+    un = encode(hdesc(2, 2, [0, 0]), UnknownSize(), has_dyn_flag=True)
     assert len(un) == 2 * 2 + 4 + 1
     assert len(notification(UnknownSize())) == 5
 
@@ -127,13 +127,13 @@ def test_built_descriptors_never_touch_the_encode_memo(cold_memos):
     # alone, whether it is cold or holds the equal tagged key
     scheme = UnknownSize()
     built = hdesc(2, 3, (0, 0, 1))
-    wire = encode(built, scheme, 0)
-    assert wire == codec._encode(built, scheme, 0)
+    wire = encode(built, scheme, True)
+    assert wire == codec._encode(built, scheme, True)
     assert codec._encode_memo.cache_info()[:2] == (0, 0)
     tagged = decode(wire, scheme, has_dyn_flag=True)
-    cached = encode(tagged, scheme, 0)
+    cached = encode(tagged, scheme, True)
     info = codec._encode_memo.cache_info()
-    again = encode(built, scheme, 0)
+    again = encode(built, scheme, True)
     assert again == cached
     assert codec._encode_memo.cache_info() == info  # not served from the memo
 

@@ -13,23 +13,10 @@ from treesweep.forest import (ArgumentError, Forest, StructureError,
 from treesweep.hd import ParamVariant
 from treesweep.protocol import run_static
 
+from helpers import _balanced_joins, _dist
+
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
-
-
-def _dist(tree, a, b):
-    from collections import deque
-    seen = {a: 0}
-    q = deque([a])
-    while q:
-        v = q.popleft()
-        if v == b:
-            return seen[v]
-        for u in tree.neighbours(v):
-            if u not in seen:
-                seen[u] = seen[v] + 1
-                q.append(u)
-    raise AssertionError("disconnected")
 
 
 def test_change_root_identity():
@@ -174,18 +161,14 @@ def test_check_invariants_sees_record_drift():
     with pytest.raises(AssertionError, match="disagrees with its degree"):
         df.check_invariants()
     df.record_of[2] = record
-    df.record_of[5] = TreeRecord(5, {5})  # an isolated vertex's record
+    df.record_of[5] = TreeRecord(5)  # an isolated vertex's record
     with pytest.raises(AssertionError, match="disagrees with its degree"):
         df.check_invariants()
     del df.record_of[5]
-    df.record_of[2] = TreeRecord(record.root, set(record.vertices))
+    df.record_of[2] = TreeRecord(record.root)
     with pytest.raises(AssertionError, match="two records"):
         df.check_invariants()
     df.record_of[2] = record
-    record.vertices.add(5)
-    with pytest.raises(AssertionError, match="record vertex sets drift"):
-        df.check_invariants()
-    record.vertices.discard(5)
     df.check_invariants()
 
 
@@ -233,25 +216,18 @@ def test_deleting_an_edge_next_to_a_leaf_reads_constant_adjacency():
         df.forest.adj = _CountingDict(df.forest.adj)
         df.delete_edge(leaf, other)
         assert df.forest.adj.reads <= 12
-        assert leaf not in df.record_of and len(df.record_of[other].vertices) == n - 1
+        assert leaf not in df.record_of
+        assert all(df.record_of[v] is df.record_of[other] for v in df.forest.vertices
+                   if v != leaf)
         df.check_invariants()
-
-
-def _balanced_joins(lo, hi, out):
-    """Path edges ordered so every insertion joins two halves of equal size."""
-    if hi - lo > 1:
-        mid = (lo + hi) // 2
-        _balanced_joins(lo, mid, out)
-        _balanced_joins(mid, hi, out)
-        out.append((mid - 1, mid))
-    return out
 
 
 @pytest.mark.parametrize("early_stop", [False, True])
 def test_inc_build_relabels_n_log_n_vertices(early_stop):
-    # union by size moves each vertex into a record at least twice its old
-    # one's size, so O(log n) times; relabelling the first endpoint's side
-    # every time would be quadratic for one of the two path orders
+    # the side the cycle check exhausts first is at most about half of the
+    # joined tree, so each vertex moves O(log n) times; relabelling the
+    # first endpoint's side every time would be quadratic for one of the
+    # two path orders
     n = 2000
     sorted_path = [(i, i + 1) for i in range(n - 1)]
     for edges in (sorted_path, sorted_path[::-1], _balanced_joins(0, n, [])):
@@ -259,8 +235,26 @@ def test_inc_build_relabels_n_log_n_vertices(early_stop):
         df.record_of = _CountingDict()
         for u, v in edges:
             df.add_edge(u, v)
-        assert len(df.record_of[0].vertices) == n
+        assert all(df.record_of[v] is df.record_of[0] for v in range(n))
         assert df.record_of.writes <= n * (2 + math.log2(n))
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_a_join_relabels_exactly_the_side_the_cycle_check_exhausts(early_stop):
+    # a star on 0..999 and a path on 1000..1009: the lockstep search runs
+    # out of the path first, so its 10 vertices move and the star's 1000
+    # keep their record
+    df = DynamicForest.isolated(1010, early_stop=early_stop)
+    for leaf in range(1, 1000):
+        df.add_edge(0, leaf)
+    for v in range(1000, 1009):
+        df.add_edge(v, v + 1)
+    star = df.record_of[0]
+    df.record_of = _CountingDict(df.record_of)
+    df.add_edge(5, 1000)
+    assert df.record_of.writes == 10
+    assert all(df.record_of[v] is star for v in range(1010))
+    df.check_invariants()
 
 
 def test_check_invariants_walks_each_father_link_once():

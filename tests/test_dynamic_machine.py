@@ -38,7 +38,7 @@ class DynamicMachine(RuleBasedStateMachine):
     def add(self, data):
         df = self.df
         u, v = self._vertex(data), self._vertex(data)
-        if df.forest.connected(u, v):
+        if df.forest.exhausted_side(u, v) is None:
             before = copy.deepcopy((df.received, df.father, df.roots, df.counters,
                                     df.forest, df.record_of))
             with pytest.raises(StructureError):

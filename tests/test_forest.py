@@ -16,6 +16,8 @@ from treesweep.forest import (ArgumentError, Forest, Graph, GraphError,
                               theorem1_tree)
 from treesweep.oracle import gap_characterization_check
 
+from helpers import _balanced_joins
+
 # counts of non-isomorphic free trees, n = 1..13
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
 
@@ -366,7 +368,7 @@ def test_cycle_check_matches_union_find(seed):
             assert type(info.value) is expected[0] and str(info.value) == expected[1]
         assert set(forest.edges()) == edges
         a, b = rng.randrange(n), rng.randrange(n)
-        assert forest.connected(a, b) == (ref.find(a) == ref.find(b))
+        assert (forest.exhausted_side(a, b) is None) == (ref.find(a) == ref.find(b))
 
 
 class _CountingAdjacency(dict):
@@ -391,16 +393,6 @@ def _adjacency_lookups(n, edges):
     return _CountingAdjacency.lookups
 
 
-def _balanced_joins(lo, hi, out):
-    """Path edges ordered so every insertion joins two halves of equal size."""
-    if hi - lo > 1:
-        mid = (lo + hi) // 2
-        _balanced_joins(lo, mid, out)
-        _balanced_joins(mid, hi, out)
-        out.append((mid - 1, mid))
-    return out
-
-
 def test_cycle_check_cost_follows_the_smaller_side():
     # about six lookups per insertion are bookkeeping and the two starting
     # points; the rest is the cycle check, which stops when the smaller
@@ -415,6 +407,31 @@ def test_cycle_check_cost_follows_the_smaller_side():
     random.Random(3).shuffle(shuffled)
     for edges in (shuffled, _balanced_joins(0, n, [])):
         assert _adjacency_lookups(n, edges) <= n * (6 + math.log2(n))
+
+
+def test_add_edge_returns_the_side_its_cycle_check_exhausts(monkeypatch):
+    forest = path_tree(1000)
+    forest.add_vertex(1000)
+    assert forest.add_edge(500, 1000) == {1000}
+    # two 2-vertex paths: the search runs out of u's side first on a tie
+    for u, v, side in ((0, 2, {0, 1}), (2, 0, {2, 3}), (1, 3, {0, 1})):
+        forest = Forest(range(4), [(0, 1), (2, 3)])
+        assert forest.copy().exhausted_side(u, v) == side
+        assert forest.add_edge(u, v) == side
+    # a self-loop or a duplicate is reported as such, not as a cycle: no search
+    searches = []
+    search = Graph.exhausted_side
+    monkeypatch.setattr(Graph, "exhausted_side",
+                        lambda self, u, v: searches.append((u, v)) or search(self, u, v))
+    forest = Forest(range(4), [(0, 1), (1, 2)])
+    for u, v, message in ((1, 1, "self-loop at vertex 1"),
+                          (2, 1, "duplicate edge (2, 1)"),
+                          (0, 2, "edge (0, 2) would create a cycle")):
+        with pytest.raises(StructureError) as info:
+            forest.add_edge(u, v)
+        assert str(info.value) == message
+    assert searches == [(0, 2)]
+    assert forest.edges() == [(0, 1), (1, 2)]
 
 
 def _random_edge_text(rng):
@@ -504,9 +521,9 @@ def test_bulk_builds_do_not_search(monkeypatch):
     from treesweep.forest import Graph
 
     def refuse(self, u, v):
-        raise AssertionError("Graph.connected called")
+        raise AssertionError("Graph.exhausted_side called")
 
-    monkeypatch.setattr(Graph, "connected", refuse)
+    monkeypatch.setattr(Graph, "exhausted_side", refuse)
     tree = random_tree(300, 5)
     assert tree.is_tree() and parse_edge_list(serialize(tree)) == tree
     with pytest.raises(StructureError):

@@ -15,6 +15,8 @@ from treesweep.hd import _merge, _merge_memo, _Minimal
 from treesweep.oracle import es_exact, pn_exact, stable_exact
 from treesweep.protocol import run_static
 
+from helpers import _outcome
+
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
 ES = ParamVariant.EDGE_SEARCH
@@ -331,13 +333,6 @@ def test_pn_and_ns_are_root_independent_on_the_es_witness(variant):
 def _tagged(hd):
     """The same descriptor as a receiver decodes it, carrying the tag."""
     return decode(encode(hd, UnknownSize()), UnknownSize())
-
-
-def _outcome(fn, *args):
-    try:
-        return "ok", repr(fn(*args))
-    except Exception as exc:  # the exception type and text are the outcome
-        return "raise", type(exc), str(exc)
 
 
 def test_tagged_descriptors_print_as_plain_ones():

@@ -23,14 +23,9 @@ from treesweep.hd import (ContractError, HDescriptor, ParamVariant, Vect,
 from treesweep.protocol import Schedule, default_scheme, run_static
 from treesweep.strategy import extract
 
+from helpers import _outcome
+
 PN = ParamVariant.PROCESS_NUMBER
-
-
-def _outcome(fn, *args):
-    try:
-        return "ok", repr(fn(*args))
-    except Exception as exc:  # the exception type is the outcome compared
-        return "raise", type(exc)
 
 
 def test_hit_does_not_skip_validation_of_an_equal_float_cell(cold_memos):
@@ -133,7 +128,7 @@ def test_push_of_an_equal_untagged_entry_takes_no_hop_memo(cold_memos):
     assert dynamic._hop_memo.cache_info() == memo
     father = planted.father[v]
     assert planted.received[father][v] == dynamic._hop_uncached(
-        kids, PN, planted.scheme)[2]
+        kids, PN, planted.scheme)[1]
     assert planted.counters == tagged.counters
 
 

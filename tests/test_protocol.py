@@ -394,15 +394,16 @@ def test_peel_reads_each_adjacency_a_constant_number_of_times(build, variant,
     monkeypatch.setattr(_CountedAdj, "lookups", 0)
     monkeypatch.setattr(_CountedSet, "visits", 0)
     run = run_static(tree, variant)
-    assert (run.value, run.root, run.order) == (want.value, want.root, want.order)
+    assert ((run.value, run.root, list(run.father))
+            == (want.value, want.root, list(want.father)))
     assert _CountedAdj.lookups <= 3 * tree.n
     assert _CountedSet.visits <= 3 * tree.n
 
 
 def test_a_run_keeps_nothing_per_message():
     # what a run leaves alive is one entries dict per vertex that heard a
-    # message, beside a few containers for the whole run (the two maps and
-    # the sending order, a list of ids); frames are rendered on demand, so
+    # message, beside a few containers for the whole run (the two maps,
+    # `father` in sending order); frames are rendered on demand, so
     # nothing is kept per message, nor per leaf
     tree = random_tree(2000, 4)
     run_static(tree)  # fills the memos
@@ -423,7 +424,7 @@ def test_rendered_wires_decode_to_the_stored_entries(variant, encoding):
         scheme = default_scheme(tree.n, variant, encoding)
         run = run_static(tree, variant, scheme, Schedule(seed))
         wires = run.wires
-        assert [v for v, *_ in wires] == run.order
+        assert [v for v, *_ in wires] == list(run.father)
         assert len(wires) == run.counters.messages
         assert sum(len(bits) for *_, bits in wires) == run.counters.bits
         for v, father, hd, bits in wires:
