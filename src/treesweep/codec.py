@@ -31,12 +31,12 @@ builds the body.
 `encode` and `decode` are memoised, keyed on all their arguments and
 bounded by `hd.MEMO_SIZE` entries each.  Both are pure and return immutable
 values, so one cached frame or descriptor serves every caller.  Every
-static message still goes through `encode`, is counted and is decoded by
-its receiver with `decode`.  A dynamic replace hop calls both only on a
-miss of its own memo, which keeps the frame and the receiver's entry
-(see `dynamic`).  The checks above run once per distinct input; a repeat
-reuses that result, and a failure is never cached, so a bad frame or
-descriptor raises on every call.  The rule of `hd` holds here too: tagged
+static message still goes through `encode` and is counted.  The
+receiver's `decode` runs in `protocol.hop`, for static and dynamic
+messages alike, only on a miss of the hop memo, which keeps the frame and
+the receiver's entry (see `protocol`).  The checks above run once per
+distinct input; a repeat reuses that result, and a failure is never
+cached, so a bad frame or descriptor raises on every call.  The rule of `hd` holds here too: tagged
 input takes the memo; anything else is computed and validated afresh.
 `decode` hands out the tag (`hd._Minimal`) on the descriptors it has
 validated, and `encode` takes its memo only for a tagged descriptor, so a

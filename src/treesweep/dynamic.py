@@ -29,18 +29,18 @@ a receiver already holds the descriptor (never at the first hop: w2 has no
 entry from w1 yet).  A root's value is read off the `MergeInfo` of its
 memoised merge, one step, without evaluating the descriptor again.
 
-A hop is one lookup.  `_hop` maps the sender's ordered entries, the
-variant and the scheme to the replace frame of their merge and the
-receiver's entry, its decode of that frame; a miss checks, as
-`run_static` does, that the entry equals the merge output.  Both are
-pure, so `_hop_memo` keeps the pair, bounded by `hd.MEMO_SIZE` entries
-like the memos it stands in front of.  The rule of `hd` holds: the hop
-takes the memo only when every entry carries the `hd._Minimal` tag; any
-other input goes through the same `merge`, `encode` and `decode`
-uncached and gets its exact result or error, and a failure is never
-cached.  A hit runs none of the three: the hop is counted from its
-cached frame.  The early stop compares the receiver's entry with the
-one it would store before anything is counted.
+A hop is one lookup.  `_hop` is the static run's message, `protocol.hop`,
+with the flag bit set: it maps the sender's ordered entries, the variant
+and the scheme to the replace frame of their merge and the receiver's
+entry, its decode of that frame, which a miss checks equals the merge.
+So the receiver's decode and the round-trip check run once per distinct
+hop, while every replace message is counted from its frame.  The rule of
+`hd` holds: the hop takes its memo, `protocol._replace_hop`, only when
+every entry carries the `hd._Minimal` tag; any other input goes through
+`protocol.hop` uncached and gets its exact result or error, and a failure
+is never cached.  A hit runs no merge, encode or decode: the hop is
+counted from its cached frame.  The early stop compares the receiver's
+entry with the one it would store before anything is counted.
 
 A query walks no father chain.  Each tree of two or more vertices has one
 shared `TreeRecord`, holding its root alone, and `record_of` maps each of
@@ -63,37 +63,23 @@ O(min(|A|, |B|)) and additions relabel each vertex O(log n) times.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .codec import Scheme, decode, encode, notification
+from .codec import Scheme, notification
+from .codec import decode, encode  # noqa: F401  (perfbench/tracer.py patches both)
 from .forest import ArgumentError, Forest, GraphError
-from .hd import (MEMO_SIZE, ContractError, HDescriptor, ParamVariant, _Minimal,
-                 evaluate, merge, merge_detailed)
-from .protocol import CostCounters, default_scheme, elect_root, run_static
+from .hd import (HDescriptor, ParamVariant, _Minimal, evaluate, merge,
+                 merge_detailed)
+from .protocol import (CostCounters, _replace_hop, default_scheme, elect_root,
+                       hop, run_static)
 
 
 def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
          scheme: Scheme) -> tuple[str, HDescriptor]:
-    """One replace hop: the flagged frame of the merge of the sender's
-    entries `kids`, and the receiver's entry, its decode of that frame.
-    Tagged entries take the memo (see the module notes)."""
+    """One replace hop: `protocol.hop` with the flag bit.  Tagged entries
+    take its memo (see the module notes)."""
     for kid in kids:
         if type(kid) is not _Minimal:
-            return _hop_uncached(kids, variant, scheme)
-    return _hop_memo(kids, variant, scheme)
-
-
-def _hop_uncached(kids: tuple[HDescriptor, ...], variant: ParamVariant,
-                  scheme: Scheme) -> tuple[str, HDescriptor]:
-    hd = merge(kids, variant)
-    frame = encode(hd, scheme, True)
-    entry = decode(frame, scheme, True)
-    if entry != hd:
-        raise ContractError(f"codec roundtrip broke for {hd}")
-    return frame, entry
-
-
-_hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop_uncached)
+            return hop(kids, variant, scheme, True)
+    return _replace_hop(kids, variant, scheme)
 
 
 class TreeRecord:
@@ -378,7 +364,8 @@ def run_script(text: str, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
     """Execute a dynamic script: lines "add u v", "del u v", "query u",
     "reroot u", on a forest of max id + 1 vertices.  Returns the printed
     query lines and the final forest.  The ids are read before any line
-    runs, so a bad integer or a negative id anywhere is reported first;
+    runs, so a bad integer or a negative id anywhere is reported first,
+    then a script whose command lines name no vertex, at its first line;
     every `GraphError` a line raises when it runs is re-raised as the same
     class with its message prefixed by "line N: "."""
     lines = []
@@ -398,6 +385,9 @@ def run_script(text: str, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
             n = max([n] + [v + 1 for v in ids])
         lines.append((lineno, raw, parts[0], ids))
     if n == 0:
+        if lines:  # each command needs a vertex, so the first line is bad
+            lineno, raw = lines[0][:2]
+            raise ArgumentError(f"line {lineno}: bad command {raw!r}")
         raise ArgumentError("script names no vertices")
 
     df = DynamicForest.isolated(n, variant, encoding)

@@ -27,10 +27,13 @@ Descriptors are validated where they enter from outside: `merge` checks its
 children (caller input), `evaluate` and `simplify` check their argument, and
 `codec.decode` checks every descriptor read off the wire.  The merge does not
 re-check its own output: its minimality is pinned by the test suite, and on
-every protocol path the output is encoded, then decoded by the receiver,
-whose decode validated that frame the first time it saw it.  For the same
-reason the merge evaluates its output unvalidated, and records the result
-and the output's pn+ in its `MergeInfo` (`result` and `pn_plus`, equal to
+every protocol path the output is framed and decoded by the receiver in
+`protocol.hop`, whose decode validated that frame the first time it saw
+it.  The hop's memo runs that decode and its round-trip check once per
+distinct hop, in static runs and dynamic forests alike, while every
+message is still encoded and counted.  For the same reason the merge
+evaluates its output unvalidated, and records the result and the
+output's pn+ in its `MergeInfo` (`result` and `pn_plus`, equal to
 `evaluate` and `pn_plus_of` of the output).
 
 The merge is memoised.  A run draws its messages from a few dozen distinct

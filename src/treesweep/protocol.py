@@ -28,18 +28,29 @@ send of the round gives a node an entry before it fires.
 
 The input must be connected.  A `Forest` is acyclic by construction, so it
 is connected exactly when it has n - 1 edges (`Forest.is_connected`); a
-plain `Graph`, which may hold cycles, is searched.  Descriptors that a
-receiver decodes carry the type tag of `hd` and the merge output carries it
-too, so every merge and encode of the run takes its memo without re-checking
-its input (see `hd`).
+plain `Graph`, which may hold cycles, is searched.  The entries a run
+stores are its receivers' decodes, so they carry the type tag of `hd`, and
+every hop and encode of the run takes its memo without re-checking its
+input (see `hd`).
 
-Every message is genuinely bit-encoded and decoded by the receiver, so the
-codec sits on the hot path and the bit counters measure real frames: a
-frame is its bit string, and a message costs its length.  The run keeps no
-record per message beyond the stored descriptors.  `RunResult.wires` and
-`transcript()` render each message on demand from `father`, in its key
-order, the stored descriptors and the run's scheme; its bits come back
-from the encode memo, which the run filled.
+A message has one definition, `hop`, which the dynamic forest shares: it
+merges the sender's entries, frames the merge through the `codec` module,
+has the receiver decode the frame and checks that the receiver's entry
+equals the merge.  Two memos over `hop`, one per flag value, keep its
+frame and entry per sender's entries, variant and scheme: `_static_hop`
+for this run and `_replace_hop` for the dynamic forest's replace frames.
+Each holds at most `hd.MEMO_SIZE` entries, and a failure is never cached.
+So the merge, the receiver's decode and the round-trip check run once
+per distinct hop, here and in `dynamic`.  Every message is still encoded
+and counted: the sender calls this module's `encode` once per message,
+from cold memos or warm ones, for the frame it counts, and a message
+costs that bit string's length.  A miss of the hop memo frames through
+`codec.encode`, not this module's name, so the frames of `encode` are
+exactly the run's messages.  The log3 bound is checked on every message.
+The run keeps no record per message beyond the stored descriptors.
+`RunResult.wires` and `transcript()` render each message on demand from
+`father`, in its key order, the stored descriptors and the run's scheme;
+its bits come back from the encode memo, which the run filled.
 
 `Schedule` and `RunResult` are `NamedTuple`s, immutable like the
 descriptors: `run._replace(...)` gives a changed copy.  `CostCounters` is
@@ -52,12 +63,14 @@ forest adds to in place.  No record of the package is a dataclass:
 from __future__ import annotations
 
 import random
+from functools import lru_cache, partial
 from typing import NamedTuple
 
+from . import codec
 from .codec import KnownSize, Scheme, UnknownSize, decode, encode
 from .forest import ArgumentError, Forest
-from .hd import (ContractError, EvalResult, HDescriptor, ParamVariant,
-                 evaluate, merge)
+from .hd import (MEMO_SIZE, ContractError, EvalResult, HDescriptor,
+                 ParamVariant, evaluate, merge)
 
 
 def elect_root(u: int, v: int) -> int:
@@ -135,6 +148,25 @@ def default_scheme(n: int, variant: ParamVariant, encoding: str = "known") -> Sc
     raise ArgumentError(f"unknown encoding {encoding!r}")
 
 
+def hop(kids: tuple[HDescriptor, ...], variant: ParamVariant, scheme: Scheme,
+        has_dyn_flag: bool) -> tuple[str, HDescriptor]:
+    """One message: the frame of the merge of the sender's entries `kids`,
+    and the receiver's entry, its decode of that frame, checked equal to
+    the merge (see the module notes)."""
+    hd = merge(kids, variant)
+    frame = codec.encode(hd, scheme, has_dyn_flag)
+    entry = decode(frame, scheme, has_dyn_flag)
+    if entry != hd:
+        raise ContractError(f"codec roundtrip broke for {hd}")
+    return frame, entry
+
+
+# one memo per flag value, so a key holds three items, not four: the
+# wider key cost a dynamic update about 1 % on the benchmark
+_static_hop = lru_cache(maxsize=MEMO_SIZE)(partial(hop, has_dyn_flag=False))
+_replace_hop = lru_cache(maxsize=MEMO_SIZE)(partial(hop, has_dyn_flag=True))
+
+
 def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                scheme: Scheme | None = None,
                schedule: Schedule = Schedule()) -> RunResult:
@@ -171,20 +203,16 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
                     if f not in heard:
                         break
                 kids = tuple(heard.values())
-            hd = merge(kids, variant)
-            if len(hd.table) > max_cells:
+            entry = _static_hop(kids, variant, scheme)[1]
+            if len(entry.table) > max_cells:
                 raise ContractError(
-                    f"table length {len(hd.table)} breaks the log3 bound at node {v}")
-            frame = encode(hd, scheme)
+                    f"table length {len(entry.table)} breaks the log3 bound at node {v}")
             messages += 1
-            bits += len(frame)
-            decoded = decode(frame, scheme)
-            if decoded != hd:
-                raise ContractError(f"codec roundtrip broke for {hd}")
+            bits += len(encode(entry, scheme))  # the counted frame
             into = received.get(f)
             if into is None:
                 into = received[f] = {}
-            into[v] = decoded
+            into[v] = entry
             father[v] = f
             if len(adj[f]) - len(into) == 1:
                 brought_to_one.append(f)

@@ -140,11 +140,23 @@ def test_dynamic_operation_error_names_line(tmp_path, capsys, text, error):
     assert err == f"error: {error}\n"
 
 
-@pytest.mark.parametrize("text", ["", "# nothing\n", "query\n"])
+@pytest.mark.parametrize("text", ["", "# nothing\n"])
 def test_dynamic_script_without_vertices_is_clean(tmp_path, capsys, text):
     script = write(tmp_path, "s.txt", text)
     code, out, err = run_cli(["dynamic", script], capsys)
     assert (code, out, err) == (2, "", "error: script names no vertices\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("query\n", "line 1: bad command 'query'"),
+    ("# header\nfrob 1\nquery\n", "line 2: bad command 'frob 1'"),
+    ("\nadd\nreroot\n", "line 2: bad command 'add'"),
+])
+def test_dynamic_script_naming_no_vertex_reports_its_first_command(tmp_path, capsys,
+                                                                   text, error):
+    script = write(tmp_path, "s.txt", text)
+    code, out, err = run_cli(["dynamic", script], capsys)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_conformance_all_and_relations(capsys):

@@ -5,14 +5,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treesweep.codec import FramingError, UnknownSize, decode, encode
-from treesweep.forest import (ArgumentError, Forest, enumerate_trees, prufer_to_tree,
-                              random_tree, star_tree)
+from treesweep.forest import (ArgumentError, Forest, enumerate_trees, path_tree,
+                              prufer_to_tree, random_tree, spider_tree, star_tree)
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
                           Vect, ceil_log3, evaluate, hdesc, merge,
                           merge_detailed, pn_plus_of, rooted_descriptors,
                           rooted_value, simplify, validate_descriptor)
 from treesweep.hd import _merge, _merge_memo, _Minimal
-from treesweep.oracle import es_exact, pn_exact, stable_exact
+from treesweep.oracle import es_exact, ns_exact, pn_exact, stable_exact
 from treesweep.protocol import run_static
 
 from helpers import _outcome
@@ -162,6 +162,57 @@ def test_merge_rejects_bad_children():
         merge([hdesc(2, 2, [0, 2])], PN)  # not minimal
     with pytest.raises(ContractError):
         merge([HDescriptor(Vect(1, 3), (0,))], PN)
+
+
+# hd's three merge repairs, one test each on the smallest tree found that
+# needs it: with that repair removed and the other two kept, the tree gets
+# a wrong value or a ContractError
+
+def _every_root(tree, variant):
+    return [rooted_value(tree, r, variant) for r in sorted(tree.vertices)]
+
+
+def test_repair_1_init_chain_needs_every_other_child_without_a_stable_piece():
+    # the 4-vertex path: an inner vertex hears a leaf, (0,0), and a (1,1)
+    # child; read literally, the (1,2) case would label that value-2 tree
+    # (1,2) and give pn 1
+    tree = path_tree(4)
+    out, info = merge_detailed([hdesc(0, 0), hdesc(1, 1, [0])], PN)
+    assert (out, info.case) == (hdesc(2, 2, [0, 0]), "init-many")
+    assert _every_root(tree, PN) == [pn_exact(tree)] * 4 == [2] * 4
+    assert run_static(tree).value == 2
+
+
+def test_repair_2_simplification_fires_on_a_stable_collision():
+    # the spider of three 2-edge legs, ns: a leg vertex hears the rest of
+    # the tree as one (1,1) child with an unstable value-2 cell; without
+    # the collision firing, the merge would output the non-minimal
+    # HDescriptor((2, 2), (0, 1)) and the next merge would reject it
+    tree = spider_tree(2, 2, 2)
+    out, info = merge_detailed([hdesc(1, 1, [0, 1])], NS)
+    assert (out, info.fired) == (hdesc(3, 3, [0, 0, 0]), 3)
+    assert _every_root(tree, NS) == [ns_exact(tree)] * 7 == [3] * 7
+
+
+REPAIR_3_WITNESS = [
+    (0, 5), (0, 6), (0, 15), (1, 12), (1, 14), (2, 9), (2, 11), (3, 5),
+    (3, 8), (3, 18), (4, 7), (4, 16), (5, 16), (6, 10), (6, 14), (8, 19),
+    (9, 10), (12, 13), (16, 17)]
+
+
+def test_repair_3_k1_lands_on_the_virtual_cell():
+    # shrunk from random_tree(53, 5) by contracting edges and dropping
+    # leaves: rooted at leaf 15, vertex 0 hears two 9-vertex branches of
+    # descriptor ((-1,-1), (0,1)).  Their summed cell 2 is the last cell,
+    # so k1 must land on the virtual cell 3; otherwise the merge keeps a
+    # cell of 2 and the next merge rejects it
+    tree = Forest(range(20), REPAIR_3_WITNESS)
+    descriptors = rooted_descriptors(tree, 15, PN)
+    assert descriptors[5] == descriptors[6] == hdesc(-1, -1, [0, 1])
+    out, info = merge_detailed([hdesc(-1, -1, [0, 1])] * 2, PN)
+    assert (out, info.fired) == (hdesc(3, 3, [0, 0, 0]), 3)
+    assert descriptors[0] == out
+    assert _every_root(tree, PN) == [3] * 20
 
 
 def test_merge_output_minimal(trees_up_to_8):

@@ -1,5 +1,5 @@
 """The memos of `hd.merge_detailed`, `codec.encode`, `codec.decode`
-and the dynamic hop: a hit returns what the uncached code returns, a
+and `protocol.hop`: a hit returns what the uncached code returns, a
 failure is never cached, and runs give the same results from a cold cache
 and a warm one."""
 
@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 import treesweep.codec as codec
-import treesweep.dynamic as dynamic
 import treesweep.hd as hd
+import treesweep.protocol as protocol
 from treesweep.codec import (CapacityError, CodecError, FramingError,
                              KnownSize, UnknownSize, decode, encode)
 from treesweep.dynamic import DynamicForest, inc_build
@@ -123,12 +123,12 @@ def test_push_of_an_equal_untagged_entry_takes_no_hop_memo(cold_memos):
     entry = planted.received[v][kid]
     planted.received[v][kid] = HDescriptor(*entry)
     kids = tuple(planted.received[v].values())
-    memo = dynamic._hop_memo.cache_info()
+    memo = protocol._replace_hop.cache_info()
     planted._push(v, False)
-    assert dynamic._hop_memo.cache_info() == memo
+    assert protocol._replace_hop.cache_info() == memo
     father = planted.father[v]
-    assert planted.received[father][v] == dynamic._hop_uncached(
-        kids, PN, planted.scheme)[1]
+    assert planted.received[father][v] == protocol.hop(
+        kids, PN, planted.scheme, True)[1]
     assert planted.counters == tagged.counters
 
 
@@ -138,11 +138,32 @@ def test_push_of_a_float_cell_raises_every_time(cold_memos):
     entry = df.received[v][kid]
     df.received[v][kid] = HDescriptor(
         entry.vect, tuple(1.0 if c == 1 else c for c in entry.table))
-    size = dynamic._hop_memo.cache_info().currsize
+    size = protocol._replace_hop.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ContractError, match="non-negative ints"):
             df._push(v, False)
-    assert dynamic._hop_memo.cache_info().currsize == size
+    assert protocol._replace_hop.cache_info().currsize == size
+
+
+def test_a_broken_codec_roundtrip_raises_every_time(monkeypatch, cold_memos):
+    # a receiver's decode that disagrees with the merge it was sent: a
+    # static run and a dynamic hop that misses the memo both raise, on
+    # every call, and the hop memos keep nothing
+    df, v, _ = _hung_under_the_root()
+    tree = random_tree(30, 2)
+    cold_memos()
+    real = protocol.decode
+
+    def disagreeing(*args):
+        entry = real(*args)
+        return entry._replace(vect=Vect(entry.vect.pn + 1, entry.vect.pn_plus + 1))
+    monkeypatch.setattr(protocol, "decode", disagreeing)
+    for call, memo in ((lambda: run_static(tree), protocol._static_hop),
+                       (lambda: df._push(v, False), protocol._replace_hop)):
+        for _ in range(2):
+            with pytest.raises(ContractError, match="codec roundtrip broke"):
+                call()
+        assert memo.cache_info().currsize == 0
 
 
 def test_a_repeated_reroot_walk_hits_the_hop_memo_once_per_replace_message(cold_memos):
@@ -151,9 +172,9 @@ def test_a_repeated_reroot_walk_hits_the_hop_memo_once_per_replace_message(cold_
     df = DynamicForest.from_tree(tree, encoding="unknown")
     for target in (0, far, 0, far):  # the walk from far to 0 is cached
         df.change_root(target)
-    memo, before = dynamic._hop_memo.cache_info(), copy.copy(df.counters)
+    memo, before = protocol._replace_hop.cache_info(), copy.copy(df.counters)
     df.change_root(0)
-    after = dynamic._hop_memo.cache_info()
+    after = protocol._replace_hop.cache_info()
     replaces = (df.counters.messages - before.messages) // 2  # one notify per replace
     assert replaces > 1
     assert (after.hits - memo.hits, after.misses - memo.misses) == (replaces, 0)

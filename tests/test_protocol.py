@@ -437,10 +437,13 @@ def test_rendered_wires_decode_to_the_stored_entries(variant, encoding):
 
 @pytest.mark.parametrize("encoding", ["known", "unknown"])
 @pytest.mark.parametrize("variant", list(ParamVariant), ids=lambda v: v.value)
-def test_encoded_frames_add_up_to_the_counters(monkeypatch, variant, encoding):
+def test_encoded_frames_add_up_to_the_counters(monkeypatch, cold_memos, variant,
+                                              encoding):
     # the framing rule a traced benchmark pass relies on: each message is
-    # one `protocol.encode` and one `protocol.decode` call, and the frames
-    # encode returns number the messages and sum to the bits
+    # one `protocol.encode` call, from cold memos and from warm ones, and
+    # the frames encode returns number the messages and sum to the bits.
+    # The receiver's `protocol.decode` runs once per miss of the hop memo,
+    # so a warm run decodes nothing
     import treesweep.protocol as protocol
     frames, decodes = [], []
     real_encode, real_decode = protocol.encode, protocol.decode
@@ -455,11 +458,17 @@ def test_encoded_frames_add_up_to_the_counters(monkeypatch, variant, encoding):
     monkeypatch.setattr(protocol, "encode", encode)
     monkeypatch.setattr(protocol, "decode", decode)
     for tree in (random_tree(150, 4), path_tree(40), star_tree(30), theorem1_tree(3)):
-        frames.clear()
-        decodes.clear()
-        run = run_static(tree, variant, default_scheme(tree.n, variant, encoding))
-        assert len(frames) == len(decodes) == run.counters.messages == tree.n - 1
-        assert sum(len(frame) for frame in frames) == run.counters.bits
+        cold_memos()
+        for warm in (False, True):
+            frames.clear()
+            decodes.clear()
+            misses = protocol._static_hop.cache_info().misses
+            run = run_static(tree, variant, default_scheme(tree.n, variant, encoding))
+            assert len(frames) == run.counters.messages == tree.n - 1
+            assert sum(len(frame) for frame in frames) == run.counters.bits
+            distinct = protocol._static_hop.cache_info().misses - misses
+            assert len(decodes) == (0 if warm else distinct)
+            assert warm or distinct > 0
 
 
 @pytest.mark.parametrize("encoding", ["known", "unknown"])
