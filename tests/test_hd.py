@@ -184,14 +184,21 @@ def test_repair_1_init_chain_needs_every_other_child_without_a_stable_piece():
 
 
 def test_repair_2_simplification_fires_on_a_stable_collision():
-    # the spider of three 2-edge legs, ns: a leg vertex hears the rest of
-    # the tree as one (1,1) child with an unstable value-2 cell; without
-    # the collision firing, the merge would output the non-minimal
+    # ns on the spider of three 2-edge legs: a leg vertex hears the rest of
+    # the tree as one (1,1) child with an unstable value-2 cell.  es on
+    # the 10-vertex tree of three cherries: the vertex above a cherry hears
+    # two leaves beside an unstable value-2 branch.  Without the collision
+    # firing, either merge would output the non-minimal
     # HDescriptor((2, 2), (0, 1)) and the next merge would reject it
-    tree = spider_tree(2, 2, 2)
+    spider = spider_tree(2, 2, 2)
     out, info = merge_detailed([hdesc(1, 1, [0, 1])], NS)
     assert (out, info.fired) == (hdesc(3, 3, [0, 0, 0]), 3)
-    assert _every_root(tree, NS) == [ns_exact(tree)] * 7 == [3] * 7
+    assert _every_root(spider, NS) == [ns_exact(spider)] * 7 == [3] * 7
+    cherries = Forest(range(10), [(0, 1), (0, 4), (0, 7), (1, 2), (1, 3),
+                                  (4, 5), (4, 6), (7, 8), (7, 9)])
+    out, info = merge_detailed([hdesc(-1, -1, [0, 1]), hdesc(0, 0), hdesc(0, 0)], ES)
+    assert (out, info.fired) == (hdesc(3, 3, [0, 0, 0]), 3)
+    assert _every_root(cherries, ES) == [es_exact(cherries)] * 10 == [3] * 10
 
 
 REPAIR_3_WITNESS = [

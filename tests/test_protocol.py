@@ -442,8 +442,9 @@ def test_encoded_frames_add_up_to_the_counters(monkeypatch, cold_memos, variant,
     # the framing rule a traced benchmark pass relies on: each message is
     # one `protocol.encode` call, from cold memos and from warm ones, and
     # the frames encode returns number the messages and sum to the bits.
-    # The receiver's `protocol.decode` runs once per miss of the hop memo,
-    # so a warm run decodes nothing
+    # The receiver's `protocol.decode` runs once per miss of the hop memo:
+    # once per distinct tuple of sender's entries from cold memos, and not
+    # at all from warm ones
     import treesweep.protocol as protocol
     frames, decodes = [], []
     real_encode, real_decode = protocol.encode, protocol.decode
@@ -462,13 +463,11 @@ def test_encoded_frames_add_up_to_the_counters(monkeypatch, cold_memos, variant,
         for warm in (False, True):
             frames.clear()
             decodes.clear()
-            misses = protocol._static_hop.cache_info().misses
             run = run_static(tree, variant, default_scheme(tree.n, variant, encoding))
             assert len(frames) == run.counters.messages == tree.n - 1
             assert sum(len(frame) for frame in frames) == run.counters.bits
-            distinct = protocol._static_hop.cache_info().misses - misses
-            assert len(decodes) == (0 if warm else distinct)
-            assert warm or distinct > 0
+            hops = {tuple(run.received.get(v, {}).values()) for v in run.father}
+            assert len(decodes) == (0 if warm else len(hops))
 
 
 @pytest.mark.parametrize("encoding", ["known", "unknown"])
