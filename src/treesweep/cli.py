@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
+from typing import Iterator
 
 from .dynamic import run_script
 from .experiments import loglog_slope, scaling_table
@@ -84,77 +84,53 @@ def cmd_dynamic(args) -> int:
     return 0
 
 
-def _check_values(payload) -> list[str]:
-    text, param = payload
-    tree = parse_edge_list(text)
-    bad = []
+def _check_values(tree: Forest, param: str) -> Iterator[str]:
     for name in (("pn", "ns", "es") if param == "all" else (param,)):
         variant = VARIANT_FOR[name]
         got = run_static(tree, variant).value
         want = ORACLE_FOR[name](tree)
         if got != want:
-            bad.append(f"{name}: got={got} want={want}\n{text}")
+            yield f"{name}: got={got} want={want}"
         for root in tree.vertices:
             got = rooted_value(tree, root, variant)
             if got != want:
-                bad.append(f"{name} rooted at {root}: got={got} want={want}\n{text}")
-    return bad
+                yield f"{name} rooted at {root}: got={got} want={want}"
 
 
-def _check_relations(payload) -> list[str]:
-    text, _ = payload
-    tree = parse_edge_list(text)
-    bad = []
+def _check_relations(tree: Forest, param: str) -> Iterator[str]:
     pw = pathwidth_exact(tree)
     pn = pn_exact(tree)
     ns = ns_exact(tree)
     es = es_exact(tree)
     if ns != pw + 1:
-        bad.append(f"ns {ns} != pw+1 {pw + 1}\n{text}")
+        yield f"ns {ns} != pw+1 {pw + 1}"
     if not pw <= pn <= pw + 1:
-        bad.append(f"pn {pn} outside [pw, pw+1]\n{text}")
+        yield f"pn {pn} outside [pw, pw+1]"
     if es not in (ns - 1, ns):
-        bad.append(f"es {es} outside {{ns-1, ns}}\n{text}")
+        yield f"es {es} outside {{ns-1, ns}}"
     run = run_static(tree)
     if tree.n <= 12 and run.evaluation.stable != stable_exact(tree, run.root):
-        bad.append(f"stability flag mismatch at root {run.root}\n{text}")
-    return bad
+        yield f"stability flag mismatch at root {run.root}"
 
 
-def _check_gap(payload) -> list[str]:
-    text, _ = payload
-    tree = parse_edge_list(text)
+def _check_gap(tree: Forest, param: str) -> Iterator[str]:
     if not gap_characterization_check(tree):
-        return [f"gap characterization sides disagree\n{text}"]
-    return []
+        yield "gap characterization sides disagree"
 
 
 def cmd_conformance(args) -> int:
-    if args.jobs < 1:
-        raise ArgumentError("--jobs must be at least 1")
+    if args.max_n < 1:
+        raise ArgumentError("--max-n must be at least 1")
     cap = MAX_N_FOR[args.param]
     if args.max_n > cap:
         raise ArgumentError(f"--max-n {args.max_n} exceeds the oracle cap of {cap} "
                             f"for --param {args.param}")
     checker = {"relations": _check_relations, "gap": _check_gap}.get(
         args.param, _check_values)
-    payloads = [(serialize(t), args.param)
-                for n in range(1, args.max_n + 1)
-                for t in enumerate_trees(n)]
-    failures: list[str] = []
-    # the pool starts every worker at once, so never more than can run
-    workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
-    if workers > 1:
-        # imported only here: the pool and multiprocessing take longer to
-        # load than the whole package, and no other command uses them
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for bad in pool.map(checker, payloads, chunksize=8):
-                failures.extend(bad)
-    else:
-        for payload in payloads:
-            failures.extend(checker(payload))
-    print(f"trees={len(payloads)} param={args.param} fail={len(failures)}")
+    trees = [t for n in range(1, args.max_n + 1) for t in enumerate_trees(n)]
+    failures = [f"{bad}\n{serialize(tree)}"
+                for tree in trees for bad in checker(tree, args.param)]
+    print(f"trees={len(trees)} param={args.param} fail={len(failures)}")
     for f in failures:
         print("counterexample:")
         print(f)
@@ -213,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-n", type=int, default=8)
     s.add_argument("--param", choices=("pn", "ns", "es", "all", "relations", "gap"),
                    default="all")
-    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(func=cmd_conformance)
 
     e = sub.add_parser("experiments",

@@ -233,15 +233,6 @@ class Forest(Graph):
         return self.n >= 1 and self.is_connected()
 
 
-class _UnionFind(dict):
-    """Disjoint sets of vertex ids for the cycle checks of `_build`, which
-    reads and writes it inline with union by size and path halving.
-
-    A root maps to minus the size of its set; an id never stored is a
-    singleton root.  Ids are non-negative, so the sign tells the two apart.
-    """
-
-
 def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
     """Insert a stream of edges, in order, into `forest`, which has no edges.
 
@@ -260,7 +251,11 @@ def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
     """
     adj = forest.adj
     adj_get = adj.get
-    sets = _UnionFind()
+    # disjoint sets of vertex ids, with union by size and path halving: a
+    # vertex maps to its parent, a root to minus the size of its set, and an
+    # id never stored is a singleton root.  Ids are non-negative, so the
+    # sign tells the two apart
+    sets: dict[int, int] = {}
     parent_of = sets.get
     for u, v in edges:
         u_nbrs = adj_get(u)

@@ -8,7 +8,9 @@ in storage but is always 0 because value-1 trees count as stable.
 
 The merge follows the fusion procedure of the distributed algorithm with
 three repairs where a literal reading of the fusion rules is inconsistent;
-each is exercised by the oracle-conformance suite:
+each has a test on a tree that fails without it, in `tests/test_hd.py`
+(`test_repair_1_...`, `test_repair_2_...` and `test_repair_3_...`, in
+the order below):
 
 * the (1,2) initial case additionally requires every non-maximum child to
   be vector (-1,-1), otherwise a value-2 tree would be labeled (1,2);

@@ -182,16 +182,32 @@ def test_conformance_checks_every_root(capsys, monkeypatch):
     assert "fail=3" in out and "pn rooted at 2: got=" in out
 
 
-def test_conformance_parallel(capsys):
-    code, out, _ = run_cli(
-        ["conformance", "--max-n", "6", "--param", "pn", "--jobs", "2"], capsys)
-    assert code == 0 and "fail=0" in out
+@pytest.mark.parametrize("param,name,fake,text", [
+    ("pn", "rooted_value", lambda real: lambda tree, root, variant:
+        real(tree, root, variant) + (root == 2),
+     "pn rooted at 2: got=2 want=1\nn 3\n0 1\n0 2\n"),
+    ("relations", "es_exact", lambda real: lambda tree: real(tree) + 3 * (tree.n == 3),
+     "es 4 outside {ns-1, ns}\nn 3\n0 1\n0 2\n"),
+    ("gap", "gap_characterization_check", lambda real: lambda tree: tree.n != 2,
+     "gap characterization sides disagree\nn 2\n0 1\n"),
+], ids=["values", "relations", "gap"])
+def test_conformance_prints_each_counterexample_with_its_edge_list(capsys, monkeypatch,
+                                                                   param, name, fake, text):
+    import treesweep.cli as cli
+    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+    code, out, _ = run_cli(["conformance", "--max-n", "3", "--param", param], capsys)
+    assert code == 1
+    assert out == f"trees=3 param={param} fail=1\ncounterexample:\n{text}\n"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_conformance_rejects_jobs_below_one(capsys, jobs):
-    code, out, err = run_cli(["conformance", "--max-n", "3", "--jobs", jobs], capsys)
-    assert (code, out, err) == (2, "", "error: --jobs must be at least 1\n")
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_conformance_rejects_max_n_below_one(capsys, monkeypatch, max_n):
+    import treesweep.cli as cli
+    enumerated = []
+    monkeypatch.setattr(cli, "enumerate_trees", lambda n: enumerated.append(n) or [])
+    code, out, err = run_cli(["conformance", "--max-n", max_n], capsys)
+    assert (code, out, err) == (2, "", "error: --max-n must be at least 1\n")
+    assert enumerated == []
 
 
 @pytest.mark.parametrize("param,cap", [
@@ -206,38 +222,6 @@ def test_conformance_refuses_max_n_above_the_oracle_cap(capsys, monkeypatch, par
     assert err == (f"error: --max-n {cap + 1} exceeds the oracle cap of {cap} "
                    f"for --param {param}\n")
     assert enumerated == []
-
-
-@pytest.mark.parametrize("cpus,max_n,pools", [
-    (3, 6, [3]),      # capped by the CPUs
-    (64, 3, [3]),     # capped by the three trees of up to 3 vertices
-    (None, 6, []),    # an unknown CPU count runs in this process
-])
-def test_conformance_caps_its_workers(capsys, monkeypatch, cpus, max_n, pools):
-    import concurrent.futures
-    import treesweep.cli as cli
-    made = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    # cmd_conformance imports the pool class when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    code, out, _ = run_cli(["conformance", "--max-n", str(max_n), "--param", "pn",
-                            "--jobs", "100000"], capsys)
-    assert code == 0 and "fail=0" in out
-    assert made == pools
 
 
 def test_gen_roundtrip(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -537,29 +538,33 @@ def test_bulk_build_cost_is_linear(monkeypatch):
     import treesweep.forest as forest_mod
 
     counts = {"sets": 0}
+    build = forest_mod._build.__code__
 
-    class CountingSets(forest_mod._UnionFind):
-        def __getitem__(self, v):
+    def count_sets(frame, event, arg):
+        # the union-find is a plain dict, so its lookups are the builtin
+        # `get` calls of `_build` itself (the adjacency's `get` below is
+        # Python code)
+        if event == "c_call" and frame.f_code is build and arg.__name__ == "get":
             counts["sets"] += 1
-            return super().__getitem__(v)
-
-        def get(self, v, default=None):
-            counts["sets"] += 1
-            return super().get(v, default)
 
     class CountingForest(Forest):
         def __init__(self, *args):
             super().__init__(*args)
             self.adj = _CountingAdjacency(self.adj)
 
-    monkeypatch.setattr(forest_mod, "_UnionFind", CountingSets)
     monkeypatch.setattr(forest_mod, "Forest", CountingForest)
     n = 2000
     shuffled = random_tree(n, 3).edges()
     random.Random(3).shuffle(shuffled)
     for edges in (shuffled, _balanced_joins(0, n, [])):
         counts["sets"] = _CountingAdjacency.lookups = 0
-        tree = parse_edge_list("".join(f"{u} {v}\n" for u, v in edges))
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+        profile = sys.getprofile()
+        sys.setprofile(count_sets)
+        try:
+            tree = parse_edge_list(text)
+        finally:
+            sys.setprofile(profile)
         assert 2 * (n - 1) <= _CountingAdjacency.lookups <= 4 * n
         assert 2 * (n - 1) <= counts["sets"] <= 8 * n
         assert type(tree) is CountingForest and tree.is_tree() and tree.n == n
