@@ -200,6 +200,17 @@ def test_conformance_prints_each_counterexample_with_its_edge_list(capsys, monke
     assert out == f"trees=3 param={param} fail=1\ncounterexample:\n{text}\n"
 
 
+@pytest.mark.parametrize("param", ["all", "relations", "gap"])
+def test_conformance_serializes_no_tree_that_passes(capsys, monkeypatch, param):
+    # the checkers get each Forest itself; only a counterexample is written out
+    import treesweep.cli as cli
+    serialized = []
+    monkeypatch.setattr(cli, "serialize", lambda tree: serialized.append(tree) or "")
+    code, out, _ = run_cli(["conformance", "--max-n", "5", "--param", param], capsys)
+    assert (code, out) == (0, f"trees=8 param={param} fail=0\n")
+    assert serialized == []
+
+
 @pytest.mark.parametrize("max_n", ["0", "-3"])
 def test_conformance_rejects_max_n_below_one(capsys, monkeypatch, max_n):
     import treesweep.cli as cli
