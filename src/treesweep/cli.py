@@ -19,8 +19,8 @@ from .experiments import loglog_slope, scaling_table
 from .forest import (_GENERATORS, ArgumentError, Forest, GraphError,
                      enumerate_trees, gen_tree, parse_edge_list, serialize)
 from .hd import ContractError, ParamVariant, rooted_value
-from .oracle import (ES_LIMIT, NS_LIMIT, PN_LIMIT, PW_LIMIT, es_exact,
-                     gap_characterization_check, ns_exact, pn_exact,
+from .oracle import (ES_LIMIT, NS_LIMIT, PN_LIMIT, PN_PLUS_LIMIT, PW_LIMIT,
+                     es_exact, gap_characterization_check, ns_exact, pn_exact,
                      pathwidth_exact, stable_exact)
 from .protocol import Schedule, default_scheme, run_static
 from .strategy import extract, validate
@@ -40,7 +40,7 @@ MAX_N_FOR = {
     "ns": NS_LIMIT,
     "es": ES_LIMIT,
     "all": min(PN_LIMIT, NS_LIMIT, ES_LIMIT),
-    "relations": min(PW_LIMIT, PN_LIMIT, NS_LIMIT, ES_LIMIT),
+    "relations": min(PW_LIMIT, PN_LIMIT, NS_LIMIT, ES_LIMIT, PN_PLUS_LIMIT),
     "gap": min(PW_LIMIT, PN_LIMIT),
 }
 
@@ -109,7 +109,7 @@ def _check_relations(tree: Forest, param: str) -> Iterator[str]:
     if es not in (ns - 1, ns):
         yield f"es {es} outside {{ns-1, ns}}"
     run = run_static(tree)
-    if tree.n <= 12 and run.evaluation.stable != stable_exact(tree, run.root):
+    if run.evaluation.stable != stable_exact(tree, run.root):
         yield f"stability flag mismatch at root {run.root}"
 
 

@@ -7,19 +7,18 @@ because every cell at or below pn is 0.  Two trailing bits ab give the
 vector kind: 00 (-1,-1), 01 (0,0), 10 (pn,pn), 11 (pn,pn+1), with pn read
 off as the index of the first 1.  Unknown-size scheme: each cell is sent as
 a 2-bit symbol (00 for 0, 01 for 1) with terminator 11, so the receiver
-needs no knowledge of n.  Dynamic mode prepends one flag bit: 0 means
-"replace the stored entry for this neighbour", 1 is a change-root
-notification.
+needs no knowledge of n.
 
 Known-size budget is ceil(log3 n) cells; the node-search variant gets one
 extra cell because its values run one above the process number on small
 subtrees.
 
-A frame is its bit string, a plain `str` of "0" and "1": both ends know
-the scheme, and a dynamic frame's flag is its first bit.  `encode(hd,
-scheme, has_dyn_flag)` and `decode(bits, scheme, has_dyn_flag)` mirror
-each other: one writes the replace flag 0, the other skips it.
-`notification` builds the one frame with flag 1.
+A frame is its bit string, a plain `str` of "0" and "1", and it carries
+one descriptor: both ends know the scheme.  `encode(hd, scheme)` and
+`decode(bits, scheme)` mirror each other.  The dynamic forest's flag bit
+is no part of a frame (see `dynamic`); the payload of its change-root
+notification is the frame of the empty descriptor, which `empty_frame`
+returns without encoding it.
 
 Validation sits on the receiving side: `decode` checks every descriptor it
 reads off the wire against the minimal-descriptor contract.  `encode` runs
@@ -33,10 +32,10 @@ bounded by `hd.MEMO_SIZE` entries each.  Both are pure and return immutable
 values, so one cached frame or descriptor serves every caller.  Every
 static message still goes through `encode` and is counted.  The
 receiver's `decode` runs in `protocol.hop`, for static and dynamic
-messages alike, only on a miss of the hop memo, which keeps the frame and
+messages alike, only on a miss of its memo, which keeps the frame and
 the receiver's entry (see `protocol`).  The decode memo still pays: a
 hop key is the sender's whole entry tuple, so the misses of a cold
-dynamic forest repeat a few dozen frames (1983 decodes of 35 frames in
+dynamic forest repeat a few dozen frames (1808 decodes of 32 frames in
 the first pass of the benchmark's dynamic-churn stream, seed 1), and
 without the memo that workload's median update took 6-8 % longer
 (30 s runs, Python 3.11.7, shared 2-vCPU host).  The checks above run
@@ -46,8 +45,7 @@ rule of `hd` holds here too: tagged input takes the memo; anything else
 is computed and validated afresh.
 `decode` hands out the tag (`hd._Minimal`) on the descriptors it has
 validated, and `encode` takes its memo only for a tagged descriptor, so a
-hand-built descriptor is encoded afresh.  The flag needs no guard: keys
-that compare equal (`True`, 1, 1.0) are all true and give one frame.
+hand-built descriptor is encoded afresh.
 
 Memo keys hash and compare in C.  Both schemes are interned: `UnknownSize`
 has a single instance, and `KnownSize` one instance per n, type of n and
@@ -159,14 +157,14 @@ def _ab_and_artificial(hd: HDescriptor) -> tuple[str, list[int]]:
     return ("10" if vect.pn_plus == vect.pn else "11"), transmitted
 
 
-def encode(hd: HDescriptor, scheme: Scheme, has_dyn_flag: bool = False) -> str:
-    """The frame of `hd`; `has_dyn_flag` prepends the replace flag bit."""
+def encode(hd: HDescriptor, scheme: Scheme) -> str:
+    """The frame of `hd`."""
     if type(hd) is _Minimal:
-        return _encode_memo(hd, scheme, has_dyn_flag)
-    return _encode(hd, scheme, has_dyn_flag)
+        return _encode_memo(hd, scheme)
+    return _encode(hd, scheme)
 
 
-def _encode(hd: HDescriptor, scheme: Scheme, has_dyn_flag: bool) -> str:
+def _encode(hd: HDescriptor, scheme: Scheme) -> str:
     ab, transmitted = _ab_and_artificial(hd)
     if isinstance(scheme, KnownSize):
         if len(transmitted) > scheme.cells:
@@ -180,21 +178,17 @@ def _encode(hd: HDescriptor, scheme: Scheme, has_dyn_flag: bool) -> str:
         body = "".join([symbol[c] for c in transmitted]) + tail
     except (KeyError, TypeError):
         raise CodecError(f"table cells must be 0 or 1 on the wire: {hd}") from None
-    return ("0" if has_dyn_flag else "") + body + ab
+    return body + ab
 
 
 _encode_memo = lru_cache(maxsize=MEMO_SIZE)(_encode)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def decode(bits: str, scheme: Scheme, has_dyn_flag: bool = False) -> HDescriptor:
-    """The descriptor a frame carries; `has_dyn_flag` skips its flag bit."""
+def decode(bits: str, scheme: Scheme) -> HDescriptor:
+    """The descriptor a frame carries."""
     if any(b not in "01" for b in bits):
         raise FramingError(f"non-bit character in {bits!r}")
-    if has_dyn_flag:
-        if not bits:
-            raise FramingError("empty message")
-        bits = bits[1:]
     if isinstance(scheme, KnownSize):
         if len(bits) != scheme.cells + 2:
             raise FramingError(
@@ -233,10 +227,9 @@ def decode(bits: str, scheme: Scheme, has_dyn_flag: bool = False) -> HDescriptor
     return _Minimal(*hd)
 
 
-def notification(scheme: Scheme) -> str:
-    """Change-root notification: the dynamic flag bit set, placeholder payload."""
+def empty_frame(scheme: Scheme) -> str:
+    """The frame of the empty descriptor `HDescriptor(NO_STABLE, ())`,
+    built without encoding it: a change-root notification's payload."""
     if isinstance(scheme, KnownSize):
-        body = "0" * (scheme.cells + 2)
-    else:
-        body = "1100"
-    return "1" + body
+        return "0" * (scheme.cells + 2)
+    return "1100"

@@ -15,31 +15,35 @@ Edge addition has one path: reroot w1's tree at w1, hang w1 under w2, and
 push replacement entries up from w1 until one is unchanged or the root is
 reached.  Paper mode also reroots at w2 first and hangs the loser of
 `elect_root`, so its push ends at once; `early_stop` keeps w2's root.
-Every dynamic frame is a bit string that starts with a flag bit (0
-replace-entry, 1 change-root notification), costing one extra bit per
-frame; the receiver decodes past it and never reads it back.  Every
-replace entry is sent by one loop, `_push`: it follows father pointers from
-a node, and at each hop merges the sender's received entries, encodes, and
-stores the receiver's decode.  It adds the walk's messages, bits and steps
-to `counters` once, as `_notify` counts a walk of h hops as h copies of its
-one notification frame.  `change_root` flips the father pointers on its
-way up, dropping each path node's entry from its child, then pushes from
-the old root down to the new one; `add_edge` pushes from w1, stopping where
-a receiver already holds the descriptor (never at the first hop: w2 has no
-entry from w1 yet).  A root's value is read off the `MergeInfo` of its
-memoised merge, one step, without evaluating the descriptor again.
+Every dynamic message is a flag bit followed by a codec frame: 0 and the
+frame of a replacement entry, or 1 and the frame of the empty descriptor
+for a change-root notification (`codec.empty_frame`).  This module alone
+knows the flag; it costs one bit per message, and the receiver never
+reads it back, so it is counted and never built.  Every replace entry is
+sent by one loop, `_push`: it follows father pointers from a node, and at
+each hop merges the sender's received entries, encodes, and stores the
+receiver's decode.  It adds the walk's messages, bits and steps to
+`counters` once, the flag bits with them, as `_notify` counts a walk of h
+hops as h copies of its one notification.  `change_root` flips the father
+pointers on its way up, dropping each path node's entry from its child,
+then pushes from the old root down to the new one; `add_edge` pushes from
+w1, stopping where a receiver already holds the descriptor (never at the
+first hop: w2 has no entry from w1 yet).  A root's value is read off the
+`MergeInfo` of its memoised merge, one step, without evaluating the
+descriptor again.
 
-A hop is one lookup.  `_hop` is the static run's message, `protocol.hop`,
-with the flag bit set: it maps the sender's ordered entries, the variant
-and the scheme to the replace frame of their merge and the receiver's
-entry, its decode of that frame, which a miss checks equals the merge.
-So the receiver's decode and the round-trip check run once per distinct
-hop, while every replace message is counted from its frame.  The rule of
-`hd` holds: the hop takes its memo, `protocol._replace_hop`, only when
-every entry carries the `hd._Minimal` tag; any other input goes through
-`protocol.hop` uncached and gets its exact result or error, and a failure
-is never cached.  A hit runs no merge, encode or decode: the hop is
-counted from its cached frame.  The early stop compares the receiver's
+A hop is one lookup.  It is the static run's message, `protocol.hop`: it
+maps the sender's ordered entries, the variant and the scheme to the
+frame of their merge and the receiver's entry, its decode of that frame,
+which a miss checks equals the merge.  So the receiver's decode and the
+round-trip check run once per distinct hop, while every replace message
+is counted from its frame.  The set-up run of `from_tree` is in the
+forest's scheme, so its hops fill the memo entries that the forest's
+later hops read.  The rule of `hd` holds: the hop takes its memo only when
+every entry carries the `hd._Minimal` tag; any other input is computed
+afresh and gets its exact result or error, and a failure is never
+cached.  A hit runs no merge, encode or decode: the hop is counted from
+its cached frame.  The early stop compares the receiver's
 entry with the one it would store before anything is counted.
 
 A query walks no father chain.  Each tree of two or more vertices has one
@@ -63,23 +67,11 @@ O(min(|A|, |B|)) and additions relabel each vertex O(log n) times.
 
 from __future__ import annotations
 
-from .codec import Scheme, notification
+from .codec import Scheme, empty_frame
 from .codec import decode, encode  # noqa: F401  (perfbench/tracer.py patches both)
 from .forest import ArgumentError, Forest, GraphError
-from .hd import (HDescriptor, ParamVariant, _Minimal, evaluate, merge,
-                 merge_detailed)
-from .protocol import (CostCounters, _replace_hop, default_scheme, elect_root,
-                       hop, run_static)
-
-
-def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
-         scheme: Scheme) -> tuple[str, HDescriptor]:
-    """One replace hop: `protocol.hop` with the flag bit.  Tagged entries
-    take its memo (see the module notes)."""
-    for kid in kids:
-        if type(kid) is not _Minimal:
-            return hop(kids, variant, scheme, True)
-    return _replace_hop(kids, variant, scheme)
+from .hd import HDescriptor, ParamVariant, evaluate, merge, merge_detailed
+from .protocol import CostCounters, default_scheme, elect_root, hop, run_static
 
 
 class TreeRecord:
@@ -131,17 +123,12 @@ class DynamicForest:
     @classmethod
     def from_tree(cls, tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
                   encoding: str = "known", early_stop: bool = False) -> "DynamicForest":
-        """Adopt the entries and fathers left behind by a static run: its
-        two maps, with an empty dict for each vertex that heard nothing and
-        None at the root.
-
-        The set-up run uses the known-size scheme whatever `encoding` asks
-        for; `encoding` sets only the scheme of later messages.  This is
-        harmless: descriptors, fathers and root do not depend on the scheme,
-        so the maps equal those of an unknown-size run.  The set-up
+        """Adopt the entries and fathers left behind by a static run in the
+        forest's own scheme: its two maps, with an empty dict for each
+        vertex that heard nothing and None at the root.  The set-up
         messages are not counted: `counters` start at zero."""
         scheme = default_scheme(tree.n, variant, encoding)
-        run = run_static(tree, variant)
+        run = run_static(tree, variant, scheme)
         received, father = run.received, run.father
         received.update((v, {}) for v in tree.adj if v not in received)
         father[run.root] = None
@@ -167,14 +154,14 @@ class DynamicForest:
     # -- messaging ---------------------------------------------------------
 
     def _notify(self, hops: int) -> None:
-        frame = notification(self.scheme)
+        payload = empty_frame(self.scheme)
         self.counters.messages += hops
-        self.counters.bits += hops * len(frame)
+        self.counters.bits += hops * (1 + len(payload))  # flag 1, then payload
 
     def _push(self, node: int, stop_when_unchanged: bool) -> int | None:
         """Send replace entries up the father chain from `node`: each hop
         merges the sender's received entries, encodes, and stores the
-        receiver's decode, all in one `_hop`.  Returns the root reached, or
+        receiver's decode, all in one `hop`.  Returns the root reached, or
         None once a receiver already holds the descriptor
         (`stop_when_unchanged`)."""
         received, father_of = self.received, self.father
@@ -182,7 +169,7 @@ class DynamicForest:
         messages = bits = steps = 0
         entries = received[node]  # the sender's; each receiver's is the next sender's
         while (father := father_of[node]) is not None:
-            frame, entry = _hop(tuple(entries.values()), variant, scheme)
+            frame, entry = hop(tuple(entries.values()), variant, scheme)
             steps += 1
             entries = received[father]
             if stop_when_unchanged and entries.get(node) == entry:
@@ -194,7 +181,7 @@ class DynamicForest:
             node = father
         counters = self.counters
         counters.messages += messages
-        counters.bits += bits
+        counters.bits += bits + messages  # each frame behind its flag bit 0
         counters.steps += steps
         return node
 

@@ -36,12 +36,15 @@ input (see `hd`).
 A message has one definition, `hop`, which the dynamic forest shares: it
 merges the sender's entries, frames the merge through the `codec` module,
 has the receiver decode the frame and checks that the receiver's entry
-equals the merge.  Two memos over `hop`, one per flag value, keep its
-frame and entry per sender's entries, variant and scheme: `_static_hop`
-for this run and `_replace_hop` for the dynamic forest's replace frames.
-Each holds at most `hd.MEMO_SIZE` entries, and a failure is never cached.
-So the merge, the receiver's decode and the round-trip check run once
-per distinct hop, here and in `dynamic`.  Every message is still encoded
+equals the merge.  One memo, `_hop_memo`, keeps its frame and entry per
+sender's entries, variant and scheme, for this run, the dynamic forest
+and the forest's set-up run alike.  It holds at most `hd.MEMO_SIZE`
+entries, and a failure is never cached.  The rule of `hd` holds: `hop`
+takes the memo only when every entry carries the `hd._Minimal` tag, and
+computes any other input afresh, with its exact result or error.  This
+run calls the memo directly, since its entries are all decodes.  So the
+merge, the receiver's decode and the round-trip check run once per
+distinct hop, here and in `dynamic`.  Every message is still encoded
 and counted: the sender calls this module's `encode` once per message,
 from cold memos or warm ones, for the frame it counts, and a message
 costs that bit string's length.  A miss of the hop memo frames through
@@ -63,14 +66,14 @@ forest adds to in place.  No record of the package is a dataclass:
 from __future__ import annotations
 
 import random
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import codec
 from .codec import KnownSize, Scheme, UnknownSize, decode, encode
 from .forest import ArgumentError, Forest
 from .hd import (MEMO_SIZE, ContractError, EvalResult, HDescriptor,
-                 ParamVariant, evaluate, merge)
+                 ParamVariant, _Minimal, evaluate, merge)
 
 
 def elect_root(u: int, v: int) -> int:
@@ -148,23 +151,28 @@ def default_scheme(n: int, variant: ParamVariant, encoding: str = "known") -> Sc
     raise ArgumentError(f"unknown encoding {encoding!r}")
 
 
-def hop(kids: tuple[HDescriptor, ...], variant: ParamVariant, scheme: Scheme,
-        has_dyn_flag: bool) -> tuple[str, HDescriptor]:
+def hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
+        scheme: Scheme) -> tuple[str, HDescriptor]:
     """One message: the frame of the merge of the sender's entries `kids`,
     and the receiver's entry, its decode of that frame, checked equal to
-    the merge (see the module notes)."""
+    the merge.  Tagged entries take the memo (see the module notes)."""
+    for kid in kids:
+        if type(kid) is not _Minimal:
+            return _hop(kids, variant, scheme)
+    return _hop_memo(kids, variant, scheme)
+
+
+def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
+         scheme: Scheme) -> tuple[str, HDescriptor]:
     hd = merge(kids, variant)
-    frame = codec.encode(hd, scheme, has_dyn_flag)
-    entry = decode(frame, scheme, has_dyn_flag)
+    frame = codec.encode(hd, scheme)
+    entry = decode(frame, scheme)
     if entry != hd:
         raise ContractError(f"codec roundtrip broke for {hd}")
     return frame, entry
 
 
-# one memo per flag value, so a key holds three items, not four: the
-# wider key cost a dynamic update about 1 % on the benchmark
-_static_hop = lru_cache(maxsize=MEMO_SIZE)(partial(hop, has_dyn_flag=False))
-_replace_hop = lru_cache(maxsize=MEMO_SIZE)(partial(hop, has_dyn_flag=True))
+_hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop)
 
 
 def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
@@ -203,7 +211,7 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
                     if f not in heard:
                         break
                 kids = tuple(heard.values())
-            entry = _static_hop(kids, variant, scheme)[1]
+            entry = _hop_memo(kids, variant, scheme)[1]  # decodes: tagged
             if len(entry.table) > max_cells:
                 raise ContractError(
                     f"table length {len(entry.table)} breaks the log3 bound at node {v}")

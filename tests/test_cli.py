@@ -130,6 +130,18 @@ def test_dynamic_negative_id_names_line_before_any_line_runs(tmp_path, capsys, t
 
 
 @pytest.mark.parametrize("text, error", [
+    ("add 0 1\nadd 2\n", "line 2: bad command 'add 2'"),
+    ("add 0 1\nquery 0\nquery 0 1\n", "line 3: bad command 'query 0 1'"),
+    ("add 0 1\nfrob 2\n", "line 2: bad command 'frob 2'"),
+])
+def test_dynamic_command_of_the_wrong_arity_names_line(tmp_path, capsys, text, error):
+    # the script names a vertex, so the line fails when it runs
+    script = write(tmp_path, "s.txt", text)
+    code, out, err = run_cli(["dynamic", script], capsys)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("text, error", [
     ("add 0 1\nadd 1 2\nadd 2 0\n", "line 3: edge (2, 0) would create a cycle"),
     ("add 0 1\ndel 0 5\n", "line 2: edge (0, 5) does not exist"),
 ])

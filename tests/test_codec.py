@@ -6,10 +6,11 @@ import hypothesis.strategies as st
 
 import treesweep.codec as codec
 from treesweep.codec import (CapacityError, CodecError, FramingError,
-                             KnownSize, UnknownSize, decode, encode,
-                             notification)
+                             KnownSize, UnknownSize, decode, empty_frame,
+                             encode)
 from treesweep.forest import random_tree
-from treesweep.hd import ContractError, HDescriptor, ParamVariant, Vect, hdesc
+from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
+                          Vect, hdesc)
 from treesweep.protocol import run_static
 
 PN = ParamVariant.PROCESS_NUMBER
@@ -42,17 +43,22 @@ def test_ab_11_means_pair_vector():
     assert hd == hdesc(1, 2, [0]) and len(bits) == scheme.cells + 2  # no flag bit
 
 
-def test_dyn_flag_roundtrip():
+def test_empty_frame_is_the_frame_of_the_empty_descriptor():
+    # a dynamic message is a flag bit before one of these frames; a
+    # notification's is the empty descriptor's (see `dynamic`)
     scheme = KnownSize.for_tree(9, PN)
-    msg = encode(hdesc(2, 2, [0, 0]), scheme, has_dyn_flag=True)
-    assert len(msg) == scheme.cells + 3
-    hd = decode(msg, scheme, has_dyn_flag=True)
-    assert hd == hdesc(2, 2, [0, 0]) and msg[0] == "0"
-    note = notification(scheme)
-    assert note[0] == "1" and len(note) == scheme.cells + 3
-    un = encode(hdesc(2, 2, [0, 0]), UnknownSize(), has_dyn_flag=True)
-    assert len(un) == 2 * 2 + 4 + 1
-    assert len(notification(UnknownSize())) == 5
+    msg = encode(hdesc(2, 2, [0, 0]), scheme)
+    assert len(msg) == scheme.cells + 2
+    assert decode(msg, scheme) == hdesc(2, 2, [0, 0])
+    un = encode(hdesc(2, 2, [0, 0]), UnknownSize())
+    assert len(un) == 2 * 2 + 4
+    assert decode(un, UnknownSize()) == hdesc(2, 2, [0, 0])
+    empty = HDescriptor(NO_STABLE, ())
+    for scheme, payload in ((scheme, "0" * (scheme.cells + 2)),
+                            (KnownSize(27, 3), "00000"),
+                            (UnknownSize(), "1100")):
+        assert empty_frame(scheme) == payload == encode(empty, scheme)
+        assert decode(payload, scheme) == empty
 
 
 def test_capacity_error():
@@ -127,13 +133,13 @@ def test_built_descriptors_never_touch_the_encode_memo(cold_memos):
     # alone, whether it is cold or holds the equal tagged key
     scheme = UnknownSize()
     built = hdesc(2, 3, (0, 0, 1))
-    wire = encode(built, scheme, True)
-    assert wire == codec._encode(built, scheme, True)
+    wire = encode(built, scheme)
+    assert wire == codec._encode(built, scheme)
     assert codec._encode_memo.cache_info()[:2] == (0, 0)
-    tagged = decode(wire, scheme, has_dyn_flag=True)
-    cached = encode(tagged, scheme, True)
+    tagged = decode(wire, scheme)
+    cached = encode(tagged, scheme)
     info = codec._encode_memo.cache_info()
-    again = encode(built, scheme, True)
+    again = encode(built, scheme)
     assert again == cached
     assert codec._encode_memo.cache_info() == info  # not served from the memo
 

@@ -10,7 +10,7 @@ from treesweep.experiments import worst_case_instance
 from treesweep.forest import (ArgumentError, Forest, StructureError,
                               enumerate_trees, path_tree, random_tree,
                               star_tree, theorem1_tree)
-from treesweep.hd import ParamVariant
+from treesweep.hd import HDescriptor, NO_STABLE, ParamVariant
 from treesweep.protocol import run_static
 
 from helpers import _balanced_joins, _dist
@@ -341,22 +341,32 @@ def test_early_stop_matches_default():
 
 @pytest.mark.parametrize("encoding", ["known", "unknown"])
 def test_dynamic_frames_are_flagged_bit_strings(record_frames, encoding):
-    # paper-mode insertions reroot, so the build sends both kinds of frame
+    # paper-mode insertions reroot, so the build sends both kinds of
+    # message; each is its flag bit and a codec frame, and the counters
+    # pay for the flag
     from treesweep.codec import decode
     edges = random_tree(60, 3).edges()
     random.Random(3).shuffle(edges)
     frames = record_frames()
     df = inc_build(edges, 60, encoding=encoding)
-    df.change_root(0)
     assert frames["replace"] and frames["notify"]
-    for hd, frame in frames["replace"]:
-        assert frame[0] == "0" and set(frame) <= {"0", "1"}
-        assert decode(frame, df.scheme, True) == hd
-    for frame in frames["notify"]:
-        assert frame[0] == "1" and set(frame) <= {"0", "1"}
+    for hd, message in frames["replace"]:
+        assert set(message) <= {"0", "1"}
+        assert decode(message[1:], df.scheme) == hd
+    for message in frames["notify"]:
+        assert set(message) <= {"0", "1"}
+        assert decode(message[1:], df.scheme) == HDescriptor(NO_STABLE, ())
     if encoding == "known":
-        sent = [frame for _, frame in frames["replace"]] + frames["notify"]
-        assert {len(frame) for frame in sent} == {df.scheme.cells + 3}
+        sent = [message for _, message in frames["replace"]] + frames["notify"]
+        assert {len(message) for message in sent} == {df.scheme.cells + 3}
+    before = copy.copy(df.counters)
+    frames = record_frames()
+    df.change_root(0)
+    (note,) = frames["notify"]
+    replaced = [message for _, message in frames["replace"]]
+    assert replaced
+    assert df.counters.bits - before.bits == (
+        sum(len(message) for message in replaced) + len(replaced) * len(note))
 
 
 def test_dynamic_message_sizes(record_frames):
@@ -425,8 +435,8 @@ def test_early_stop_push_ends_at_an_unchanged_receiver(record_frames):
 
 @pytest.mark.parametrize("variant", list(ParamVariant))
 def test_from_tree_states_do_not_depend_on_encoding(variant):
-    # the set-up run is known-size whatever the encoding; its states equal
-    # an unknown-size run's, and its messages stay out of df.counters
+    # the set-up run is in the forest's scheme; its states equal an
+    # unknown-size run's, and its messages stay out of df.counters
     from treesweep.codec import UnknownSize
     t = random_tree(60, 3)
     df = DynamicForest.from_tree(t, variant, encoding="unknown")

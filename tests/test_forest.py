@@ -179,6 +179,23 @@ def test_generators_shapes():
         gen_tree("frob", 3)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: star_tree(0), "star needs at least 1 leaf, got 0"),
+    (lambda: spider_tree(0, 1, 1), "spider legs must have length >= 1"),
+    (lambda: theorem1_tree(-1), "theorem1 level must be >= 0, got -1"),
+    (lambda: prufer_to_tree([0], 4), "sequence length 1 != n - 2 = 2"),
+    (lambda: random_forest(3, 5, 0), "need 1 <= n and 0 <= edges <= n - 1"),
+    (lambda: cycle_graph(2), "cycle needs k >= 3, got 2"),
+    (lambda: grid_graph(0, 2), "grid needs positive dimensions"),
+    (lambda: number_of_free_trees(-1), "order must be non-negative"),
+], ids=["star", "spider", "theorem1", "pruefer", "random-forest", "cycle", "grid",
+        "free-trees"])
+def test_generator_error_paths(call, message):
+    with pytest.raises(ArgumentError) as err:
+        call()
+    assert type(err.value) is ArgumentError and str(err.value) == message
+
+
 def test_theorem1_structure():
     t1 = theorem1_tree(1)
     assert t1.n == 4 and t1.degree(3) == 3  # a claw: three singletons plus center

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treesweep.codec import FramingError, UnknownSize, decode, encode
+from treesweep.codec import FramingError, KnownSize, UnknownSize, decode, encode
 from treesweep.forest import (ArgumentError, Forest, enumerate_trees, path_tree,
                               prufer_to_tree, random_tree, spider_tree, star_tree)
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
@@ -36,7 +36,10 @@ def _value_of_absent_vertex():
     (lambda: merge([hdesc(0, 0, (0, 1, 0))], PN), ContractError,
      "table length not normalized: HDescriptor(vect=Vect(pn=0, pn_plus=0), "
      "table=(0, 1, 0))"),
-    (lambda: decode("", UnknownSize(), True), FramingError, "empty message"),
+    # an empty frame is a short one, or one with no terminator
+    (lambda: decode("", UnknownSize()), FramingError,
+     "table stream ends without terminator"),
+    (lambda: decode("", KnownSize(27, 3)), FramingError, "expected 5 bits, got 0"),
     (lambda: decode("11000", UnknownSize()), FramingError,
      "expected 2 vector bits after terminator, got 3"),
     (lambda: rooted_descriptors(star_tree(2), 7, PN), ContractError,
@@ -46,8 +49,8 @@ def _value_of_absent_vertex():
     (_value_of_absent_vertex, ArgumentError, "vertex 7 not in forest"),
     (lambda: ceil_log3(0), ContractError, "ceil_log3 needs n >= 1, got 0"),
     (lambda: prufer_to_tree([], 1), ArgumentError, "Pruefer decoding needs n >= 2"),
-], ids=["merge", "decode-empty", "decode-vector", "root-missing", "disconnected",
-        "value-of", "ceil-log3", "pruefer"])
+], ids=["merge", "decode-empty", "decode-empty-known", "decode-vector", "root-missing",
+        "disconnected", "value-of", "ceil-log3", "pruefer"])
 def test_error_paths(call, error, message):
     with pytest.raises(error) as err:
         call()

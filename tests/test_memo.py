@@ -49,17 +49,15 @@ def test_merge_of_equal_children_matches_the_uncached_merge(child, cold_memos):
     assert _outcome(merge, [child], PN) == _outcome(lambda: hd._merge((child,), PN)[0])
 
 
-@pytest.mark.parametrize("desc,flag", [
-    (hdesc(1.0, 1.0, (0,)), None),
-    (hdesc(1, 1, (0.0,)), None),
-    (hdesc(1, 1, (0,)), True),
-    (hdesc(1, 1, (0,)), 1.0),
+@pytest.mark.parametrize("desc", [
+    hdesc(1.0, 1.0, (0,)),
+    hdesc(1, 1, (0.0,)),
+    hdesc(1, 1, (False,)),
 ])
-def test_encode_of_equal_input_matches_the_uncached_encode(desc, flag, cold_memos):
+def test_encode_of_equal_input_matches_the_uncached_encode(desc, cold_memos):
     scheme = KnownSize(27, 3)
-    encode(hdesc(1, 1, (0,)), scheme)
-    encode(hdesc(1, 1, (0,)), scheme, 1)
-    assert _outcome(encode, desc, scheme, flag) == _outcome(codec._encode, desc, scheme, flag)
+    encode(decode(encode(hdesc(1, 1, (0,)), scheme), scheme), scheme)  # cached
+    assert _outcome(encode, desc, scheme) == _outcome(codec._encode, desc, scheme)
 
 
 def test_known_size_budget_must_be_an_int():
@@ -123,12 +121,11 @@ def test_push_of_an_equal_untagged_entry_takes_no_hop_memo(cold_memos):
     entry = planted.received[v][kid]
     planted.received[v][kid] = HDescriptor(*entry)
     kids = tuple(planted.received[v].values())
-    memo = protocol._replace_hop.cache_info()
+    memo = protocol._hop_memo.cache_info()
     planted._push(v, False)
-    assert protocol._replace_hop.cache_info() == memo
+    assert protocol._hop_memo.cache_info() == memo
     father = planted.father[v]
-    assert planted.received[father][v] == protocol.hop(
-        kids, PN, planted.scheme, True)[1]
+    assert planted.received[father][v] == protocol._hop(kids, PN, planted.scheme)[1]
     assert planted.counters == tagged.counters
 
 
@@ -138,17 +135,17 @@ def test_push_of_a_float_cell_raises_every_time(cold_memos):
     entry = df.received[v][kid]
     df.received[v][kid] = HDescriptor(
         entry.vect, tuple(1.0 if c == 1 else c for c in entry.table))
-    size = protocol._replace_hop.cache_info().currsize
+    size = protocol._hop_memo.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ContractError, match="non-negative ints"):
             df._push(v, False)
-    assert protocol._replace_hop.cache_info().currsize == size
+    assert protocol._hop_memo.cache_info().currsize == size
 
 
 def test_a_broken_codec_roundtrip_raises_every_time(monkeypatch, cold_memos):
     # a receiver's decode that disagrees with the merge it was sent: a
     # static run and a dynamic hop that misses the memo both raise, on
-    # every call, and the hop memos keep nothing
+    # every call, and the hop memo keeps nothing
     df, v, _ = _hung_under_the_root()
     tree = random_tree(30, 2)
     cold_memos()
@@ -158,12 +155,11 @@ def test_a_broken_codec_roundtrip_raises_every_time(monkeypatch, cold_memos):
         entry = real(*args)
         return entry._replace(vect=Vect(entry.vect.pn + 1, entry.vect.pn_plus + 1))
     monkeypatch.setattr(protocol, "decode", disagreeing)
-    for call, memo in ((lambda: run_static(tree), protocol._static_hop),
-                       (lambda: df._push(v, False), protocol._replace_hop)):
+    for call in (lambda: run_static(tree), lambda: df._push(v, False)):
         for _ in range(2):
             with pytest.raises(ContractError, match="codec roundtrip broke"):
                 call()
-        assert memo.cache_info().currsize == 0
+        assert protocol._hop_memo.cache_info().currsize == 0
 
 
 def test_a_repeated_reroot_walk_hits_the_hop_memo_once_per_replace_message(cold_memos):
@@ -172,12 +168,47 @@ def test_a_repeated_reroot_walk_hits_the_hop_memo_once_per_replace_message(cold_
     df = DynamicForest.from_tree(tree, encoding="unknown")
     for target in (0, far, 0, far):  # the walk from far to 0 is cached
         df.change_root(target)
-    memo, before = protocol._replace_hop.cache_info(), copy.copy(df.counters)
+    memo, before = protocol._hop_memo.cache_info(), copy.copy(df.counters)
     df.change_root(0)
-    after = protocol._replace_hop.cache_info()
+    after = protocol._hop_memo.cache_info()
     replaces = (df.counters.messages - before.messages) // 2  # one notify per replace
     assert replaces > 1
     assert (after.hits - memo.hits, after.misses - memo.misses) == (replaces, 0)
+
+
+@pytest.mark.parametrize("encoding", ["known", "unknown"])
+def test_static_and_dynamic_hops_share_the_hop_memo(encoding, cold_memos):
+    # a static run fills the entries that a dynamic forest in its scheme
+    # reads: the forest's set-up run and its replace hops add no miss
+    tree = random_tree(60, 1)
+    run_static(tree, PN, default_scheme(tree.n, PN, encoding))
+    memo = protocol._hop_memo.cache_info()
+    df = DynamicForest.from_tree(tree, encoding=encoding)
+    v = max(v for v in tree.vertices if tree.degree(v) == 1)
+    hops, node = 0, v
+    while df.father[node] is not None:
+        hops, node = hops + 1, df.father[node]
+    assert hops > 1
+    assert df._push(v, False) == df.root_of(v)
+    after = protocol._hop_memo.cache_info()
+    assert (after.hits - memo.hits, after.misses - memo.misses) == (tree.n - 1 + hops, 0)
+
+
+def test_cold_memos_empties_every_memo(cold_memos):
+    # every memo of hd, codec and protocol, found by name: one added or
+    # removed later cannot leave the fixture behind
+    memos = {id(memo): memo for module in (hd, codec, protocol)
+             for memo in vars(module).values() if hasattr(memo, "cache_clear")}
+    assert memos
+    tree = random_tree(40, 2)
+    run_static(tree)
+    df = DynamicForest.from_tree(tree, encoding="unknown")
+    df.change_root(0 if df.root_of(0) != 0 else 1)
+    scheme = KnownSize(27, 3)
+    encode(decode(encode(hdesc(1, 1, (0,)), scheme), scheme), scheme)
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    cold_memos()
+    assert [memo.cache_info().currsize for memo in memos.values()] == [0] * len(memos)
 
 
 def _everything(tree, seed):

@@ -2,9 +2,9 @@ import hashlib
 
 import pytest
 
-from treesweep.forest import (ArgumentError, cycle_graph, enumerate_trees,
-                              grid_graph, path_tree, serialize, spider_tree,
-                              star_tree, theorem1_tree)
+from treesweep.forest import (ArgumentError, Forest, Graph, cycle_graph,
+                              enumerate_trees, grid_graph, path_tree, serialize,
+                              spider_tree, star_tree, theorem1_tree)
 from treesweep.oracle import (CapacityError, es_exact,
                               gap_characterization_check, ns_exact,
                               pathwidth_exact, pn_exact, pn_plus_exact,
@@ -112,6 +112,26 @@ def test_capacity_limits():
         pn_exact(big)
     with pytest.raises(CapacityError):
         es_exact(forest.random_tree(11, 0))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: pn_plus_exact(path_tree(13), 0), CapacityError,
+     "pn+ oracle limited to n <= 12"),
+    (lambda: pn_plus_exact(path_tree(5), 9), ArgumentError, "vertex 9 not in graph"),
+    (lambda: pathwidth_exact(path_tree(17)), CapacityError,
+     "pathwidth oracle limited to n <= 16"),
+    (lambda: ns_exact(path_tree(12)), CapacityError, "ns oracle limited to n <= 11"),
+    (lambda: gap_characterization_check(Forest(range(4), [(0, 1), (2, 3)])),
+     ArgumentError, "gap check expects a single tree"),
+], ids=["pn-plus-cap", "pn-plus-absent", "pathwidth-cap", "ns-cap", "gap-forest"])
+def test_oracle_error_paths(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_pathwidth_of_the_empty_graph_is_zero():
+    assert pathwidth_exact(Graph()) == 0
 
 
 def test_gap_characterization_small(trees_up_to_8):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treesweep.codec import UnknownSize, decode
+from treesweep.dynamic import DynamicForest
 from treesweep.forest import (ArgumentError, Forest, Graph, cycle_graph,
                               gen_tree, parse_edge_list, path_tree,
                               random_tree, star_tree, theorem1_tree)
@@ -104,6 +105,16 @@ def test_theorem1_tower():
         run = run_static(t)
         assert run.value == k
         assert run.counters.messages == t.n - 1
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: run_static(Forest()), ArgumentError, "empty tree"),
+    (lambda: DynamicForest.isolated(0), ArgumentError, "need at least one vertex"),
+], ids=["run-static", "isolated"])
+def test_empty_input_error_paths(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_disconnected_rejected():

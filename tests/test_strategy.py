@@ -27,6 +27,22 @@ def test_star_strategy():
     assert validate(g, s) == 1
 
 
+@pytest.mark.parametrize("actions,message", [
+    (((P, 9),), "step 0: unknown vertex 9"),
+    (((P, 0), (P, 0)), "step 1: place on non-fresh vertex 0"),
+    (((R, 0),), "step 0: remove without agent at 0"),
+    (((P, 0), (R, 0)), "step 1: remove at 0 with untouched neighbour 1"),
+    (((P, 1), (S, 1)), "step 1: surround-process on non-fresh 1"),
+    (((S, 1),), "step 0: 1 not surrounded, neighbour 0 has no agent"),
+    ((("X", 1),), "step 0: unknown action kind 'X'"),
+    (((P, 1), (S, 0)), "end state: vertex 1 not processed"),
+])
+def test_validate_error_paths(actions, message):
+    with pytest.raises(StrategyError) as err:
+        validate(path_tree(3), act(*actions))
+    assert type(err.value) is StrategyError and str(err.value) == message
+
+
 def test_single_vertex_conventions():
     g = path_tree(1)
     with pytest.raises(StrategyError):
