@@ -48,9 +48,11 @@ validated, and `encode` takes its memo only for a tagged descriptor, so a
 hand-built descriptor is encoded afresh.
 
 Memo keys hash and compare in C.  Both schemes are interned: `UnknownSize`
-has a single instance, and `KnownSize` one instance per n, type of n and
-cell budget (a pickle round trip returns it too), so equality is identity
-and a key holding a scheme hashes by `object.__hash__`.
+has a single instance, and `KnownSize` one instance per cell budget (a
+pickle round trip returns it too), so equality is identity and a key
+holding a scheme hashes by `object.__hash__`.  A known-size frame depends
+on n only through the budget, so trees whose budgets match share one
+scheme and every memo entry keyed on it.
 """
 
 from __future__ import annotations
@@ -75,21 +77,20 @@ class CapacityError(CodecError):
 
 class KnownSize:
     """The scheme for receivers that know n: a fixed budget of `cells`
-    table cells per frame.  One instance per n, type of n and budget, so
-    equality is identity and a memo key holding it hashes and compares in
-    C."""
+    table cells per frame.  A frame depends on n only through that budget,
+    so the scheme holds the budget alone; `for_tree` derives it from n.
+    One instance per budget, so equality is identity and a memo key
+    holding it hashes and compares in C."""
 
-    __slots__ = ("n", "cells")
+    __slots__ = ("cells",)
 
-    def __new__(cls, n: int, cells: int) -> "KnownSize":
+    def __new__(cls, cells: int) -> "KnownSize":
         # schemes are memo keys: 3.0 == 3 must not stand in for a budget
         if type(cells) is not int:
             raise CodecError(f"cell budget must be an int, got {cells!r}")
-        key = (n, type(n), cells)
-        self = _KNOWN_SIZES.get(key)
+        self = _KNOWN_SIZES.get(cells)
         if self is None:
-            self = _KNOWN_SIZES[key] = object.__new__(cls)
-            object.__setattr__(self, "n", n)
+            self = _KNOWN_SIZES[cells] = object.__new__(cls)
             object.__setattr__(self, "cells", cells)
         return self
 
@@ -100,20 +101,21 @@ class KnownSize:
         raise AttributeError(f"KnownSize is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return KnownSize, (self.n, self.cells)
+        return KnownSize, (self.cells,)
 
     def __repr__(self) -> str:
-        return f"KnownSize(n={self.n!r}, cells={self.cells!r})"
+        return f"KnownSize(cells={self.cells!r})"
 
     @classmethod
     def for_tree(cls, n: int, variant: ParamVariant) -> "KnownSize":
-        """The scheme of an n-vertex tree."""
+        """The scheme of an n-vertex tree: ceil(log3 n) cells, one more for
+        the node-search variant."""
         extra = 1 if variant is ParamVariant.NODE_SEARCH else 0
-        return cls(n, ceil_log3(n) + extra)
+        return cls(ceil_log3(n) + extra)
 
 
 # the interned instances, kept for the life of the process
-_KNOWN_SIZES: dict[tuple, KnownSize] = {}
+_KNOWN_SIZES: dict[int, KnownSize] = {}
 
 
 class UnknownSize:
@@ -170,7 +172,7 @@ def _encode(hd: HDescriptor, scheme: Scheme) -> str:
         if len(transmitted) > scheme.cells:
             raise CapacityError(
                 f"table of length {len(transmitted)} exceeds the "
-                f"{scheme.cells}-cell budget for n={scheme.n}")
+                f"{scheme.cells}-cell budget")
         symbol, tail = _KNOWN_SYMBOL, "0" * (scheme.cells - len(transmitted))
     else:
         symbol, tail = _UNKNOWN_SYMBOL, "11"

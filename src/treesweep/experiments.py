@@ -19,9 +19,10 @@ from .dynamic import inc_build
 from .forest import ArgumentError, Forest, random_tree
 
 
-def best_case_instance(n: int, seed: int = 0) -> list[tuple[int, int]]:
-    """Insertion order for a random n-vertex tree that costs O(n) messages."""
-    t = random_tree(n, seed)
+def best_case_instance(n: int) -> list[tuple[int, int]]:
+    """Insertion order for the random n-vertex tree of seed 0 that costs
+    O(n) messages."""
+    t = random_tree(n, 0)
     order = [0]
     parent = {0: None}
     depth = {0: 0}

@@ -39,9 +39,11 @@ output's pn+ in its `MergeInfo` (`result` and `pn_plus`, equal to
 `evaluate` and `pn_plus_of` of the output).
 
 The merge is memoised.  A run draws its messages from a few dozen distinct
-minimal descriptors, so most merges repeat an earlier one.  The memo is keyed
-on the ordered children and the variant (`MergeInfo.max_children` depends on
-the order), holds at most `MEMO_SIZE` entries and is shared by every caller.
+minimal descriptors, so most merges repeat an earlier one.  The output and
+its `MergeInfo` depend only on the multiset of children, not on their order.
+The memo is still keyed on the ordered children and the variant, since
+sorting every key would cost more than the few entries it would save; it
+holds at most `MEMO_SIZE` entries and is shared by every caller.
 Validation and evaluation run once per distinct input; a repeat reuses the
 output and its `MergeInfo`, evaluation included, and a failure is never
 cached, so invalid children raise on every call.
@@ -131,7 +133,6 @@ class MergeInfo(NamedTuple):
     """Derivation record of one merge, consumed by strategy extraction."""
 
     case: str
-    max_children: tuple[int, ...]  # indices into the children list (the set M)
     prefold: Vect                  # vector before the fold step
     folded: bool
     fired: int | None              # simplification target, when it fired
@@ -223,7 +224,7 @@ def pn_plus_from(hd: HDescriptor, res: EvalResult) -> int:
 # ---------------------------------------------------------------------------
 # merge
 
-def _vector_step(vects: list[Vect], variant: ParamVariant) -> tuple[Vect, tuple[int, ...], str]:
+def _vector_step(vects: list[Vect], variant: ParamVariant) -> tuple[Vect, str]:
     if variant is ParamVariant.EDGE_SEARCH:
         eff = [Vect(2, 2) if v == Vect(1, 2) else v for v in vects]
         if all(v.pn_plus < 2 for v in eff):
@@ -231,41 +232,39 @@ def _vector_step(vects: list[Vect], variant: ParamVariant) -> tuple[Vect, tuple[
             # ones included: each pins a searcher at the merging node, which
             # is what the 0/1/2/many split is really counting.  (Excluding
             # them mislabels one 10-vertex tree; the oracle arbitrates.)
-            m = tuple(range(len(eff)))
-            if len(m) == 0:
-                return Vect(0, 0), m, "init-lone"
-            if len(m) == 1:
-                return Vect(1, 1), m, "init-one"
-            if len(m) == 2:
-                return Vect(1, 2), m, "init-pair"
-            return Vect(2, 2), m, "init-many"
+            if len(eff) == 0:
+                return Vect(0, 0), "init-lone"
+            if len(eff) == 1:
+                return Vect(1, 1), "init-one"
+            if len(eff) == 2:
+                return Vect(1, 2), "init-pair"
+            return Vect(2, 2), "init-many"
     else:
         eff = vects
 
     maxpn = max((v.pn for v in eff), default=-1)
-    m = tuple(i for i, v in enumerate(eff) if v.pn == maxpn) if eff else ()
+    m = [v for v in eff if v.pn == maxpn]  # the maximal branches, the set M
 
     if variant is ParamVariant.NODE_SEARCH and maxpn < 2:
         if maxpn == -1:
-            return Vect(1, 1), m, "init-lone"
-        return Vect(2, 2), m, "init-many"
+            return Vect(1, 1), "init-lone"
+        return Vect(2, 2), "init-many"
 
     if variant is ParamVariant.PROCESS_NUMBER and maxpn < 2:
         if maxpn == -1:
-            return Vect(0, 0), m, "init-lone"
+            return Vect(0, 0), "init-lone"
         if maxpn == 0:
-            return Vect(1, 1), m, "init-star"
-        lone = len(m) == 1 and eff[m[0]] == Vect(1, 1)
-        if lone and all(eff[j] == NO_STABLE for j in range(len(eff)) if j != m[0]):
-            return Vect(1, 2), m, "init-chain"
-        return Vect(2, 2), m, "init-many"
+            return Vect(1, 1), "init-star"
+        if m == [Vect(1, 1)] and all(v == NO_STABLE for v in eff if v.pn != 1):
+            return Vect(1, 2), "init-chain"
+        return Vect(2, 2), "init-many"
 
     p = maxpn
     if len(m) == 1:
-        return Vect(p, p), m, "gen-single"
+        return Vect(p, p), "gen-single"
     if len(m) == 2:
-        return Vect(p, p + 1), m, "gen-pair"
-    return Vect(p + 1, p + 1), m, "gen-triple"
+        return Vect(p, p + 1), "gen-pair"
+    return Vect(p + 1, p + 1), "gen-triple"
 
 
 def merge_detailed(children: Iterable[HDescriptor],
@@ -285,7 +284,7 @@ def _merge(kids: tuple[HDescriptor, ...],
     for child in kids:
         validate_descriptor(child, minimal=True)
 
-    vect, m_indices, case = _vector_step([c.vect for c in kids], variant)
+    vect, case = _vector_step([c.vect for c in kids], variant)
     pv, pvp = vect
 
     length = max([c.length for c in kids] + [pv])
@@ -310,7 +309,7 @@ def _merge(kids: tuple[HDescriptor, ...],
 
     out = _normalized(out_vect, cells[1:])
     result = _evaluate(out)
-    return out, MergeInfo(case, m_indices, vect, folded, fired, result,
+    return out, MergeInfo(case, vect, folded, fired, result,
                           pn_plus_from(out, result))
 
 

@@ -153,13 +153,13 @@ class _Extractor:
     descriptor and the `MergeInfo` of its last merge, which carries the
     descriptor's value, stability and pn+.  A node's children are the keys
     of its entries in the run's `received` map, read in place (a leaf has
-    none): the order the run merged them, so
-    every merge of `__init__` is a memo hit and `max_children` indexes
-    them.  The builders visit children in id order, so the actions do not
-    depend on the arrival order.  sweep() may cut a processed subtree,
-    which gives the node above it a list of the children left, and re-merge
-    the carrier path above it; the run's maps are never changed.  The
-    builders append their actions to the list they are given."""
+    none): the order the run merged them, so every merge of `__init__` is a
+    memo hit.  No record depends on that order, and the builders visit
+    children in id order, so the actions do not depend on it either.
+    sweep() may cut a processed subtree, which gives the node above it a
+    list of the children left, and re-merge the carrier path above it; the
+    run's maps are never changed.  The builders append their actions to the
+    list they are given."""
 
     def __init__(self, tree: Graph, run: RunResult):
         children: dict[int, Collection[int]] = {}
@@ -269,8 +269,10 @@ class _Extractor:
                     f"expected one carrier of the value-{top} piece under {w}")
             path.append(w)
             w = carriers[0]
-        kids = list(self.children[w])
-        m = [kids[i] for i in info[w].max_children]
+        # the fold's vector before folding is (p, p+1): M is the children of
+        # pn p, and a fold needs exactly two of them
+        p = info[w].prefold.pn
+        m = [c for c in self.children[w] if self.hd[c].vect.pn == p]
         if len(m) != 2:
             raise ContractError(f"fold at {w} without two maximal branches")
         w1, w2 = sorted(m)

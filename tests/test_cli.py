@@ -48,6 +48,19 @@ def test_compute_stats_and_strategy(tmp_path, capsys):
     assert "SEND" in out and "VISIT" in out
 
 
+def test_compute_fails_when_the_strategy_peak_is_not_the_value(tmp_path, capsys,
+                                                               monkeypatch):
+    # the strategy and its peak are still written before the exit code says 1
+    import treesweep.cli as cli
+    monkeypatch.setattr(cli, "validate", lambda tree, strategy: 3)
+    path = write(tmp_path, "path4.txt", "0 1\n1 2\n2 3\n")
+    code, out, err = run_cli(["compute", path, "--strategy"], capsys)
+    assert code == 1
+    assert out == ("param=pn value=2\nP 2\nP 1\nS 0\nR 1\nS 3\nR 2\n"
+                   "strategy_peak=3\n")
+    assert err == "strategy peak disagrees with computed value\n"
+
+
 @pytest.mark.parametrize("param", ["ns", "es", "pw"])
 def test_strategy_rejects_other_params_before_running(tmp_path, capsys, param):
     path = write(tmp_path, "path4.txt", "0 1\n1 2\n2 3\n")
@@ -202,7 +215,18 @@ def test_conformance_checks_every_root(capsys, monkeypatch):
      "es 4 outside {ns-1, ns}\nn 3\n0 1\n0 2\n"),
     ("gap", "gap_characterization_check", lambda real: lambda tree: tree.n != 2,
      "gap characterization sides disagree\nn 2\n0 1\n"),
-], ids=["values", "relations", "gap"])
+    ("pn", "run_static", lambda real: lambda tree, *args:
+        (run := real(tree, *args))._replace(value=run.value + (tree.n == 3)),
+     "pn: got=2 want=1\nn 3\n0 1\n0 2\n"),
+    ("relations", "ns_exact", lambda real: lambda tree: real(tree) - (tree.n == 3),
+     "ns 1 != pw+1 2\nn 3\n0 1\n0 2\n"),
+    ("relations", "pn_exact", lambda real: lambda tree: real(tree) + 2 * (tree.n == 3),
+     "pn 3 outside [pw, pw+1]\nn 3\n0 1\n0 2\n"),
+    ("relations", "stable_exact", lambda real: lambda tree, root:
+        real(tree, root) != (tree.n == 3),
+     "stability flag mismatch at root 0\nn 3\n0 1\n0 2\n"),
+], ids=["values", "relations", "gap", "static-run", "ns-pathwidth", "pn-pathwidth",
+        "stability"])
 def test_conformance_prints_each_counterexample_with_its_edge_list(capsys, monkeypatch,
                                                                    param, name, fake, text):
     import treesweep.cli as cli

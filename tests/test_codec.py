@@ -55,7 +55,7 @@ def test_empty_frame_is_the_frame_of_the_empty_descriptor():
     assert decode(un, UnknownSize()) == hdesc(2, 2, [0, 0])
     empty = HDescriptor(NO_STABLE, ())
     for scheme, payload in ((scheme, "0" * (scheme.cells + 2)),
-                            (KnownSize(27, 3), "00000"),
+                            (KnownSize(3), "00000"),
                             (UnknownSize(), "1100")):
         assert empty_frame(scheme) == payload == encode(empty, scheme)
         assert decode(payload, scheme) == empty
@@ -63,8 +63,9 @@ def test_empty_frame_is_the_frame_of_the_empty_descriptor():
 
 def test_capacity_error():
     scheme = KnownSize.for_tree(3, PN)  # one cell only
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as err:
         encode(hdesc(2, 2, [0, 0]), scheme)
+    assert str(err.value) == "table of length 2 exceeds the 1-cell budget"
 
 
 def test_framing_errors():
@@ -82,7 +83,7 @@ def test_framing_errors():
         decode("00010x", UnknownSize())
     # vector bits announce a value but no 1 anywhere in the table
     with pytest.raises(FramingError):
-        decode("00010", KnownSize(27, 3))
+        decode("00010", KnownSize(3))
 
 
 @pytest.mark.parametrize("hd", [
@@ -92,7 +93,7 @@ def test_framing_errors():
     hdesc(2, 5, [0, 0]),         # a vector with no wire encoding
     hdesc(3, 3, [0, 1, 0]),      # a 1 below the artificial one
 ])
-@pytest.mark.parametrize("scheme", [KnownSize(27, 4), UnknownSize()],
+@pytest.mark.parametrize("scheme", [KnownSize(4), UnknownSize()],
                          ids=["known", "unknown"])
 def test_encode_rejects_bad_descriptor(hd, scheme):
     with pytest.raises((CodecError, ContractError)):
@@ -145,24 +146,26 @@ def test_built_descriptors_never_touch_the_encode_memo(cold_memos):
 
 
 def test_schemes_hash_and_compare_by_value():
-    assert KnownSize(27, 3) == KnownSize(27, 3)
-    assert hash(KnownSize(27, 3)) == hash(KnownSize(27, 3))
-    assert KnownSize(27, 3) != KnownSize(28, 3)
-    assert repr(KnownSize(27, 3)) == "KnownSize(n=27, cells=3)"
+    assert KnownSize(3) == KnownSize(3)
+    assert hash(KnownSize(3)) == hash(KnownSize(3))
+    assert KnownSize(3) != KnownSize(4)
+    assert repr(KnownSize(3)) == "KnownSize(cells=3)"
     assert KnownSize.for_tree(27, PN) is KnownSize.for_tree(27, PN)
-    assert repr(KnownSize.for_tree(3.0, PN)) == "KnownSize(n=3.0, cells=1)"
+    assert repr(KnownSize.for_tree(3.0, PN)) == "KnownSize(cells=1)"
     assert UnknownSize() is UnknownSize() and repr(UnknownSize()) == "UnknownSize()"
     assert pickle.loads(pickle.dumps(UnknownSize())) is UnknownSize()
-    assert UnknownSize() != KnownSize(27, 3)
+    assert UnknownSize() != KnownSize(3)
 
 
 def test_known_size_is_interned():
-    # one instance per n, type of n and budget: memo keys holding a scheme
-    # hash and compare in C
-    scheme = KnownSize(27, 3)
-    assert KnownSize(27, 3) is KnownSize(27, 3) is scheme
-    assert KnownSize.for_tree(27, PN) is scheme
-    assert KnownSize(27.0, 3) is not scheme
+    # one instance per budget: memo keys holding a scheme hash and compare
+    # in C, and trees whose budgets match share one scheme
+    scheme = KnownSize(3)
+    assert KnownSize(3) is KnownSize(3) is scheme
+    assert KnownSize.for_tree(10, PN) is KnownSize.for_tree(27, PN) is scheme
+    assert KnownSize.for_tree(27.0, PN) is scheme
+    assert KnownSize.for_tree(28, PN) is KnownSize(4)
+    assert KnownSize.for_tree(27, ParamVariant.NODE_SEARCH) is KnownSize(4)
     assert pickle.loads(pickle.dumps(scheme)) is scheme
     assert type(KnownSize.for_tree(27, PN)).__hash__ is object.__hash__
     assert type(scheme).__eq__ is object.__eq__

@@ -172,6 +172,45 @@ def test_check_invariants_sees_record_drift():
     df.check_invariants()
 
 
+def test_check_invariants_sees_root_drift():
+    df = DynamicForest.from_tree(random_tree(15, 2))
+    df.check_invariants()
+    (root, value), = df.roots.items()
+    del df.roots[root]
+    with pytest.raises(AssertionError, match=f"^untracked root {root}$"):
+        df.check_invariants()
+    df.roots[root] = value + 1
+    with pytest.raises(AssertionError, match=f"^stale value at root {root}$"):
+        df.check_invariants()
+    df.roots[root] = value
+    df.check_invariants()
+    other = next(v for v in df.father if v != root)
+    df.roots[other] = value  # a root value for a vertex with a father
+    with pytest.raises(AssertionError, match="^root bookkeeping drift$"):
+        df.check_invariants()
+    del df.roots[other]
+    df.check_invariants()
+
+
+def test_check_invariants_sees_a_father_cycle():
+    df = DynamicForest.from_tree(random_tree(15, 2))
+    # v's father becomes its child u, and v's entries follow: every received
+    # set still matches, and the chain v, u, v, ... never reaches the root
+    v = next(v for v, father in sorted(df.father.items())
+             if father is not None and df.received[v])
+    u, father = next(iter(df.received[v])), df.father[v]
+    entries = df.received[v]
+    hd = entries.pop(u)
+    entries[father] = hd
+    df.father[v] = u
+    with pytest.raises(AssertionError, match=r"^father chain through \d+ is a cycle$"):
+        df.check_invariants()
+    df.father[v] = father
+    del entries[father]
+    entries[u] = hd
+    df.check_invariants()
+
+
 class _CountingDict(dict):
     """A dict that counts the reads and writes made through its methods."""
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ def _value_of_absent_vertex():
     # an empty frame is a short one, or one with no terminator
     (lambda: decode("", UnknownSize()), FramingError,
      "table stream ends without terminator"),
-    (lambda: decode("", KnownSize(27, 3)), FramingError, "expected 5 bits, got 0"),
+    (lambda: decode("", KnownSize(3)), FramingError, "expected 5 bits, got 0"),
     (lambda: decode("11000", UnknownSize()), FramingError,
      "expected 2 vector bits after terminator, got 3"),
     (lambda: rooted_descriptors(star_tree(2), 7, PN), ContractError,
@@ -243,6 +244,36 @@ def test_table_length_bound(trees_up_to_8):
                 assert hd.length <= bound
             for hd in rooted_descriptors(t, root, NS).values():
                 assert hd.length <= bound + 1
+
+
+def _child_lists(tree, root, variant):
+    """The children's descriptors each vertex merges in the rooted cascade
+    from `root`."""
+    desc = rooted_descriptors(tree, root, variant)
+    parent, stack = {root: None}, [root]
+    while stack:
+        v = stack.pop()
+        for u in tree.neighbours(v):
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    return [[desc[u] for u in tree.neighbours(v) if u != parent[v]]
+            for v in tree.vertices]
+
+
+def test_merge_record_is_the_same_in_any_child_order(trees_up_to_8):
+    # the output and the MergeInfo depend on the multiset of children only
+    multisets = {(variant, tuple(sorted(kids)))
+                 for t in trees_up_to_8 for variant in ParamVariant
+                 for root in t.vertices
+                 for kids in _child_lists(t, root, variant)}
+    reordered = 0
+    for variant, kids in multisets:
+        expected = merge_detailed(kids, variant)
+        for order in set(itertools.permutations(kids)):
+            assert merge_detailed(order, variant) == expected, (variant, order)
+            reordered += order != kids
+    assert reordered > 100
 
 
 # --- simplify ---------------------------------------------------------------

@@ -17,7 +17,7 @@ import treesweep.protocol as protocol
 from treesweep.codec import (CapacityError, CodecError, FramingError,
                              KnownSize, UnknownSize, decode, encode)
 from treesweep.dynamic import DynamicForest, inc_build
-from treesweep.forest import random_tree
+from treesweep.forest import path_tree, random_tree
 from treesweep.hd import (ContractError, HDescriptor, ParamVariant, Vect,
                           hdesc, merge)
 from treesweep.protocol import Schedule, default_scheme, run_static
@@ -55,16 +55,17 @@ def test_merge_of_equal_children_matches_the_uncached_merge(child, cold_memos):
     hdesc(1, 1, (False,)),
 ])
 def test_encode_of_equal_input_matches_the_uncached_encode(desc, cold_memos):
-    scheme = KnownSize(27, 3)
+    scheme = KnownSize(3)
     encode(decode(encode(hdesc(1, 1, (0,)), scheme), scheme), scheme)  # cached
     assert _outcome(encode, desc, scheme) == _outcome(codec._encode, desc, scheme)
 
 
 def test_known_size_budget_must_be_an_int():
-    # schemes are memo keys, and KnownSize(27, 3.0) == KnownSize(27, 3)
+    # schemes are memo keys: 3.0 == 3 and True == 1 must not stand in for
+    # a budget
     for cells in (3.0, True):
         with pytest.raises(CodecError):
-            KnownSize(27, cells)
+            KnownSize(cells)
 
 
 @pytest.mark.parametrize("call,error,memo", [
@@ -194,6 +195,19 @@ def test_static_and_dynamic_hops_share_the_hop_memo(encoding, cold_memos):
     assert (after.hits - memo.hits, after.misses - memo.misses) == (tree.n - 1 + hops, 0)
 
 
+def test_trees_with_one_cell_budget_share_the_scheme_and_its_hops(cold_memos):
+    # a known-size frame depends on n only through the budget: paths of 10
+    # and 20 vertices both get 3 cells, and every hop of the longer path is
+    # one the shorter path already made
+    short = run_static(path_tree(10))
+    memo = protocol._hop_memo.cache_info()
+    long = run_static(path_tree(20))
+    after = protocol._hop_memo.cache_info()
+    assert long.scheme is short.scheme is KnownSize(3)
+    assert after.hits - memo.hits == long.counters.messages
+    assert after.misses - memo.misses == 0
+
+
 def test_cold_memos_empties_every_memo(cold_memos):
     # every memo of hd, codec and protocol, found by name: one added or
     # removed later cannot leave the fixture behind
@@ -204,7 +218,7 @@ def test_cold_memos_empties_every_memo(cold_memos):
     run_static(tree)
     df = DynamicForest.from_tree(tree, encoding="unknown")
     df.change_root(0 if df.root_of(0) != 0 else 1)
-    scheme = KnownSize(27, 3)
+    scheme = KnownSize(3)
     encode(decode(encode(hdesc(1, 1, (0,)), scheme), scheme), scheme)
     assert all(memo.cache_info().currsize for memo in memos.values())
     cold_memos()
