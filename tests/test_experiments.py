@@ -1,9 +1,12 @@
 """The incremental-build measurements and the command that prints them."""
 
+import hashlib
+
 import pytest
 
 from treesweep import cli
-from treesweep.experiments import loglog_slope, worst_case_instance
+from treesweep.experiments import (best_case_instance, loglog_slope,
+                                   worst_case_instance)
 from treesweep.forest import ArgumentError, Forest
 
 
@@ -41,3 +44,19 @@ def test_worst_case_instance_builds_four_vertices():
     edges = worst_case_instance(4)
     tree = Forest(range(4), edges)
     assert tree.n == 4 and tree.is_tree()
+
+
+def _instance_digest(build, sizes):
+    text = "\n".join(f"{n}: {build(n)}" for n in sizes)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build,sizes,digest", [
+    (worst_case_instance, [*range(4, 61), 800],
+     "fa833fbffd8c2e3e947071e139ed0de05b7498683b3384977216ee03aef5e22a"),
+    (best_case_instance, [*range(2, 61), 800],
+     "215c21252f4601d0a9b64f5875be5fb48db91e1fbe82be850102fb6c51096d73"),
+], ids=["worst", "best"])
+def test_instance_edge_lists_golden(build, sizes, digest):
+    # sha256 over the "n: edge list" lines of each size
+    assert _instance_digest(build, sizes) == digest

@@ -100,6 +100,26 @@ def test_oracle_values_golden():
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_GOLDEN
 
 
+# sha256 of the lines `_rooted_golden_lines` yields: pn+ and stability at
+# every root of every tree of 9 and 10 vertices.
+ROOTED_GOLDEN = "43be17c0faf39520a32f6f4443fc873eb50f061b638a9b6977e8bf4d9d6cb017"
+
+
+def _rooted_golden_lines():
+    for n in (9, 10):
+        for t in enumerate_trees(n):
+            key = serialize(t).replace("\n", ";")
+            roots = sorted(t.vertices)
+            plus = " ".join(str(pn_plus_exact(t, r)) for r in roots)
+            stable = " ".join(str(int(stable_exact(t, r))) for r in roots)
+            yield f"{key} pn+={plus} stable={stable}"
+
+
+def test_rooted_oracle_values_golden():
+    text = "\n".join(_rooted_golden_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == ROOTED_GOLDEN
+
+
 def test_theorem1_growth():
     for k in (0, 1, 2):
         assert pn_exact(theorem1_tree(k)) == k
