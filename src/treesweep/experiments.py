@@ -7,16 +7,17 @@ each insertion costs a single message.
 
 Worst case: two balanced subtrees joined by a long path, their edges
 inserted alternately; every insertion drags the component root across the
-path, so messages grow quadratically.
+path, so messages grow quadratically.  Each subtree is a ternary heap: its
+first vertex hangs under an end of the path and its k-th, for k >= 1, under
+its ((k - 1) // 3)-th.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .dynamic import inc_build
-from .forest import ArgumentError, Forest, random_tree
+from .forest import ArgumentError, random_tree
 
 
 def best_case_instance(n: int) -> list[tuple[int, int]]:
@@ -26,53 +27,40 @@ def best_case_instance(n: int) -> list[tuple[int, int]]:
     order = [0]
     parent = {0: None}
     depth = {0: 0}
-    q = deque([0])
-    while q:
-        v = q.popleft()
+    for v in order:  # the order grows behind the loop: breadth first
         for u in sorted(t.neighbours(v)):
             if u not in parent:
                 parent[u] = v
                 depth[u] = depth[v] + 1
                 order.append(u)
-                q.append(u)
     # ids decrease along the BFS order: the root takes n - 1
     relabel = {v: n - 1 - i for i, v in enumerate(order)}
-    rows = [(depth[v], relabel[v], relabel[parent[v]])
-            for v in order if parent[v] is not None]
-    rows.sort(reverse=True)
-    return [(child, father) for _, child, father in rows]
+    # deepest first; the sort is stable, so a depth keeps its BFS order
+    children = sorted(order[1:], key=depth.__getitem__, reverse=True)
+    return [(relabel[v], relabel[parent[v]]) for v in children]
 
 
 def worst_case_instance(n: int) -> list[tuple[int, int]]:
-    """Two ternary-balanced subtrees linked by a path, edges alternating sides.
+    """Two ternary heaps linked by a path, edges alternating sides.
 
-    The path occupies the low identifiers and is inserted first; side
-    vertices take increasing ids in insertion order, so each insertion wins
-    the root election and parks the root on its own side, forcing the next
-    insertion on the opposite side to reroot across the whole path.
+    The path 0..path_len-1 takes the low identifiers and is inserted first.
+    Side s (0 at vertex 0, 1 at path_len - 1) has its k-th vertex at
+    path_len + 2k + s: the path end's child for k = 0, otherwise the child
+    of its side's vertex (k - 1) // 3.  Side vertices take increasing ids in
+    insertion order, so each insertion wins the root election and parks the
+    root on its own side, forcing the next insertion on the opposite side to
+    reroot across the whole path.
     """
     if n < 4:  # both sides need a vertex, the path two
         raise ArgumentError(f"worst-case instance needs n >= 4, got {n}")
     side = n // 3
     path_len = n - 2 * side
     edges = [(i, i + 1) for i in range(path_len - 1)]
-    queues: list[deque[int]] = [deque(), deque()]
-    kids: dict[int, int] = {}
-    pending: list[list[tuple[int, int]]] = [[], []]
-    next_id = path_len
-    for k in range(2 * side):
-        s = k % 2
-        q = queues[s]
-        while q and kids.get(q[0], 0) >= 3:
-            q.popleft()
-        parent = q[0] if q else (0 if s == 0 else path_len - 1)
-        kids[parent] = kids.get(parent, 0) + 1
-        pending[s].append((next_id, parent))
-        q.append(next_id)
-        next_id += 1
-    for a, b in zip(pending[0], pending[1]):
-        edges.append(a)
-        edges.append(b)
+    ends = (0, path_len - 1)
+    for k in range(side):
+        for s in (0, 1):
+            parent = path_len + 2 * ((k - 1) // 3) + s if k else ends[s]
+            edges.append((path_len + 2 * k + s, parent))
     return edges
 
 

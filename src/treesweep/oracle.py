@@ -6,9 +6,10 @@ agents in play, reaches a done state.  A game is a start state, a move
 function and a done test; there are two kinds:
 
 - the process game, shared by `pn_exact` and `pn_plus_exact`, which differ
-  only in the done state.  A state is a base-3 number with one digit per
-  vertex (untouched / occupied / processed), and the rules test a vertex's
-  neighbours with bitmasks;
+  only in the done state.  A state packs two vertex masks in one int: bit i
+  while vertex i is untouched, bit n + i while it holds an agent, and
+  neither once it is processed.  Every move is one xor, and the rules test
+  a vertex's neighbours against the masks;
 - the edge games, node search (`ns_exact`) and edge search (`es_exact`).
   They share one edge index (`_EdgeGame`: incident-edge masks, the
   all-cleared goal) and one recontamination rule, keyed on the set of
@@ -17,6 +18,10 @@ function and a done test; there are two kinds:
 
 Vertex separation is a subset DP, not a game.  Nothing here uses the
 hierarchical-decomposition machinery, so the two can arbitrate each other.
+
+The gap characterization asks of a vertex v that every component of T - v
+have pathwidth at most p = pw(T).  That clause needs no test: each component
+is a subgraph of T, and pathwidth never grows on a subgraph.
 """
 
 from __future__ import annotations
@@ -75,40 +80,36 @@ def _fewest(agents: int, most: int, start, moves, done) -> int:
 # process number
 
 def _process_game(g: Graph):
-    """(n, old->new map, moves) of the process game on g; vertex i is digit i
-    of the base-3 state (0 untouched, 1 occupied, 2 processed)."""
+    """(n, old->new map, start, moves) of the process game on g.  A state
+    packs two vertex masks: bit i while vertex i is untouched, bit n + i
+    while it holds an agent; a processed vertex has neither bit.  The start,
+    every vertex untouched, is also the mask of the untouched bits."""
     n, nbr, pos = _dense(g)
-    cells = [(1 << v, nbr[v], 3 ** v) for v in range(n)]
+    start = (1 << n) - 1
+    cells = [(1 << v, nbr[v], 1 << n + v) for v in range(n)]
 
     def moves(state: int, agents: int):
-        untouched = occupied = 0
-        s = state
-        for bit, _, _ in cells:
-            d = s % 3
-            s //= 3
-            if d == 0:
-                untouched |= bit
-            elif d == 1:
-                occupied |= bit
+        untouched = state & start
+        occupied = state >> n
         room = occupied.bit_count() < agents
-        for bit, around, code in cells:
+        for bit, around, agent in cells:
             if untouched & bit:
                 if room:  # place an agent
-                    yield state + code
+                    yield state ^ bit ^ agent
                 if not around & ~occupied:  # rule 3: surrounded by agents
-                    yield state + 2 * code
+                    yield state ^ bit
             elif occupied & bit and not around & untouched:
-                yield state + code  # rule 2: no untouched neighbour is left
-    return n, pos, moves
+                yield state ^ agent  # rule 2: no untouched neighbour is left
+    return n, pos, start, moves
 
 
 def pn_exact(g: Graph) -> int:
     """Least p such that a p-agent process strategy processes all of g."""
     if g.n > PN_LIMIT:
         raise CapacityError(f"pn oracle limited to n <= {PN_LIMIT}")
-    n, _, moves = _process_game(g)
-    all_processed = 3 ** n - 1
-    return _fewest(0, n, 0, moves, all_processed.__eq__)
+    n, _, start, moves = _process_game(g)
+    # done once nothing is untouched or occupied
+    return _fewest(0, n, start, moves, (0).__eq__)
 
 
 def pn_plus_exact(g: Graph, r: int) -> int:
@@ -121,17 +122,17 @@ def pn_plus_exact(g: Graph, r: int) -> int:
         raise CapacityError(f"pn+ oracle limited to n <= {PN_PLUS_LIMIT}")
     if r not in g.vertices:
         raise ArgumentError(f"vertex {r} not in graph")
-    n, pos, moves = _process_game(g)
+    n, pos, start, moves = _process_game(g)
     # everything processed but r, which is occupied: the final removal ends there
-    last = 3 ** n - 1 - 3 ** pos[r]
-    return _fewest(1, n, 0, moves, last.__eq__)
+    last = 1 << n + pos[r]
+    return _fewest(1, n, start, moves, last.__eq__)
 
 
 def stable_exact(g: Graph, r: int) -> bool:
     """Definition of stability: an optimal strategy may finish at r, or some
     strategy with at most two agents does."""
     plus = pn_plus_exact(g, r)
-    return plus == pn_exact(g) or plus <= 2
+    return plus <= 2 or plus == pn_exact(g)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +294,10 @@ def gap_characterization_check(t: Forest, param: str = "pn") -> bool:
     for v in t.vertices:
         rest = t.induced(set(t.vertices) - {v})
         comps = [rest.induced(c) for c in rest.components()]
-        if any(pathwidth_exact(c) > p for c in comps):
-            continue
+        # no component exceeds pathwidth p: each is a subgraph of T
         with_param = [c for c in comps if solver(c) == p]
-        if len(with_param) < 3:
-            continue
-        if sum(1 for c in with_param if pathwidth_exact(c) == p) <= 2:
+        if (len(with_param) >= 3
+                and sum(1 for c in with_param if pathwidth_exact(c) == p) <= 2):
             rhs = True
             break
     return lhs == rhs

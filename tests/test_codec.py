@@ -172,3 +172,12 @@ def test_known_size_is_interned():
     with pytest.raises(AttributeError):
         scheme.cells = 4
     assert scheme.cells == 3
+
+
+def test_known_size_cells_cannot_be_deleted():
+    scheme = KnownSize(3)
+    with pytest.raises(AttributeError) as err:
+        del scheme.cells
+    assert (type(err.value) is AttributeError
+            and str(err.value) == "KnownSize is immutable: cannot delete 'cells'")
+    assert scheme.cells == 3

@@ -641,3 +641,13 @@ def _static_disagreements(variant, encoding, early_stop, seed, n=200):
 ])
 def test_dynamic_values_equal_static_runs_at_scale(variant, encoding, early_stop, seed):
     assert _static_disagreements(variant, encoding, early_stop, seed) == []
+
+
+def test_deleting_an_edge_that_is_no_father_link_is_rejected():
+    df = DynamicForest.from_tree(path_tree(4))
+    assert df.father[0] == 1
+    df.father[0] = None  # neither end of (0, 1) is now the other's child
+    with pytest.raises(ArgumentError) as err:
+        df.delete_edge(0, 1)
+    assert (type(err.value) is ArgumentError
+            and str(err.value) == "edge (0, 1) is not a father link")

@@ -10,7 +10,7 @@ from treesweep.dynamic import DynamicForest
 from treesweep.forest import (ArgumentError, Forest, Graph, cycle_graph,
                               gen_tree, parse_edge_list, path_tree,
                               random_tree, star_tree, theorem1_tree)
-from treesweep.hd import ContractError, ParamVariant, ceil_log3
+from treesweep.hd import ContractError, ParamVariant, ceil_log3, hdesc
 from treesweep.oracle import pathwidth_exact
 from treesweep.protocol import (CostCounters, Schedule, default_scheme,
                                 elect_root, run_static)
@@ -501,3 +501,23 @@ def test_rendering_wires_builds_no_frame(monkeypatch, encoding):
         assert run.transcript().count("SEND ") == tree.n - 1
         assert codec._encode_memo.cache_info().misses == misses
     assert fresh == []
+
+
+def test_a_hop_entry_beyond_the_cell_budget_is_rejected(monkeypatch):
+    import treesweep.protocol as protocol
+    wide = hdesc(2, 3, (0, 0))  # two cells; a 3-vertex tree allows one
+    monkeypatch.setattr(protocol, "_hop_memo", lambda kids, variant, scheme: ("", wide))
+    with pytest.raises(ContractError) as err:
+        run_static(path_tree(3), PN, UnknownSize())
+    assert (type(err.value) is ContractError
+            and str(err.value) == "table length 2 breaks the log3 bound at node 0")
+
+
+def test_a_root_descriptor_beyond_the_cell_budget_is_rejected(monkeypatch):
+    import treesweep.protocol as protocol
+    run_static(path_tree(3), PN, UnknownSize())  # every hop is now a memo hit
+    monkeypatch.setattr(protocol, "merge", lambda kids, variant: hdesc(2, 3, (0, 0)))
+    with pytest.raises(ContractError) as err:
+        run_static(path_tree(3), PN, UnknownSize())
+    assert (type(err.value) is ContractError
+            and str(err.value) == "root table length breaks the log3 bound")

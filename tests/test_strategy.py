@@ -11,8 +11,8 @@ from treesweep.forest import (Forest, enumerate_trees, path_tree, random_tree,
                               serialize, spider_tree, star_tree, theorem1_tree)
 from treesweep.hd import ContractError, hdesc
 from treesweep.protocol import Schedule, run_static
-from treesweep.strategy import (Action, Strategy, StrategyError, extract,
-                                validate)
+from treesweep.strategy import (Action, Strategy, StrategyError, _Extractor,
+                                extract, validate)
 
 P, R, S = "P", "R", "S"
 
@@ -307,3 +307,25 @@ def test_extract_rebuilds_the_run_from_the_memo(seed, cold_memos):
     _Extractor(t, run)
     after = hd._merge_memo.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (t.n, 0)
+
+
+def test_extract_rejects_a_run_with_two_roots():
+    t = random_tree(20, 1)
+    run = run_static(t)
+    v = next(u for u in sorted(run.father) if u in run.received)  # not a leaf
+    father = {u: f for u, f in run.father.items() if u != v}
+    with pytest.raises(ContractError) as err:
+        extract(t, run._replace(father=father))
+    assert (type(err.value) is ContractError
+            and str(err.value) == "the run describes 2 roots, want 1")
+
+
+def test_end_at_rejects_a_budget_it_cannot_meet():
+    t = random_tree(20, 1)
+    ex = _Extractor(t, run_static(t))
+    w = ex.root
+    ex.info[w] = ex.info[w]._replace(pn_plus=0)
+    with pytest.raises(ContractError) as err:
+        ex.end_at(w, [])
+    assert (type(err.value) is ContractError
+            and str(err.value) == f"end_at({w}) cannot meet budget 0")
