@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,34 @@ def test_transcript_format():
     assert any(line.startswith("SEND 0→1 ") for line in lines)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 1000, 4096])
+def test_schedule_order_draws_as_shuffle(size):
+    # the bit-length boundaries of the draws; both streams must also end
+    # in the same state, so the next round's draws agree too
+    for seed in range(6):
+        ready = list(range(size, 0, -1))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        expected = sorted(ready)
+        theirs.shuffle(expected)
+        assert Schedule(seed).order(ready, ours) == expected
+        assert ready == list(range(size, 0, -1))  # the input is not touched
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed,ready,order", [
+    (0, list(range(10)), [7, 8, 1, 5, 3, 4, 2, 0, 9, 6]),
+    (1, list(range(10)), [6, 8, 9, 7, 5, 3, 0, 4, 1, 2]),
+    (5, list(range(10)), [2, 3, 1, 0, 8, 7, 6, 5, 4, 9]),
+    (3, [9, 4, 7, 1, 8], [1, 7, 8, 9, 4]),
+    (2, list(range(20)), [7, 6, 17, 8, 19, 15, 13, 0, 3, 9, 14, 4, 10, 12,
+                          16, 5, 11, 18, 2, 1]),
+])
+def test_schedule_order_golden(seed, ready, order):
+    # literal permutations: they pin the schedule to the Mersenne Twister
+    # stream, whatever the interpreter's shuffle does
+    assert Schedule(seed).order(ready, random.Random(seed)) == order
+
+
 def test_transcript_golden():
     run = run_static(random_tree(6, 1), schedule=Schedule(3))
     assert run.transcript() == (
@@ -229,6 +258,7 @@ def test_steps_equal_n(trees_up_to_8):
     ("path", (3000,), 1500, 1500),
     ("spider", (1000, 1000, 1000), 1000, 0),
     ("theorem1", (6,), 6, 1092),
+    ("star", (2000,), 1, 0),  # the centre is emptied in the one round
 ])
 def test_peel_rounds_golden(kind, args, rounds, root, monkeypatch):
     # one Schedule.order call per peel round
@@ -286,6 +316,18 @@ def test_peel_rounds_golden(kind, args, rounds, root, monkeypatch):
      "a2f343d90c31de07f4af4d090cd0ec35619751cb2b3a4321628b9d25418691e9"),
     ("spider", (1000, 1000, 1000), ES, "unknown",
      "e72045f8f5d911fed2a5522d06304896ef7dc23ede6506e5739607bffcd6dcb2"),
+    ("star", (2000,), PN, "known",
+     "7965d4e234a408e986f98a2dd728cb98f4aa77fc633f85fa8e489f242f26f815"),
+    ("star", (2000,), PN, "unknown",
+     "8418d3cee47089faa5e07f1ef5b3b9f432c4a73cb96aae31e2fcdf35cce0f5cb"),
+    ("star", (2000,), NS, "known",
+     "847882308d9c8fd1a715c3227851c50619231bde5a2caf45e8210bd25f2c4e55"),
+    ("star", (2000,), NS, "unknown",
+     "898a76760e2cc3f8a10f66061c549336b3b37eea5b68219483dc5a88fb5ee71c"),
+    ("star", (2000,), ES, "known",
+     "7965d4e234a408e986f98a2dd728cb98f4aa77fc633f85fa8e489f242f26f815"),
+    ("star", (2000,), ES, "unknown",
+     "8418d3cee47089faa5e07f1ef5b3b9f432c4a73cb96aae31e2fcdf35cce0f5cb"),
 ])
 def test_scale_transcript_golden(kind, args, variant, encoding, digest):
     t = gen_tree(kind, *args)
