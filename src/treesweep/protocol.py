@@ -251,7 +251,7 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
                 brought_to_one.append(f)
             elif not left:
                 emptied = True
-        if emptied:  # the root heard its last neighbour: drop it, the last round
+        if emptied:  # the root heard its last neighbour: the last round
             ready = [f for f in brought_to_one if len(adj[f]) - len(received[f]) == 1]
         else:
             ready = brought_to_one
