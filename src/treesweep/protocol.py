@@ -12,19 +12,19 @@ message from exactly one neighbour fires during the round, sending its
 merged descriptor to that neighbour (its father).  A node misses
 `len(adj[v]) - len(received[v])` neighbours, so round one fires the leaves,
 and each later round fires the fathers that a send brought down to one, in
-a list the round builds as it sends and hands on as is.  A send that
-brings its father down to zero can only reach the root: that father has
-heard from every neighbour, so every other node has sent and the round is
-the last.  Only then is the list filtered, to drop the root it took at one.
+a list the round builds as it sends and hands on as the next ready list.
+A father brought down to zero has heard from every neighbour: it is the
+root, every other node has sent, and the round is the last.  So after the
+(n - 1)-th send the list holds at most the root (a star's centre joins it
+at one and is heard out in the same round), and nothing is handed on.
 The seeded schedule permutes firing order inside a round, which
 reorders transcripts without affecting results; a ready list fixed per round
 keeps the emergent root, hence every per-node descriptor,
 schedule-independent.  The permutation is a Fisher-Yates pass that
-`Schedule.order` writes out over `getrandbits`, with the very draws of
-`random.Random.shuffle`: Python promises a repeatable `random()` for a
-seed, not a repeatable `shuffle`, so the transcripts hang on the Mersenne
-Twister's bits alone, and a round costs no `shuffle` or per-item
-`_randbelow` frame.  When the final two unvisited nodes each miss only the
+`Schedule.order` writes out over `getrandbits`, making the same draws as
+`random.Random.shuffle` without its frame or a per-item `_randbelow`
+frame; literal goldens pin it to the `getrandbits` stream of a seeded
+generator.  When the final two unvisited nodes each miss only the
 other, both are root candidates and the larger identifier wins the election;
 the loser fires, so exactly n - 1 messages cross the wire in every run.  The
 final pair is a ready list of two nodes after n - 2 messages: no edge
@@ -120,9 +120,9 @@ class Schedule(NamedTuple):
         `rng.getrandbits`, with the draws `random.Random.shuffle` makes:
         for i from the last index down to 1, j takes (i + 1).bit_length()
         bits, redrawn while j > i, and the items at i and j swap.  It is
-        written out rather than a call to `shuffle`, whose draws Python
-        does not promise to keep, and it saves that call's frame and one
-        `_randbelow` frame per item."""
+        written out rather than a call to `shuffle` to save that call's
+        frame and one `_randbelow` frame per item, most of a round's cost
+        when a path or a spider fires two or three nodes per round."""
         ready = sorted(ready)
         getrandbits = rng.getrandbits
         for i in range(len(ready) - 1, 0, -1):
@@ -224,7 +224,6 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
             root = elect_root(*ready)
             ready.remove(root)
         brought_to_one = []
-        emptied = False
         for v in schedule.order(ready, rng):
             heard = received.get(v)
             if heard is None:  # a leaf
@@ -246,15 +245,10 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
                 into = received[f] = {}
             into[v] = entry
             father[v] = f
-            left = len(adj[f]) - len(into)
-            if left == 1:
+            if len(adj[f]) - len(into) == 1:
                 brought_to_one.append(f)
-            elif not left:
-                emptied = True
-        if emptied:  # the root heard its last neighbour: the last round
-            ready = [f for f in brought_to_one if len(adj[f]) - len(received[f]) == 1]
-        else:
-            ready = brought_to_one
+        # after the last send only the root can be on the list, heard out
+        ready = brought_to_one if messages < n - 1 else []
 
     fatherless = [v for v in adj if v not in father]
     if len(fatherless) != 1 or (root is not None and fatherless != [root]):

@@ -218,8 +218,9 @@ def test_schedule_order_draws_as_shuffle(size):
                           16, 5, 11, 18, 2, 1]),
 ])
 def test_schedule_order_golden(seed, ready, order):
-    # literal permutations: they pin the schedule to the Mersenne Twister
-    # stream, whatever the interpreter's shuffle does
+    # literal permutations: they pin the schedule to the getrandbits stream
+    # of a seeded generator; the test above only ties it to this
+    # interpreter's shuffle
     assert Schedule(seed).order(ready, random.Random(seed)) == order
 
 
