@@ -121,8 +121,8 @@ class Schedule(NamedTuple):
         for i from the last index down to 1, j takes (i + 1).bit_length()
         bits, redrawn while j > i, and the items at i and j swap.  It is
         written out rather than a call to `shuffle` to save that call's
-        frame and one `_randbelow` frame per item, most of a round's cost
-        when a path or a spider fires two or three nodes per round."""
+        frame and one `_randbelow` frame per item, which a path or a
+        spider pays once per round of two or three sends."""
         ready = sorted(ready)
         getrandbits = rng.getrandbits
         for i in range(len(ready) - 1, 0, -1):
