@@ -5,14 +5,13 @@ from .codec import (CapacityError, FramingError, KnownSize, UnknownSize,
                     decode, encode)
 from .dynamic import DynamicForest, inc_build, run_script
 from .forest import (ArgumentError, Forest, Graph, GraphError, ParseError,
-                     StructureError, cycle_graph, enumerate_trees, gen_tree,
-                     grid_graph, number_of_free_trees, parse_edge_list,
-                     path_tree, prufer_to_tree, random_tree, serialize,
-                     spider_tree, star_tree, theorem1_size, theorem1_tree)
+                     StructureError, enumerate_trees, gen_tree,
+                     parse_edge_list, path_tree, prufer_to_tree, random_tree,
+                     serialize, spider_tree, star_tree, theorem1_tree)
 from .hd import (ContractError, EvalResult, HDescriptor, NO_STABLE,
-                 ParamVariant, Vect, ceil_log3, evaluate, hdesc, merge,
-                 merge_detailed, pn_plus_of, rooted_descriptors, rooted_value,
-                 simplify, validate_descriptor)
+                 ParamVariant, Vect, ceil_log3, evaluate, merge,
+                 merge_detailed, rooted_descriptors, rooted_value,
+                 validate_descriptor)
 from .oracle import (CapacityError as OracleCapacityError,
                      es_exact, gap_characterization_check, ns_exact,
                      pathwidth_exact, pn_exact, pn_plus_exact, stable_exact)

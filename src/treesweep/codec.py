@@ -48,11 +48,11 @@ validated, and `encode` takes its memo only for a tagged descriptor, so a
 hand-built descriptor is encoded afresh.
 
 Memo keys hash and compare in C.  Both schemes are interned: `UnknownSize`
-has a single instance, and `KnownSize` one instance per cell budget (a
-pickle round trip returns it too), so equality is identity and a key
-holding a scheme hashes by `object.__hash__`.  A known-size frame depends
-on n only through the budget, so trees whose budgets match share one
-scheme and every memo entry keyed on it.
+has a single instance, and `KnownSize` one instance per cell budget, so
+equality is identity and a key holding a scheme hashes by
+`object.__hash__`.  A known-size frame depends on n only through the
+budget, so trees whose budgets match share one scheme and every memo
+entry keyed on it.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class KnownSize:
     def __delattr__(self, name):
         raise AttributeError(f"KnownSize is immutable: cannot delete {name!r}")
 
-    def __reduce__(self):
-        return KnownSize, (self.cells,)
-
     def __repr__(self) -> str:
         return f"KnownSize(cells={self.cells!r})"
 
@@ -127,9 +124,6 @@ class UnknownSize:
 
     def __new__(cls) -> "UnknownSize":
         return _UNKNOWN_SIZE
-
-    def __reduce__(self):
-        return UnknownSize, ()
 
     def __repr__(self) -> str:
         return "UnknownSize()"

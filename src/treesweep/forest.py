@@ -2,9 +2,10 @@
 
 Vertices are dense non-negative integers so that identifier comparison
 doubles as the total order used for root election.  `Graph` allows cycles
-(it only exists as oracle input: cycles, grids); `Forest` rejects any
-cycle-creating insertion at the model layer.  Three kinds of traffic
-insert edges, each through one path:
+(it exists as oracle input; the cycles and grids the tests feed the
+oracles are built in the tests); `Forest` rejects any cycle-creating
+insertion at the model layer.  Three kinds of traffic insert edges, each
+through one path:
 
 - A forest's edge list known up front (the `Forest` constructor, and so
   every generator and `induced`; `parse_edge_list`; `prufer_to_tree`)
@@ -12,20 +13,21 @@ insert edges, each through one path:
   union-find local to the call (Tarjan, "Efficiency of a good but not
   linear set union algorithm", J. ACM 1975) in near-constant amortised
   time, so a build, a parse or a Pruefer decode is near-linear.
-- Incremental insertion into a forest (`DynamicForest`, `random_forest`)
-  goes through `Forest.add_edge`, whose cycle check `exhausted_side`
-  searches from both endpoints in lockstep and returns the side it
-  exhausts first, for `DynamicForest` to relabel: O(min(|A|, |B|)) for
-  the components A and B it joins, so O(n log n) for any tree in any edge
-  order.  A search, not a union-find, because `DynamicForest.delete_edge`
-  also deletes edges (and searches the cut the same way); a union cannot
-  be undone.
-- A `Graph`'s edges, which may close cycles, go through `Graph._join`.
+- Incremental insertion into a forest (`DynamicForest`) goes through
+  `Forest.add_edge`, the model's only `add_edge`, whose cycle check
+  `exhausted_side` searches from both endpoints in lockstep and returns
+  the side it exhausts first, for `DynamicForest` to relabel:
+  O(min(|A|, |B|)) for the components A and B it joins, so O(n log n)
+  for any tree in any edge order.  A search, not a union-find, because
+  `DynamicForest.delete_edge` also deletes edges (and searches the cut
+  the same way); a union cannot be undone.
+- A `Graph`'s edges, which may close cycles, go through `Graph._join`
+  from the `Graph` constructor.
 
 The two forest paths raise the same `StructureError`s in the same order:
 a self-loop, a duplicate, then a cycle (`Graph._join` the first two).
-The constructors and both `add_edge` methods check each endpoint's id
-first, u then v, with `add_vertex`.
+The constructors and `Forest.add_edge` check each endpoint's id first,
+u then v, with `add_vertex`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -96,11 +97,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self._join(u, v)
 
     def _join(self, u: int, v: int) -> None:
         """Link u and v, which are vertices unless u == v."""
@@ -414,10 +410,6 @@ def theorem1_tree(k: int) -> Forest:
     return Forest(range(n) if k < 2 else (), edges)
 
 
-def theorem1_size(k: int) -> int:
-    return (3 ** (k + 1) - 1) // 2
-
-
 def prufer_to_tree(seq: list[int], n: int) -> Forest:
     """Decode a Pruefer sequence of length n - 2 over vertices 0..n-1."""
     if n < 2:
@@ -445,28 +437,25 @@ def prufer_to_tree(seq: list[int], n: int) -> Forest:
 
 
 def random_tree(n: int, seed: int) -> Forest:
+    """The tree of a Pruefer sequence of n - 2 seeded draws.
+
+    Each entry takes n.bit_length() bits from `getrandbits`, redrawn while
+    it is n or more: the draws `random.Random.randrange(n)` makes, without
+    its frames, as in `protocol.Schedule.order`.
+    """
     if n < 1:
         raise ArgumentError(f"random tree needs n >= 1, got {n}")
     if n == 1:
         return Forest([0])
-    rng = random.Random(seed)
-    return prufer_to_tree([rng.randrange(n) for _ in range(n - 2)], n)
-
-
-def random_forest(n: int, edges: int, seed: int) -> Forest:
-    """Uniformly-ish sprinkled acyclic edges; may be disconnected on purpose."""
-    if n < 1 or edges < 0 or edges > n - 1:
-        raise ArgumentError("need 1 <= n and 0 <= edges <= n - 1")
-    rng = random.Random(seed)
-    f = Forest(range(n))
-    added = 0
-    while added < edges:
-        try:
-            f.add_edge(rng.randrange(n), rng.randrange(n))
-        except StructureError:  # self-loop, duplicate or cycle: draw again
-            continue
-        added += 1
-    return f
+    getrandbits = random.Random(seed).getrandbits
+    k = n.bit_length()
+    seq = []
+    for _ in range(n - 2):
+        x = getrandbits(k)
+        while x >= n:
+            x = getrandbits(k)
+        seq.append(x)
+    return prufer_to_tree(seq, n)
 
 
 # the tree kinds of `gen_tree`, in the order `treesweep gen` lists them
@@ -490,26 +479,6 @@ def gen_tree(kind: str, *args) -> Forest:
         raise ArgumentError(f"{kind} expects {' '.join(names)}, "
                             f"got {len(args)} argument(s)")
     return _GENERATORS[kind](*args)
-
-
-def cycle_graph(k: int) -> Graph:
-    if k < 3:
-        raise ArgumentError(f"cycle needs k >= 3, got {k}")
-    return Graph(range(k), [(i, (i + 1) % k) for i in range(k)])
-
-
-def grid_graph(rows: int, cols: int) -> Graph:
-    if rows < 1 or cols < 1:
-        raise ArgumentError("grid needs positive dimensions")
-    g = Graph(range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(v, v + 1)
-            if r + 1 < rows:
-                g.add_edge(v, v + cols)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -536,28 +505,6 @@ def enumerate_trees(n: int) -> Iterator[Forest]:
         if layout is not None:
             yield _layout_to_forest(layout)
             layout = _next_rooted_tree(layout)
-
-
-def number_of_free_trees(n: int) -> int:
-    """Independent count of unlabeled free trees (A000055 via A000081)."""
-    if n < 0:
-        raise ArgumentError("order must be non-negative")
-    value = sum(_rooted_count(k) * _rooted_count(n - k) for k in range(n + 1))
-    if n % 2 == 0:
-        value -= _rooted_count(n // 2)
-    return _rooted_count(n) - value // 2
-
-
-@lru_cache(None)
-def _rooted_count(n: int) -> int:
-    if n < 2:
-        return n
-    value = 0
-    for j in range(1, n):
-        for d in range(1, n):
-            if j % d == 0:
-                value += d * _rooted_count(d) * _rooted_count(n - j)
-    return value // (n - 1)
 
 
 def _next_rooted_tree(predecessor, p=None):

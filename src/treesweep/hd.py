@@ -26,8 +26,8 @@ Tables are normalized so their length is max(vect.pn, last nonzero cell);
 trailing zeros would otherwise corrupt the evaluator's case (a) scan.
 
 Descriptors are validated where they enter from outside: `merge` checks its
-children (caller input), `evaluate` and `simplify` check their argument, and
-`codec.decode` checks every descriptor read off the wire.  The merge does not
+children (caller input), `evaluate` checks its argument, and `codec.decode`
+checks every descriptor read off the wire.  The merge does not
 re-check its own output: its minimality is pinned by the test suite, and on
 every protocol path the output is framed and decoded by the receiver in
 `protocol.hop`, whose decode validated that frame the first time it saw
@@ -35,8 +35,8 @@ it.  The hop's memo runs that decode and its round-trip check once per
 distinct hop, in static runs and dynamic forests alike, while every
 message is still encoded and counted.  For the same reason the merge
 evaluates its output unvalidated, and records the result and the
-output's pn+ in its `MergeInfo` (`result` and `pn_plus`, equal to
-`evaluate` and `pn_plus_of` of the output).
+output's pn+ in its `MergeInfo`: `result` is `evaluate` of the output,
+and `pn_plus` is `pn_plus_from` of the output and that result.
 
 The merge is memoised.  A run draws its messages from a few dozen distinct
 minimal descriptors, so most merges repeat an earlier one.  The output and
@@ -110,10 +110,6 @@ class _Minimal(HDescriptor):
         return HDescriptor(*self)._replace(**changes)
 
 
-def hdesc(pn: int, pn_plus: int, cells: Sequence[int] = ()) -> HDescriptor:
-    return HDescriptor(Vect(pn, pn_plus), tuple(cells))
-
-
 class ParamVariant(Enum):
     PROCESS_NUMBER = "pn"
     NODE_SEARCH = "ns"
@@ -137,7 +133,7 @@ class MergeInfo(NamedTuple):
     folded: bool
     fired: int | None              # simplification target, when it fired
     result: EvalResult             # evaluate() of the merge output
-    pn_plus: int                   # pn_plus_of() of the merge output
+    pn_plus: int                   # pn_plus_from(output, result)
 
 
 def ceil_log3(n: int) -> int:
@@ -209,13 +205,9 @@ def _evaluate(hd: HDescriptor) -> EvalResult:
     return EvalResult(max(hd.vect.pn, length + 1), True)
 
 
-def pn_plus_of(hd: HDescriptor) -> int:
-    """Minimum agents for a strategy ending at the subtree root (>= 1)."""
-    return pn_plus_from(hd, evaluate(hd))
-
-
 def pn_plus_from(hd: HDescriptor, res: EvalResult) -> int:
-    """`pn_plus_of` given `res = evaluate(hd)` already computed."""
+    """Minimum agents for a strategy ending at the subtree root (>= 1),
+    given `res = evaluate(hd)`."""
     if res.stable:
         return max(hd.vect.pn_plus, 1)
     return res.value + 1
@@ -325,38 +317,8 @@ def merge(children: Iterable[HDescriptor], variant: ParamVariant) -> HDescriptor
     return merge_detailed(children, variant)[0]
 
 
-def simplify(hd: HDescriptor) -> HDescriptor:
-    """Fixpoint of the restriction-based simplification; idempotent and
-    value-preserving.  Minimal descriptors pass through unchanged."""
-    validate_descriptor(hd)
-    cur = _normalized(hd.vect, list(hd.table))
-    while True:
-        nxt = _simplify_once(cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
-def _simplify_once(hd: HDescriptor) -> HDescriptor:
-    vect, table = hd
-    length = len(table)
-    if length == 0:
-        return hd
-    cells = [0] + list(table)
-    folded = vect == NO_STABLE
-    if folded:
-        # the root piece is the unstable piece at the lowest nonzero cell
-        pv = next((i for i in range(1, length + 1) if cells[i]), 0)
-    else:
-        pv = vect.pn
-    fired = _collapse(cells, length, pv, folded)
-    if fired is None:
-        return hd
-    return _normalized(Vect(fired, fired), cells[1:])
-
-
 def _collapse(cells: list[int], length: int, probe: int, folded: bool) -> int | None:
-    """The simplification step shared by the merge and `simplify`.
+    """The merge's simplification step.
 
     `cells` is a 1-based working array of `length` cells (cells[0] unused)
     and `probe`, at most `length`, the value of the root piece.  When the

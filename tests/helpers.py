@@ -2,7 +2,75 @@
 import path under pytest, and CI puts it there for the scripts that import
 a test module."""
 
+import random
 from collections import deque
+from functools import lru_cache
+from typing import Sequence
+
+from treesweep.forest import ArgumentError, Forest, Graph, StructureError
+from treesweep.hd import HDescriptor, Vect
+
+
+def hdesc(pn: int, pn_plus: int, cells: Sequence[int] = ()) -> HDescriptor:
+    return HDescriptor(Vect(pn, pn_plus), tuple(cells))
+
+
+def random_forest(n: int, edges: int, seed: int) -> Forest:
+    """Uniformly-ish sprinkled acyclic edges; may be disconnected on purpose."""
+    if n < 1 or edges < 0 or edges > n - 1:
+        raise ArgumentError("need 1 <= n and 0 <= edges <= n - 1")
+    rng = random.Random(seed)
+    f = Forest(range(n))
+    added = 0
+    while added < edges:
+        try:
+            f.add_edge(rng.randrange(n), rng.randrange(n))
+        except StructureError:  # self-loop, duplicate or cycle: draw again
+            continue
+        added += 1
+    return f
+
+
+def cycle_graph(k: int) -> Graph:
+    if k < 3:
+        raise ArgumentError(f"cycle needs k >= 3, got {k}")
+    return Graph(range(k), [(i, (i + 1) % k) for i in range(k)])
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    if rows < 1 or cols < 1:
+        raise ArgumentError("grid needs positive dimensions")
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return Graph(range(rows * cols), edges)
+
+
+def number_of_free_trees(n: int) -> int:
+    """Independent count of unlabeled free trees (A000055 via A000081)."""
+    if n < 0:
+        raise ArgumentError("order must be non-negative")
+    value = sum(_rooted_count(k) * _rooted_count(n - k) for k in range(n + 1))
+    if n % 2 == 0:
+        value -= _rooted_count(n // 2)
+    return _rooted_count(n) - value // 2
+
+
+@lru_cache(None)
+def _rooted_count(n: int) -> int:
+    if n < 2:
+        return n
+    value = 0
+    for j in range(1, n):
+        for d in range(1, n):
+            if j % d == 0:
+                value += d * _rooted_count(d) * _rooted_count(n - j)
+    return value // (n - 1)
 
 
 def _balanced_joins(lo, hi, out):

@@ -15,16 +15,15 @@ import pytest
 from treesweep.codec import UnknownSize, decode, encode
 from treesweep.dynamic import DynamicForest, inc_build
 from treesweep.experiments import loglog_slope, scaling_table
-from treesweep.forest import (Forest, cycle_graph, enumerate_trees,
-                              grid_graph, path_tree, random_tree, serialize,
-                              star_tree, theorem1_tree)
-from treesweep.hd import ParamVariant, ceil_log3, evaluate, hdesc
+from treesweep.forest import (Forest, enumerate_trees, path_tree, random_tree,
+                              serialize, star_tree, theorem1_tree)
+from treesweep.hd import ParamVariant, ceil_log3, evaluate
 from treesweep.oracle import (es_exact, gap_characterization_check, ns_exact,
                               pathwidth_exact, pn_exact, stable_exact)
 from treesweep.protocol import default_scheme, run_static
 from treesweep.strategy import extract, validate
 
-from helpers import _dist
+from helpers import _dist, cycle_graph, grid_graph, hdesc
 
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH

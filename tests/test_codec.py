@@ -1,5 +1,3 @@
-import pickle
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -10,8 +8,10 @@ from treesweep.codec import (CapacityError, CodecError, FramingError,
                              encode)
 from treesweep.forest import random_tree
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
-                          Vect, hdesc)
+                          Vect)
 from treesweep.protocol import run_static
+
+from helpers import hdesc
 
 PN = ParamVariant.PROCESS_NUMBER
 
@@ -153,7 +153,6 @@ def test_schemes_hash_and_compare_by_value():
     assert KnownSize.for_tree(27, PN) is KnownSize.for_tree(27, PN)
     assert repr(KnownSize.for_tree(3.0, PN)) == "KnownSize(cells=1)"
     assert UnknownSize() is UnknownSize() and repr(UnknownSize()) == "UnknownSize()"
-    assert pickle.loads(pickle.dumps(UnknownSize())) is UnknownSize()
     assert UnknownSize() != KnownSize(3)
 
 
@@ -166,7 +165,6 @@ def test_known_size_is_interned():
     assert KnownSize.for_tree(27.0, PN) is scheme
     assert KnownSize.for_tree(28, PN) is KnownSize(4)
     assert KnownSize.for_tree(27, ParamVariant.NODE_SEARCH) is KnownSize(4)
-    assert pickle.loads(pickle.dumps(scheme)) is scheme
     assert type(KnownSize.for_tree(27, PN)).__hash__ is object.__hash__
     assert type(scheme).__eq__ is object.__eq__
     with pytest.raises(AttributeError):

@@ -8,16 +8,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treesweep.forest import (ArgumentError, Forest, Graph, GraphError,
-                              ParseError, StructureError, cycle_graph,
-                              enumerate_trees, gen_tree, grid_graph,
-                              number_of_free_trees,
-                              parse_edge_list, path_tree, prufer_to_tree,
-                              random_forest, random_tree, serialize,
-                              spider_tree, star_tree, theorem1_size,
-                              theorem1_tree)
+                              ParseError, StructureError, enumerate_trees,
+                              gen_tree, parse_edge_list, path_tree,
+                              prufer_to_tree, random_tree, serialize,
+                              spider_tree, star_tree, theorem1_tree)
 from treesweep.oracle import gap_characterization_check
 
-from helpers import _balanced_joins
+from helpers import (_balanced_joins, cycle_graph, grid_graph,
+                     number_of_free_trees, random_forest)
 
 # counts of non-isomorphic free trees, n = 1..13
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
@@ -151,7 +149,6 @@ def test_serialize_roundtrips_sparse_ids_or_refuses_cleanly(n, seed):
 ])
 def test_random_forest_edges_golden(n, edges, seed, want):
     # the seeded draws, and which of them are rejected, are part of the output
-    from treesweep.forest import random_forest
     assert random_forest(n, edges, seed).edges() == want
 
 
@@ -204,7 +201,7 @@ def test_theorem1_structure():
     center = 12
     assert sorted(t2.neighbours(center)) == [3, 7, 11]  # the three star centers
     for k in range(7):
-        assert theorem1_tree(k).n == theorem1_size(k) == (3 ** (k + 1) - 1) // 2
+        assert theorem1_tree(k).n == (3 ** (k + 1) - 1) // 2
     for k in range(5):
         t = theorem1_tree(k)
         assert t.is_tree()
@@ -236,6 +233,17 @@ def test_generators_golden(family):
     want, build = GENERATOR_GOLDENS[family]
     adjacency = [[(v, list(nbrs)) for v, nbrs in g.adj.items()] for g in build()]
     assert hashlib.sha256(repr(adjacency).encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65,
+                               255, 256, 257, 1023, 1024, 1025, 4096, 4097])
+def test_random_tree_draws_as_randrange(n):
+    # a Pruefer sequence is its tree's one code, so equal trees mean equal
+    # draws
+    for seed in range(5):
+        rng = random.Random(seed)
+        want = prufer_to_tree([rng.randrange(n) for _ in range(n - 2)], n)
+        assert random_tree(n, seed) == want
 
 
 @given(st.integers(1, 50), st.integers(0, 10_000))
@@ -299,7 +307,7 @@ def test_forest_guards():
     assert g.n == 5 and g.m() == 5
     gr = grid_graph(3, 3)
     assert gr.n == 9 and gr.m() == 12
-    assert not gr.is_connected() or gr.is_connected()
+    assert gr.is_connected()
 
 
 def test_components():
@@ -310,7 +318,6 @@ def test_components():
 
 
 def test_random_forest_roundtrips_disconnected():
-    from treesweep.forest import random_forest
     f = random_forest(12, 7, seed=3)
     assert f.n == 12 and f.m() == 7 and not f.is_connected()
     assert parse_edge_list(serialize(f)) == f
@@ -645,12 +652,15 @@ def test_constructor_reports_a_bad_id_before_a_self_loop(kind, edge):
 def test_add_edge_reports_a_bad_id_before_a_self_loop(kind, edge, bad):
     from treesweep.forest import Graph
 
-    g = {"Graph": Graph, "Forest": Forest}[kind]()
+    # a Graph takes its edges through its constructor, which checks them as
+    # `Forest.add_edge` does
+    add_edge = {"Graph": lambda u, v: Graph((), [(u, v)]),
+                "Forest": Forest().add_edge}[kind]
     with pytest.raises(StructureError) as err:
-        g.add_edge(*edge)
+        add_edge(*edge)
     assert str(err.value) == f"vertex ids must be non-negative integers, got {bad}"
     with pytest.raises(StructureError, match="^self-loop at vertex 3$"):
-        g.add_edge(3, 3)
+        add_edge(3, 3)
 
 
 def test_induced_subgraph_keeps_the_kind_of_graph():

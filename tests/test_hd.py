@@ -9,14 +9,14 @@ from treesweep.codec import FramingError, KnownSize, UnknownSize, decode, encode
 from treesweep.forest import (ArgumentError, Forest, enumerate_trees, path_tree,
                               prufer_to_tree, random_tree, spider_tree, star_tree)
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
-                          Vect, ceil_log3, evaluate, hdesc, merge,
-                          merge_detailed, pn_plus_of, rooted_descriptors,
-                          rooted_value, simplify, validate_descriptor)
-from treesweep.hd import _merge, _merge_memo, _Minimal
+                          Vect, ceil_log3, evaluate, merge, merge_detailed,
+                          pn_plus_from, rooted_descriptors, rooted_value,
+                          validate_descriptor)
+from treesweep.hd import _collapse, _merge, _merge_memo, _Minimal, _normalized
 from treesweep.oracle import es_exact, ns_exact, pn_exact, stable_exact
 from treesweep.protocol import run_static
 
-from helpers import _outcome
+from helpers import _outcome, hdesc
 
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
@@ -95,6 +95,8 @@ def test_evaluate_rejects_malformed():
 
 
 def test_pn_plus_of():
+    def pn_plus_of(hd):
+        return pn_plus_from(hd, evaluate(hd))
     assert pn_plus_of(hdesc(0, 0)) == 1   # a single node still needs one agent
     assert pn_plus_of(hdesc(1, 2, [0])) == 2
     assert pn_plus_of(hdesc(2, 2, [0, 0])) == 2
@@ -277,6 +279,23 @@ def test_merge_record_is_the_same_in_any_child_order(trees_up_to_8):
 
 
 # --- simplify ---------------------------------------------------------------
+
+def simplify(hd):
+    """Fixpoint of the merge's simplification step, `_collapse`, on one
+    descriptor: the restriction-based simplification of the paper."""
+    validate_descriptor(hd)
+    cur = _normalized(hd.vect, list(hd.table))
+    while cur.table:
+        cells, folded = [0, *cur.table], cur.vect == NO_STABLE
+        # a folded root piece is the unstable piece at the lowest nonzero cell
+        probe = next((i for i, c in enumerate(cells) if c), 0) if folded else cur.vect.pn
+        fired = _collapse(cells, len(cur.table), probe, folded)
+        nxt = cur if fired is None else _normalized(Vect(fired, fired), cells[1:])
+        if nxt == cur:
+            break
+        cur = nxt
+    return cur
+
 
 def test_simplify_reduces_the_worked_example():
     # the value-9 table with its top subtree removed becomes a stable 7

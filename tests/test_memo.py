@@ -18,12 +18,11 @@ from treesweep.codec import (CapacityError, CodecError, FramingError,
                              KnownSize, UnknownSize, decode, encode)
 from treesweep.dynamic import DynamicForest, inc_build
 from treesweep.forest import path_tree, random_tree
-from treesweep.hd import (ContractError, HDescriptor, ParamVariant, Vect,
-                          hdesc, merge)
+from treesweep.hd import ContractError, HDescriptor, ParamVariant, Vect, merge
 from treesweep.protocol import Schedule, default_scheme, run_static
 from treesweep.strategy import extract
 
-from helpers import _outcome
+from helpers import _outcome, hdesc
 
 PN = ParamVariant.PROCESS_NUMBER
 
@@ -98,7 +97,7 @@ def test_merge_info_carries_the_evaluation_of_its_output(trees_up_to_8, cold_mem
                         kids = [out[u] for u in tree.neighbours(v) if u != parent[v]]
                         out[v], info = hd.merge_detailed(kids, variant)
                         assert info.result == hd.evaluate(out[v])
-                        assert info.pn_plus == hd.pn_plus_of(out[v])
+                        assert info.pn_plus == hd.pn_plus_from(out[v], info.result)
     memo = hd._merge_memo.cache_info()
     assert memo.misses and memo.hits > memo.misses
 

@@ -2,13 +2,15 @@ import hashlib
 
 import pytest
 
-from treesweep.forest import (ArgumentError, Forest, Graph, cycle_graph,
-                              enumerate_trees, grid_graph, path_tree, serialize,
-                              spider_tree, star_tree, theorem1_tree)
+from treesweep.forest import (ArgumentError, Forest, Graph, enumerate_trees,
+                              path_tree, serialize, spider_tree, star_tree,
+                              theorem1_tree)
 from treesweep.oracle import (CapacityError, es_exact,
                               gap_characterization_check, ns_exact,
                               pathwidth_exact, pn_exact, pn_plus_exact,
                               stable_exact)
+
+from helpers import cycle_graph, grid_graph
 
 
 def test_process_number_examples():

@@ -8,13 +8,15 @@ import hypothesis.strategies as st
 
 from treesweep.codec import UnknownSize, decode
 from treesweep.dynamic import DynamicForest
-from treesweep.forest import (ArgumentError, Forest, Graph, cycle_graph,
-                              gen_tree, parse_edge_list, path_tree,
-                              random_tree, star_tree, theorem1_tree)
-from treesweep.hd import ContractError, ParamVariant, ceil_log3, hdesc
+from treesweep.forest import (ArgumentError, Forest, Graph, gen_tree,
+                              parse_edge_list, path_tree, random_tree,
+                              star_tree, theorem1_tree)
+from treesweep.hd import ContractError, ParamVariant, ceil_log3
 from treesweep.oracle import pathwidth_exact
 from treesweep.protocol import (CostCounters, Schedule, default_scheme,
                                 elect_root, run_static)
+
+from helpers import cycle_graph, hdesc
 
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH

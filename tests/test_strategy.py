@@ -9,10 +9,12 @@ import hypothesis.strategies as st
 
 from treesweep.forest import (Forest, enumerate_trees, path_tree, random_tree,
                               serialize, spider_tree, star_tree, theorem1_tree)
-from treesweep.hd import ContractError, hdesc
+from treesweep.hd import ContractError
 from treesweep.protocol import Schedule, run_static
 from treesweep.strategy import (Action, Strategy, StrategyError, _Extractor,
                                 extract, validate)
+
+from helpers import hdesc
 
 P, R, S = "P", "R", "S"
 
