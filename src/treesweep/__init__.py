@@ -10,8 +10,7 @@ from .forest import (ArgumentError, Forest, Graph, GraphError, ParseError,
                      serialize, spider_tree, star_tree, theorem1_tree)
 from .hd import (ContractError, EvalResult, HDescriptor, NO_STABLE,
                  ParamVariant, Vect, ceil_log3, evaluate, merge,
-                 merge_detailed, rooted_descriptors, rooted_value,
-                 validate_descriptor)
+                 merge_detailed, validate_descriptor)
 from .oracle import (CapacityError as OracleCapacityError,
                      es_exact, gap_characterization_check, ns_exact,
                      pathwidth_exact, pn_exact, pn_plus_exact, stable_exact)

@@ -14,11 +14,11 @@ import functools
 import sys
 from typing import Iterator
 
-from .dynamic import run_script
+from .dynamic import DynamicForest, run_script
 from .experiments import loglog_slope, scaling_table
 from .forest import (_GENERATORS, ArgumentError, Forest, GraphError,
                      enumerate_trees, gen_tree, parse_edge_list, serialize)
-from .hd import ContractError, ParamVariant, rooted_value
+from .hd import ContractError, ParamVariant
 from .oracle import (ES_LIMIT, NS_LIMIT, PN_LIMIT, PN_PLUS_LIMIT, PW_LIMIT,
                      es_exact, gap_characterization_check, ns_exact, pn_exact,
                      pathwidth_exact, stable_exact)
@@ -72,7 +72,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_dynamic(args) -> int:
-    with open(args.script, "r") as fh:
+    with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
     out, df = run_script(text, VARIANT_FOR[args.param], args.encoding)
     for line in out:
@@ -85,16 +85,25 @@ def cmd_dynamic(args) -> int:
 
 
 def _check_values(tree: Forest, param: str) -> Iterator[str]:
+    """The protocol's values against the oracle's: the value that the
+    set-up run of a dynamic forest leaves at its elected root, then the
+    value at every root that the forest's own `change_root` moves to."""
+    *_, last = tree.vertices
     for name in (("pn", "ns", "es") if param == "all" else (param,)):
-        variant = VARIANT_FOR[name]
-        got = run_static(tree, variant).value
+        df = DynamicForest.from_tree(tree, VARIANT_FOR[name])
         want = ORACLE_FOR[name](tree)
+        (got,) = df.roots.values()
         if got != want:
             yield f"{name}: got={got} want={want}"
+        # start from the last vertex, so that on two or more vertices every
+        # value read below, the elected root's too, comes from a re-rooting
+        df.change_root(last)
         for root in tree.vertices:
-            got = rooted_value(tree, root, variant)
+            df.change_root(root)
+            got = df.value_of(root)
             if got != want:
                 yield f"{name} rooted at {root}: got={got} want={want}"
+        df.check_invariants()
 
 
 def _check_relations(tree: Forest, param: str) -> Iterator[str]:

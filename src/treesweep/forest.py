@@ -298,10 +298,11 @@ def parse_edge_list(text: str | bytes) -> Forest:
     Blank lines and "#" comments are ignored.  Lines are read in order and the
     first bad one raises: a malformed line a ParseError, a self-loop,
     duplicate or cycle-creating edge a StructureError naming the edge, both
-    prefixed by "line N: ".  Near-linear in the input (see `_build`).
+    prefixed by "line N: ".  Bytes are decoded as UTF-8.  Near-linear in the
+    input (see `_build`).
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = text.decode("utf-8")
     forest = Forest()
     adj = forest.adj
     lineno = 0

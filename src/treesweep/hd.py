@@ -6,6 +6,11 @@ pn <= pn+ <= pn + 1 it fits in an integer and a bit.  Cell i of the table
 counts the unstable associated-trees with vector (i, i+1); cell 1 is kept
 in storage but is always 0 because value-1 trees count as stable.
 
+This module is the descriptor algebra alone and imports no other module of
+the package.  Trees reach it through the protocol, whose static run and
+`DynamicForest.change_root` do the merging; the tests keep a plain
+post-order merge cascade (`tests/helpers.py`) as their reference.
+
 The merge follows the fusion procedure of the distributed algorithm with
 three repairs where a literal reading of the fusion rules is inconsistent;
 each has a test on a tree that fails without it, in `tests/test_hd.py`
@@ -68,8 +73,6 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
-
-from .forest import Forest
 
 
 MEMO_SIZE = 1 << 16  # entries kept by each memo, here and in codec
@@ -353,33 +356,3 @@ def _collapse(cells: list[int], length: int, probe: int, folded: bool) -> int | 
         cells[i] = 0
     return fired
 
-
-# ---------------------------------------------------------------------------
-# rooted cascade (shared by tests and conformance)
-
-def rooted_descriptors(tree: Forest, root: int,
-                       variant: ParamVariant) -> dict[int, HDescriptor]:
-    """Descriptor of every rooted subtree via a post-order merge cascade."""
-    if root not in tree.vertices:
-        raise ContractError(f"root {root} not in tree")
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in tree.neighbours(v):
-            if u not in parent:
-                parent[u] = v
-                stack.append(u)
-    if len(order) != tree.n:
-        raise ContractError("tree is not connected")
-    out: dict[int, HDescriptor] = {}
-    for v in reversed(order):
-        kids = [out[u] for u in tree.neighbours(v) if parent.get(u) == v]
-        out[v] = merge(kids, variant)
-    return out
-
-
-def rooted_value(tree: Forest, root: int, variant: ParamVariant) -> int:
-    return evaluate(rooted_descriptors(tree, root, variant)[root]).value

@@ -8,11 +8,41 @@ from functools import lru_cache
 from typing import Sequence
 
 from treesweep.forest import ArgumentError, Forest, Graph, StructureError
-from treesweep.hd import HDescriptor, Vect
+from treesweep.hd import (ContractError, HDescriptor, ParamVariant, Vect,
+                          evaluate, merge)
 
 
 def hdesc(pn: int, pn_plus: int, cells: Sequence[int] = ()) -> HDescriptor:
     return HDescriptor(Vect(pn, pn_plus), tuple(cells))
+
+
+def rooted_descriptors(tree: Forest, root: int,
+                       variant: ParamVariant) -> dict[int, HDescriptor]:
+    """Descriptor of every rooted subtree via a post-order merge cascade:
+    the reference for the protocol's values at every root."""
+    if root not in tree.vertices:
+        raise ContractError(f"root {root} not in tree")
+    parent: dict[int, int | None] = {root: None}
+    stack = [root]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in tree.neighbours(v):
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    if len(order) != tree.n:
+        raise ContractError("tree is not connected")
+    out: dict[int, HDescriptor] = {}
+    for v in reversed(order):
+        kids = [out[u] for u in tree.neighbours(v) if parent.get(u) == v]
+        out[v] = merge(kids, variant)
+    return out
+
+
+def rooted_value(tree: Forest, root: int, variant: ParamVariant) -> int:
+    return evaluate(rooted_descriptors(tree, root, variant)[root]).value
 
 
 def random_forest(n: int, edges: int, seed: int) -> Forest:

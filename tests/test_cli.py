@@ -1,3 +1,4 @@
+import functools
 import io
 import sys
 
@@ -85,6 +86,23 @@ def test_compute_input_errors_are_clean(tmp_path, capsys, text, error, encoding)
     path = write(tmp_path, "bad.txt", text)
     code, out, err = run_cli(["compute", path, "--encoding", encoding], capsys)
     assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_compute_and_dynamic_read_utf8(tmp_path, capsys):
+    # a UTF-8 comment is accepted by both commands, a byte that is not
+    # UTF-8 is refused by both with one clean error line
+    edges = tmp_path / "cafe.txt"
+    edges.write_bytes("# caf\u00e9\n0 1\n".encode("utf-8"))
+    script = tmp_path / "cafe-script.txt"
+    script.write_bytes("# caf\u00e9\nadd 0 1\nquery 0\n".encode("utf-8"))
+    assert run_cli(["compute", str(edges)], capsys) == (0, "param=pn value=1\n", "")
+    assert run_cli(["dynamic", str(script)], capsys) == (0, "query 0 value=1\n", "")
+    for command, path in (("compute", edges), ("dynamic", script)):
+        path.write_bytes(b"# caf\xff\n0 1\n")
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 5: "
+                       "invalid start byte\n")
 
 
 def test_gen_wrong_argument_count(capsys):
@@ -198,39 +216,41 @@ def test_conformance_gap(capsys):
 
 
 def test_conformance_checks_every_root(capsys, monkeypatch):
-    import treesweep.cli as cli
-    real = cli.rooted_value
-    monkeypatch.setattr(cli, "rooted_value",
-                        lambda tree, root, variant: real(tree, root, variant) + (root == 2))
+    from treesweep.dynamic import DynamicForest
+    real = DynamicForest.value_of
+    monkeypatch.setattr(DynamicForest, "value_of",
+                        lambda df, root: real(df, root) + (root == 2))
     code, out, _ = run_cli(["conformance", "--max-n", "4", "--param", "pn"], capsys)
     assert code == 1
     assert "fail=3" in out and "pn rooted at 2: got=" in out
 
 
-@pytest.mark.parametrize("param,name,fake,text", [
-    ("pn", "rooted_value", lambda real: lambda tree, root, variant:
-        real(tree, root, variant) + (root == 2),
+@pytest.mark.parametrize("param,target,fake,text", [
+    ("pn", "dynamic.DynamicForest.value_of", lambda real: lambda df, root:
+        real(df, root) + (root == 2),
      "pn rooted at 2: got=2 want=1\nn 3\n0 1\n0 2\n"),
-    ("relations", "es_exact", lambda real: lambda tree: real(tree) + 3 * (tree.n == 3),
+    ("relations", "cli.es_exact", lambda real: lambda tree: real(tree) + 3 * (tree.n == 3),
      "es 4 outside {ns-1, ns}\nn 3\n0 1\n0 2\n"),
-    ("gap", "gap_characterization_check", lambda real: lambda tree: tree.n != 2,
+    ("gap", "cli.gap_characterization_check", lambda real: lambda tree: tree.n != 2,
      "gap characterization sides disagree\nn 2\n0 1\n"),
-    ("pn", "run_static", lambda real: lambda tree, *args:
+    ("pn", "dynamic.run_static", lambda real: lambda tree, *args:
         (run := real(tree, *args))._replace(value=run.value + (tree.n == 3)),
      "pn: got=2 want=1\nn 3\n0 1\n0 2\n"),
-    ("relations", "ns_exact", lambda real: lambda tree: real(tree) - (tree.n == 3),
+    ("relations", "cli.ns_exact", lambda real: lambda tree: real(tree) - (tree.n == 3),
      "ns 1 != pw+1 2\nn 3\n0 1\n0 2\n"),
-    ("relations", "pn_exact", lambda real: lambda tree: real(tree) + 2 * (tree.n == 3),
+    ("relations", "cli.pn_exact", lambda real: lambda tree: real(tree) + 2 * (tree.n == 3),
      "pn 3 outside [pw, pw+1]\nn 3\n0 1\n0 2\n"),
-    ("relations", "stable_exact", lambda real: lambda tree, root:
+    ("relations", "cli.stable_exact", lambda real: lambda tree, root:
         real(tree, root) != (tree.n == 3),
      "stability flag mismatch at root 0\nn 3\n0 1\n0 2\n"),
 ], ids=["values", "relations", "gap", "static-run", "ns-pathwidth", "pn-pathwidth",
         "stability"])
 def test_conformance_prints_each_counterexample_with_its_edge_list(capsys, monkeypatch,
-                                                                   param, name, fake, text):
-    import treesweep.cli as cli
-    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+                                                                   param, target, fake, text):
+    # `target` is the patched name, dotted from the package
+    import treesweep
+    real = functools.reduce(getattr, target.split("."), treesweep)
+    monkeypatch.setattr(f"treesweep.{target}", fake(real))
     code, out, _ = run_cli(["conformance", "--max-n", "3", "--param", param], capsys)
     assert code == 1
     assert out == f"trees=3 param={param} fail=1\ncounterexample:\n{text}\n"

@@ -15,8 +15,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from treesweep.dynamic import DynamicForest
 from treesweep.forest import StructureError
-from treesweep.hd import ParamVariant, rooted_descriptors
+from treesweep.hd import ParamVariant
 from treesweep.protocol import run_static
+
+from helpers import rooted_descriptors
 
 MAX_N = 12
 

@@ -73,8 +73,9 @@ _REJECTED = [
     ("0 -1\n", ParseError, "line 1: negative vertex id in '0 -1'"),
     ("0 1.5\n", ParseError, "line 1: non-integer endpoint in '0 1.5'"),
     ("0 1\n\u00e9\n", ParseError, "line 2: expected 'u v', got '\u00e9'"),
-    (b"0 1\n\xc3\xa9\n", UnicodeDecodeError,
-     "'ascii' codec can't decode byte 0xc3 in position 4: ordinal not in range(128)"),
+    (b"0 1\n\xc3\xa9\n", ParseError, "line 2: expected 'u v', got '\u00e9'"),
+    (b"0 1\n\xff\n", UnicodeDecodeError,
+     "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
     ("0 1\n1 0\n", StructureError, "line 2: duplicate edge (1, 0)"),
     ("n 3\n2 2\n", StructureError, "line 2: self-loop at vertex 2"),
     ("0 1\r\n1 2\r\n2 0\r\n", StructureError, "line 3: edge (2, 0) would create a cycle"),

@@ -7,16 +7,15 @@ import hypothesis.strategies as st
 
 from treesweep.codec import FramingError, KnownSize, UnknownSize, decode, encode
 from treesweep.forest import (ArgumentError, Forest, enumerate_trees, path_tree,
-                              prufer_to_tree, random_tree, spider_tree, star_tree)
+                              prufer_to_tree, random_tree, spider_tree)
 from treesweep.hd import (ContractError, HDescriptor, NO_STABLE, ParamVariant,
                           Vect, ceil_log3, evaluate, merge, merge_detailed,
-                          pn_plus_from, rooted_descriptors, rooted_value,
-                          validate_descriptor)
+                          pn_plus_from, validate_descriptor)
 from treesweep.hd import _collapse, _merge, _merge_memo, _Minimal, _normalized
 from treesweep.oracle import es_exact, ns_exact, pn_exact, stable_exact
 from treesweep.protocol import run_static
 
-from helpers import _outcome, hdesc
+from helpers import _outcome, hdesc, rooted_descriptors, rooted_value
 
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
@@ -43,15 +42,11 @@ def _value_of_absent_vertex():
     (lambda: decode("", KnownSize(3)), FramingError, "expected 5 bits, got 0"),
     (lambda: decode("11000", UnknownSize()), FramingError,
      "expected 2 vector bits after terminator, got 3"),
-    (lambda: rooted_descriptors(star_tree(2), 7, PN), ContractError,
-     "root 7 not in tree"),
-    (lambda: rooted_descriptors(Forest(range(4), [(0, 1), (2, 3)]), 0, PN),
-     ContractError, "tree is not connected"),
     (_value_of_absent_vertex, ArgumentError, "vertex 7 not in forest"),
     (lambda: ceil_log3(0), ContractError, "ceil_log3 needs n >= 1, got 0"),
     (lambda: prufer_to_tree([], 1), ArgumentError, "Pruefer decoding needs n >= 2"),
-], ids=["merge", "decode-empty", "decode-empty-known", "decode-vector", "root-missing",
-        "disconnected", "value-of", "ceil-log3", "pruefer"])
+], ids=["merge", "decode-empty", "decode-empty-known", "decode-vector", "value-of",
+        "ceil-log3", "pruefer"])
 def test_error_paths(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -49,3 +49,33 @@ def test_module_reads_every_name_it_imports(path):
 ], ids=["future", "plain", "dotted", "multiline", "alias", "bare-noqa", "noqa-reason"])
 def test_unused_import_rule(source, unused):
     assert unused_imports(source) == unused
+
+
+def package_imports(source: str) -> list[str]:
+    """The modules of the package that `source`, a module inside it, imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "treesweep":
+            found.append(node.module)
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "treesweep"]
+    return found
+
+
+def test_hd_imports_no_module_of_the_package():
+    # the descriptor algebra stands alone; trees reach it through the protocol
+    hd = Path(treesweep.__file__).parent / "hd.py"
+    assert package_imports(hd.read_text()) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from __future__ import annotations\nimport enum\n", []),
+    ("from .forest import Forest\n", [".forest"]),
+    ("from . import forest\n", ["."]),
+    ("import treesweep.forest\n", ["treesweep.forest"]),
+    ("from treesweep import forest\n", ["treesweep"]),
+], ids=["stdlib", "relative", "package", "absolute", "absolute-from"])
+def test_package_import_rule(source, found):
+    assert package_imports(source) == found
