@@ -9,10 +9,12 @@ through one path:
 
 - A forest's edge list known up front (the `Forest` constructor, and so
   every generator and `induced`; `parse_edge_list`; `prufer_to_tree`)
-  goes through `_build`, one loop that answers every cycle check from a
-  union-find local to the call (Tarjan, "Efficiency of a good but not
-  linear set union algorithm", J. ACM 1975) in near-constant amortised
-  time, so a build, a parse or a Pruefer decode is near-linear.
+  goes through `_build`, one loop that links an edge with an end that has
+  no edge yet by one parent store, and asks a union-find local to the call
+  only for an edge whose ends both have edges: plain parent pointers with
+  path halving, O(log n) amortised per lookup (Tarjan and van Leeuwen,
+  J. ACM 1984).  So a build, a parse or a Pruefer decode takes O(n log n)
+  time at worst, and linear time when every edge brings in a vertex.
 - Incremental insertion into a forest (`DynamicForest`) goes through
   `Forest.add_edge`, the model's only `add_edge`, whose cycle check
   `exhausted_side` searches from both endpoints in lockstep and returns
@@ -238,21 +240,26 @@ def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
     self-loop, then a duplicate, then a cycle; then adds v to u's
     neighbours and u to v's, so the vertex order of `adj` and the order of
     every neighbour set are those of `add_edge`.
-    The cycle check asks a union-find that lives only for this call: a
-    build never removes an edge, so no union needs undoing.  Endpoints are
-    trusted to be non-negative ints: the parser checks its tokens,
-    `prufer_to_tree` its sequence, and the `Forest` constructor passes
-    each edge through `Graph._checked`.  The stream may add vertices to
-    `forest` between edges.
+    An edge with an end that has no edge yet can close no cycle: that end,
+    a set of its own, hangs below the other end by one parent store.  Only
+    an edge whose ends both have edges asks for their roots, in a
+    union-find that lives only for this call (a build never removes an
+    edge, so no union needs undoing): plain parent pointers with path
+    halving, O(log n) amortised per lookup (Tarjan and van Leeuwen,
+    "Worst-case analysis of set union algorithms", J. ACM 1984).  An edge
+    list in which every edge brings in a vertex, as a parent-first one
+    does, makes no lookup at all.  Endpoints are trusted to be
+    non-negative ints: the parser checks its tokens, `prufer_to_tree` its
+    sequence, and the `Forest` constructor passes each edge through
+    `Graph._checked`.  The stream may add vertices to `forest` between
+    edges.
     """
     adj = forest.adj
     adj_get = adj.get
-    # disjoint sets of vertex ids, with union by size and path halving: a
-    # vertex maps to its parent, a root to minus the size of its set, and an
-    # id never stored is a singleton root.  Ids are non-negative, so the
-    # sign tells the two apart
-    sets: dict[int, int] = {}
-    parent_of = sets.get
+    # disjoint sets of vertex ids: a vertex maps to its parent, and a root
+    # is never stored
+    up: dict[int, int] = {}
+    up_get = up.get
     for u, v in edges:
         u_nbrs = adj_get(u)
         if u_nbrs is None:
@@ -262,31 +269,33 @@ def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
             v_nbrs = adj[v] = set()
         if u == v:
             raise StructureError(f"self-loop at vertex {u}")
-        if v in u_nbrs:
-            raise StructureError(f"duplicate edge ({u}, {v})")
-        # the roots of u and v and their sets' sizes, halving both paths
-        ru, su = u, parent_of(u, -1)
-        while su >= 0:
-            up = parent_of(su, -1)
-            if up < 0:
-                ru, su = su, up
-                break
-            sets[ru] = up
-            ru, su = up, parent_of(up, -1)
-        rv, sv = v, parent_of(v, -1)
-        while sv >= 0:
-            up = parent_of(sv, -1)
-            if up < 0:
-                rv, sv = sv, up
-                break
-            sets[rv] = up
-            rv, sv = up, parent_of(up, -1)
-        if ru == rv:
-            raise StructureError(f"edge ({u}, {v}) would create a cycle")
-        if su > sv:  # u's set is the smaller one: hang it below v's root
-            ru, rv = rv, ru
-        sets[ru] = su + sv
-        sets[rv] = ru
+        if not v_nbrs:
+            up[v] = u
+        elif not u_nbrs:
+            up[u] = v
+        else:
+            if v in u_nbrs:
+                raise StructureError(f"duplicate edge ({u}, {v})")
+            # the roots of u and v, halving both paths
+            ru, p = u, up_get(u)
+            while p is not None:
+                g = up_get(p)
+                if g is None:
+                    ru = p
+                    break
+                up[ru] = g
+                ru, p = g, up_get(g)
+            rv, p = v, up_get(v)
+            while p is not None:
+                g = up_get(p)
+                if g is None:
+                    rv = p
+                    break
+                up[rv] = g
+                rv, p = g, up_get(g)
+            if ru == rv:
+                raise StructureError(f"edge ({u}, {v}) would create a cycle")
+            up[ru] = rv
         u_nbrs.add(v)
         v_nbrs.add(u)
     return forest
@@ -298,8 +307,8 @@ def parse_edge_list(text: str | bytes) -> Forest:
     Blank lines and "#" comments are ignored.  Lines are read in order and the
     first bad one raises: a malformed line a ParseError, a self-loop,
     duplicate or cycle-creating edge a StructureError naming the edge, both
-    prefixed by "line N: ".  Bytes are decoded as UTF-8.  Near-linear in the
-    input (see `_build`).
+    prefixed by "line N: ".  Bytes are decoded as UTF-8.  O(n log n) in the
+    input at worst, linear when every line brings in a vertex (see `_build`).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")

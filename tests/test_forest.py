@@ -556,10 +556,75 @@ def test_bulk_builds_do_not_search(monkeypatch):
         parse_edge_list("0 1\n1 2\n2 0\n")
 
 
+def _parent_first(tree, root, rng):
+    """The edges of `tree` in breadth-first order from `root`, each edge
+    after its father's, so that each brings in a vertex; each pair is
+    written father first or child first at random."""
+    edges, seen, queue = [], {root}, [root]
+    for u in queue:
+        for w in sorted(tree.adj[u]):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+                edges.append((u, w) if rng.random() < 0.5 else (w, u))
+    return edges
+
+
+def test_parse_matches_replay_on_deep_fresh_link_chains():
+    # a parent-first edge list links every edge by one parent store, so a
+    # path in order hangs its n vertices in one n-deep chain; a root lookup
+    # after that walks it.  One bad line anywhere must still be reported as
+    # `Forest.add_edge` reports it
+    rng = random.Random(34)
+    n = 2000
+    tree = random_tree(n, 34)
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree.edges()]
+    rng.shuffle(shuffled)
+    orders = {
+        "shuffled": shuffled,
+        "parent-first": _parent_first(tree, rng.randrange(n), rng),
+        "path in order": [(i, i + 1) for i in range(n - 1)],
+        "balanced joins": _balanced_joins(0, n, []),
+    }
+    outcomes = set()
+    for name, edges in orders.items():
+        lines = [f"{u} {v}" for u, v in edges]
+        pairs = {(min(e), max(e)) for e in edges}
+        texts = ["\n".join(lines) + "\n"]
+        for kind in ("loop", "dup", "cycle") * 2:
+            if kind == "loop":
+                u = v = rng.randrange(n)
+            elif kind == "dup":
+                v, u = rng.choice(edges)
+            else:  # two ends of no edge: the list then has n edges on n vertices
+                u, v = rng.sample(range(n), 2)
+                while (min(u, v), max(u, v)) in pairs:
+                    u, v = rng.sample(range(n), 2)
+            bad = list(lines)
+            bad.insert(rng.randint(0, len(bad)), f"{u} {v}")
+            texts.append("\n".join(bad) + "\n")
+        for text in texts:
+            want = _replay(text)
+            if isinstance(want, Forest):
+                got = parse_edge_list(text)
+                assert got.adj == want.adj and list(got.adj) == list(want.adj), name
+                assert list(map(list, got.adj.values())) == list(map(list, want.adj.values())), name
+                outcomes.add("ok")
+                continue
+            cls, lineno, message = want
+            with pytest.raises(GraphError) as info:
+                parse_edge_list(text)
+            assert type(info.value) is cls, name
+            assert str(info.value) == f"line {lineno}: {message}", name
+            outcomes.add(message.split()[0])
+    assert outcomes == {"ok", "self-loop", "duplicate", "edge"}
+
+
 def test_bulk_build_cost_is_linear(monkeypatch):
     # the lockstep check costs the balanced joins about n * log2(n) adjacency
-    # lookups; with the union-find an insertion makes two adjacency lookups
-    # (one per endpoint) and about four union-find ones
+    # lookups; the bulk build makes two adjacency lookups per insertion (one
+    # per endpoint), and asks its union-find only for an edge whose two ends
+    # both have edges already: at least once per end, about four times in all
     import treesweep.forest as forest_mod
 
     counts = {"sets": 0}
@@ -572,27 +637,51 @@ def test_bulk_build_cost_is_linear(monkeypatch):
         if event == "c_call" and frame.f_code is build and arg.__name__ == "get":
             counts["sets"] += 1
 
-    class CountingForest(Forest):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.adj = _CountingAdjacency(self.adj)
-
-    monkeypatch.setattr(forest_mod, "Forest", CountingForest)
-    n = 2000
-    shuffled = random_tree(n, 3).edges()
-    random.Random(3).shuffle(shuffled)
-    for edges in (shuffled, _balanced_joins(0, n, [])):
+    def parse_counting(text):
         counts["sets"] = _CountingAdjacency.lookups = 0
-        text = "".join(f"{u} {v}\n" for u, v in edges)
         profile = sys.getprofile()
         sys.setprofile(count_sets)
         try:
             tree = parse_edge_list(text)
         finally:
             sys.setprofile(profile)
-        assert 2 * (n - 1) <= _CountingAdjacency.lookups <= 4 * n
-        assert 2 * (n - 1) <= counts["sets"] <= 8 * n
-        assert type(tree) is CountingForest and tree.is_tree() and tree.n == n
+        assert type(tree) is CountingForest and tree.is_tree()
+        assert 2 * (tree.n - 1) <= _CountingAdjacency.lookups <= 4 * tree.n
+        return tree
+
+    def joins(edges):
+        """How many edges come when both of their ends have edges."""
+        touched, count = set(), 0
+        for u, v in edges:
+            count += u in touched and v in touched
+            touched.update((u, v))
+        return count
+
+    class CountingForest(Forest):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.adj = _CountingAdjacency(self.adj)
+
+    n = 2000
+    spine = n // 3
+    caterpillar = serialize(Forest(range(3 * spine), [(i, i + 1) for i in range(spine - 1)]
+                                   + [(i, spine + 2 * i + j) for i in range(spine) for j in (0, 1)]))
+    monkeypatch.setattr(forest_mod, "Forest", CountingForest)
+    shuffled = random_tree(n, 3).edges()
+    random.Random(3).shuffle(shuffled)
+    for edges in (shuffled, _balanced_joins(0, n, [])):
+        tree = parse_counting("".join(f"{u} {v}\n" for u, v in edges))
+        assert 2 * joins(edges) <= counts["sets"] <= 8 * n
+        assert tree.n == n
+    # every edge brings in a vertex: a path in order, a star centre-first,
+    # and a caterpillar as `serialize` writes it (lines sorted, after an "n"
+    # line that makes every vertex, with no edge, before the first line)
+    for text in ("".join(f"{i} {i + 1}\n" for i in range(n - 1)),
+                 "".join(f"0 {i}\n" for i in range(1, n)),
+                 caterpillar):
+        tree = parse_counting(text)
+        assert counts["sets"] == 0
+        assert tree.n in (n, 3 * spine)
 
 
 def test_parse_validates_each_endpoint_once(monkeypatch):
