@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -301,6 +302,13 @@ def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
     return forest
 
 
+# a `str.translate` table that deletes the ASCII digits
+_NO_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
+
+# the bulk route tokenises at most this many characters at a time
+_CHUNK = 1 << 16
+
+
 def parse_edge_list(text: str | bytes) -> Forest:
     """Parse the flat edge-list format: optional "n <count>" line, "u v" lines.
 
@@ -309,9 +317,67 @@ def parse_edge_list(text: str | bytes) -> Forest:
     duplicate or cycle-creating edge a StructureError naming the edge, both
     prefixed by "line N: ".  Bytes are decoded as UTF-8.  O(n log n) in the
     input at worst, linear when every line brings in a vertex (see `_build`).
+
+    Text in exactly `serialize`'s form, as every file `serialize` and
+    `treesweep gen` write, takes a bulk route: a check of the whole text's
+    form, then C-level `split` and `int` over bounded chunks of it, feeding
+    `_build`.  Any other text (comments, blank lines, CRLF, tabs, signs,
+    Unicode digits) takes the line loop, and so does text the bulk route
+    cannot finish: `_build` raises, or `int` refuses a count or an endpoint
+    with more digits than `sys.get_int_max_str_digits()`.  Only the line
+    loop words errors, so they are the same whatever the route.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    start = _serialized_start(text)
+    if start >= 0:
+        try:
+            return _parse_serialized(text, start)
+        except (StructureError, ValueError):
+            pass  # the line loop finds the same line and words its error
+    return _parse_lines(text)
+
+
+def _serialized_start(text: str) -> int:
+    """Where the "u v" lines of `text` begin if it has `serialize`'s form,
+    else -1.
+
+    The form is an optional "n <count>" line, then "u v" lines, each two
+    runs of ASCII digits, one space and a newline.  So without its digits
+    the text reads "n \\n" if it has the count line, then " \\n" once per
+    edge line; and no line starts or ends with its space, so no run is empty.
+    """
+    if text and (text[-1] != "\n" or text[0] == " " or " \n" in text or "\n " in text):
+        return -1
+    start = text.index("\n") + 1 if text.startswith("n ") else 0
+    shape = ("n \n" if start else "") + " \n" * text.count("\n", start)
+    return start if text.translate(_NO_DIGITS) == shape else -1
+
+
+def _parse_serialized(text: str, start: int) -> Forest:
+    """The bulk route of `parse_edge_list`, for text in `serialize`'s form
+    whose "u v" lines begin at `start`."""
+    forest = Forest()
+    if start:
+        adj = forest.adj  # filled in place: a subclass may hold its own mapping
+        for v in range(int(text[2:start - 1])):
+            adj[v] = set()
+    return _build(forest, chain.from_iterable(_serialized_pairs(text, start)))
+
+
+def _serialized_pairs(text: str, start: int) -> Iterator[Iterator[tuple[int, int]]]:
+    """The endpoint pairs of the "u v" lines from `start` on, one iterator
+    per chunk of whole lines, so no token list spans the text."""
+    end = len(text)
+    while start < end:
+        stop = text.find("\n", start + _CHUNK) + 1 or end
+        ids = map(int, text[start:stop].split())
+        yield zip(ids, ids)
+        start = stop
+
+
+def _parse_lines(text: str) -> Forest:
+    """The line loop of `parse_edge_list`: every input, every error."""
     forest = Forest()
     adj = forest.adj
     lineno = 0
