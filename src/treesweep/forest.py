@@ -30,6 +30,15 @@ The two forest paths raise the same `StructureError`s in the same order:
 a self-loop, a duplicate, then a cycle (`Graph._join` the first two).
 The constructors and `Forest.add_edge` check each endpoint's id first,
 u then v, with `add_vertex`.
+
+`parse_edge_list` feeds `_build` by one of two routes, chosen from the
+text itself.  Text in exactly `serialize`'s form (an optional "n <count>"
+line, then "u v" lines of ASCII digits, one space and a newline: every
+file `serialize` and `treesweep gen` write) is checked whole, then split
+and converted by C-level `str.split` and `map(int, ...)` over chunks of
+whole lines.  Every other text goes through the line loop, and so does
+any the bulk route cannot finish.  Only the line loop words parse errors,
+so an error reads the same whatever the route.
 """
 
 from __future__ import annotations
@@ -250,10 +259,11 @@ def _build(forest: Forest, edges: Iterable[tuple[int, int]]) -> Forest:
     "Worst-case analysis of set union algorithms", J. ACM 1984).  An edge
     list in which every edge brings in a vertex, as a parent-first one
     does, makes no lookup at all.  Endpoints are trusted to be
-    non-negative ints: the parser checks its tokens, `prufer_to_tree` its
-    sequence, and the `Forest` constructor passes each edge through
-    `Graph._checked`.  The stream may add vertices to `forest` between
-    edges.
+    non-negative ints: the parser's line loop checks each token and its
+    bulk route the text's form (runs of ASCII digits), `prufer_to_tree`
+    checks its sequence, and the `Forest` constructor passes each edge
+    through `Graph._checked`.  The stream may add vertices to `forest`
+    between edges.
     """
     adj = forest.adj
     adj_get = adj.get

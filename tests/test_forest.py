@@ -62,7 +62,12 @@ _ACCEPTED = [
     # 1, 17 and 25 share a hash slot, so a set's order is its insertion order
     ("9 1\n9 17\n9 25\n", [(9, [1, 17, 25]), (1, [9]), (17, [9]), (25, [9])]),
     ("9 25\n17 9\n9 1\n", [(9, [25, 17, 1]), (25, [9]), (17, [9]), (1, [9])]),
+    ("n 0\n", []),
+    ("n 2\n0 5\n", [(0, [5]), (1, []), (5, [0])]),  # ids above the declared count
 ]
+
+# more digits than `int` reads by default (`sys.get_int_max_str_digits()`)
+_HUGE = "9" * 5000
 
 _REJECTED = [
     ("n 2\n0 1\nn 2\n", ParseError, "line 3: bad vertex-count line 'n 2'"),
@@ -79,20 +84,92 @@ _REJECTED = [
     ("0 1\n1 0\n", StructureError, "line 2: duplicate edge (1, 0)"),
     ("n 3\n2 2\n", StructureError, "line 2: self-loop at vertex 2"),
     ("0 1\r\n1 2\r\n2 0\r\n", StructureError, "line 3: edge (2, 0) would create a cycle"),
+    # in `serialize`'s form: the bulk route gives up, the line loop words the error
+    pytest.param("n 2\n0 " + _HUGE + "\n", ParseError,
+                 f"line 2: non-integer endpoint in '0 {_HUGE}'", id="huge-endpoint"),
+    pytest.param("n " + _HUGE + "\n", ParseError, f"line 1: bad vertex count '{_HUGE}'",
+                 id="huge-count"),
+    ("n 3\n0 1\n0 1\n", StructureError, "line 3: duplicate edge (0, 1)"),
+    ("n 3\n0 1\n1 2\n0 2\n", StructureError, "line 4: edge (0, 2) would create a cycle"),
 ]
+
+
+def _both_routes(text):
+    """`text` as written, and with a comment line after it: the same edges
+    on the same lines, but only the first can take the bulk route."""
+    return text, text + (b"# end\n" if isinstance(text, bytes) else "# end\n")
 
 
 @pytest.mark.parametrize("text,adj", _ACCEPTED)
 def test_parse_edge_cases_keep_the_adjacency_order(text, adj):
-    forest = parse_edge_list(text)
-    assert [(v, list(nbrs)) for v, nbrs in forest.adj.items()] == adj
+    for written in _both_routes(text):
+        forest = parse_edge_list(written)
+        assert [(v, list(nbrs)) for v, nbrs in forest.adj.items()] == adj
 
 
 @pytest.mark.parametrize("text,error,message", _REJECTED)
 def test_parse_edge_cases_keep_the_error(text, error, message):
-    with pytest.raises(Exception) as info:
-        parse_edge_list(text)
-    assert type(info.value) is error and str(info.value) == message
+    for written in _both_routes(text):
+        with pytest.raises(Exception) as info:
+            parse_edge_list(written)
+        assert type(info.value) is error and str(info.value) == message
+
+
+_LINE_LOOP_ONLY = [
+    "0 1\n1 2", "0 1\n2",  # no final newline
+    # one space and one newline per line, but a run of digits is empty
+    "n \n0 1\n", "1 \n2 3\n", "0 1\n 2\n3 4\n", " 1\n2 3\n",
+    "n 3 \n", "n 3\nn 3\n", "0 1\nn 3\n", "0 1 \n", "0  1\n", "0 1 2\n3\n", "0\n",
+    "0 1\n\n", "\n0 1\n", "0 1\r\n", "0\t1\n", "+0 1\n", "\u0663 1\n", "0 1\n# end\n",
+]
+
+
+def test_parse_routes_by_form(monkeypatch):
+    # exactly the text in `serialize`'s form tries the bulk route; the line
+    # loop parses any other text, and any the bulk route cannot finish
+    import treesweep.forest as forest_mod
+
+    routes = []
+    for name in ("_parse_serialized", "_parse_lines"):
+        def spy(*args, _name=name, _route=getattr(forest_mod, name)):
+            routes.append(_name)
+            return _route(*args)
+        monkeypatch.setattr(forest_mod, name, spy)
+
+    def route(text):
+        routes.clear()
+        try:
+            parse_edge_list(text)
+        except GraphError:
+            pass
+        return routes
+
+    for text in ("", "n 0\n", "n 3\n", "0 1\n", "007 3\n", serialize(random_tree(50, 1))):
+        assert route(text) == ["_parse_serialized"], text
+    for text in ("n 3\n0 1\n1 2\n0 2\n", "0 1\n1 0\n", "n 3\n2 2\n",
+                 "n 2\n0 " + _HUGE + "\n", "n " + _HUGE + "\n"):
+        assert route(text) == ["_parse_serialized", "_parse_lines"], text
+    for text in _LINE_LOOP_ONLY:
+        assert route(text) == ["_parse_lines"], text
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, None])
+def test_bulk_route_reads_across_chunks(monkeypatch, chunk):
+    # chunks end on whole lines, however small; a bad line in a later chunk
+    # is still worded by the line loop
+    import treesweep.forest as forest_mod
+
+    if chunk is not None:
+        monkeypatch.setattr(forest_mod, "_CHUNK", chunk)
+    n = 20000
+    text = serialize(random_tree(n, 2))
+    assert len(text) > 2 * forest_mod._CHUNK
+    got, want = (parse_edge_list(written) for written in _both_routes(text))
+    assert list(got.adj.items()) == list(want.adj.items())
+    assert list(map(list, got.adj.values())) == list(map(list, want.adj.values()))
+    with pytest.raises(StructureError) as info:
+        parse_edge_list(text + f"0 {n - 1}\n")
+    assert str(info.value) == f"line {n + 1}: edge (0, {n - 1}) would create a cycle"
 
 
 def test_pruefer_rejects_entries_outside_the_vertex_range():
@@ -525,20 +602,23 @@ def test_parse_matches_replay_through_add_edge(seed):
     for _ in range(150):
         text = _random_edge_text(rng)
         want = _replay(text)
-        if isinstance(want, Forest):
-            got = parse_edge_list(text)
-            assert got.adj == want.adj and list(got.adj) == list(want.adj), text
-            outcomes.add("ok")
-            continue
-        cls, lineno, message = want
-        with pytest.raises(GraphError) as info:
-            parse_edge_list(text)
-        assert type(info.value) is cls, text
-        prefix = f"line {lineno}: "
-        assert str(info.value).startswith(prefix), text
-        if message is not None:
-            assert str(info.value) == prefix + message, text
-        outcomes.add(message.split()[0] if message else "junk")
+        for written in _both_routes(text):
+            if isinstance(want, Forest):
+                got = parse_edge_list(written)
+                assert got.adj == want.adj and list(got.adj) == list(want.adj), written
+                assert (list(map(list, got.adj.values()))
+                        == list(map(list, want.adj.values()))), written
+                outcomes.add("ok")
+                continue
+            cls, lineno, message = want
+            with pytest.raises(GraphError) as info:
+                parse_edge_list(written)
+            assert type(info.value) is cls, written
+            prefix = f"line {lineno}: "
+            assert str(info.value).startswith(prefix), written
+            if message is not None:
+                assert str(info.value) == prefix + message, written
+            outcomes.add(message.split()[0] if message else "junk")
     # every kind of outcome is drawn: accepted, junk, self-loop, duplicate, cycle
     assert outcomes == {"ok", "junk", "self-loop", "duplicate", "edge"}
 
@@ -605,18 +685,20 @@ def test_parse_matches_replay_on_deep_fresh_link_chains():
             texts.append("\n".join(bad) + "\n")
         for text in texts:
             want = _replay(text)
-            if isinstance(want, Forest):
-                got = parse_edge_list(text)
-                assert got.adj == want.adj and list(got.adj) == list(want.adj), name
-                assert list(map(list, got.adj.values())) == list(map(list, want.adj.values())), name
-                outcomes.add("ok")
-                continue
-            cls, lineno, message = want
-            with pytest.raises(GraphError) as info:
-                parse_edge_list(text)
-            assert type(info.value) is cls, name
-            assert str(info.value) == f"line {lineno}: {message}", name
-            outcomes.add(message.split()[0])
+            for written in _both_routes(text):
+                if isinstance(want, Forest):
+                    got = parse_edge_list(written)
+                    assert got.adj == want.adj and list(got.adj) == list(want.adj), name
+                    assert (list(map(list, got.adj.values()))
+                            == list(map(list, want.adj.values()))), name
+                    outcomes.add("ok")
+                    continue
+                cls, lineno, message = want
+                with pytest.raises(GraphError) as info:
+                    parse_edge_list(written)
+                assert type(info.value) is cls, name
+                assert str(info.value) == f"line {lineno}: {message}", name
+                outcomes.add(message.split()[0])
     assert outcomes == {"ok", "self-loop", "duplicate", "edge"}
 
 

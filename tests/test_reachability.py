@@ -9,6 +9,7 @@ no function of the package: such an entry excuses nothing.
 """
 
 import importlib
+import re
 import sys
 from inspect import CO_OPTIMIZED
 from pathlib import Path
@@ -56,10 +57,13 @@ reroot 8
 query 2
 """
 
-# the inputs of the CLI error smoke step, and the command that reads each
+# the literal inputs of CI's "CLI error smoke" step: the command that reads
+# each, its file name, its text and the command's options
+# (`test_error_inputs_are_the_ci_smoke_inputs` holds the two equal)
 ERROR_INPUTS = [
     ("compute", "empty.txt", ""),
     ("compute", "cycle.txt", "0 1\n1 2\n2 0\n"),
+    ("compute", "formcycle.txt", "n 3\n0 1\n1 2\n0 2\n"),
     ("compute", "duplicate.txt", "0 1\n1 0\n"),
     ("compute", "selfloop.txt", "n 3\n2 2\n"),
     ("compute", "negative.txt", "0 -1\n"),
@@ -68,6 +72,7 @@ ERROR_INPUTS = [
     ("dynamic", "badcommand.txt", "# no vertex\nfrob 1\n"),
     ("dynamic", "badarity.txt", "add 0 1\nadd 2\n"),
     ("dynamic", "negativeid.txt", "query -1\n"),
+    ("compute", "edge.txt", "0 1\n", "--param", "ns", "--strategy"),
 ]
 
 
@@ -100,10 +105,8 @@ def _commands(tmp_path):
     runs.append((["experiments", "--sizes", "20,40"], 0))
 
     runs.append((["gen", "spider", "1", "2"], 2))
-    for command, name, text in ERROR_INPUTS:
-        runs.append(([command, write(name, text)], 2))
-    runs.append((["compute", write("edge.txt", "0 1\n"), "--param", "ns",
-                  "--strategy"], 2))
+    for command, name, text, *options in ERROR_INPUTS:
+        runs.append(([command, write(name, text), *options], 2))
     runs.append((["conformance", "--max-n", "0"], 2))
     runs.append((["conformance", "--max-n", "11", "--param", "es"], 2))
     return runs
@@ -158,3 +161,37 @@ def test_every_function_is_reached_by_a_command(tmp_path, capsys, cold_memos):
     stale = sorted(ALLOWED.keys() - unreached)
     assert not never, "never entered: " + ", ".join(never)
     assert not stale, "allowed but entered or undefined: " + ", ".join(stale)
+
+
+def _ci_error_inputs():
+    """The literal inputs of CI's "CLI error smoke" step, as `ERROR_INPUTS`
+    entries: each file made by `printf '...' > name` or `: > name`, with
+    the command and options of the `check treesweep` line that reads it."""
+    ci = Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+    step = ci.read_text().split("- name: CLI error smoke\n", 1)[1].split("- name: ", 1)[0]
+    texts, checks = {}, []
+    for line in step.splitlines():
+        line = line.strip()
+        made = re.fullmatch(r"(?:printf '([^']*)'|:) > (\S+)", line)
+        if made:
+            fmt, name = made.groups()
+            fmt = fmt or ""
+            # a format with no conversion and no escape but \n, which printf
+            # writes as a newline
+            assert "%" not in fmt and "\\" not in fmt.replace("\\n", ""), line
+            texts[name] = fmt.replace("\\n", "\n")
+        read = re.fullmatch(r"check treesweep (\S+) (\S+\.txt)((?: \S+)*)", line)
+        if read:
+            checks.append(read.groups())
+    assert texts, "no literal input found in the CLI error smoke step"
+    missing = sorted(texts.keys() - {name for _, name, _ in checks})
+    assert not missing, "made but never checked: " + ", ".join(missing)
+    return [(command, name, texts[name], *options.split())
+            for command, name, options in checks if name in texts]
+
+
+def test_error_inputs_are_the_ci_smoke_inputs():
+    ci = _ci_error_inputs()
+    assert sorted(ci) == sorted(ERROR_INPUTS), (
+        "in CI only: " + repr(sorted(set(ci) - set(ERROR_INPUTS)))
+        + "; in ERROR_INPUTS only: " + repr(sorted(set(ERROR_INPUTS) - set(ci))))
