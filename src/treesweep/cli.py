@@ -48,7 +48,7 @@ MAX_N_FOR = {
 def cmd_compute(args) -> int:
     if args.strategy and args.param != "pn":
         raise ArgumentError("strategy extraction supports --param pn only")
-    with open(args.input, "rb") as fh:
+    with open(args.input, encoding="utf-8") as fh:
         tree = parse_edge_list(fh.read())
     variant = VARIANT_FOR[args.param]
     scheme = default_scheme(tree.n, variant, args.encoding)

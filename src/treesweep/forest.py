@@ -319,14 +319,14 @@ _NO_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
 _CHUNK = 1 << 16
 
 
-def parse_edge_list(text: str | bytes) -> Forest:
+def parse_edge_list(text: str) -> Forest:
     """Parse the flat edge-list format: optional "n <count>" line, "u v" lines.
 
     Blank lines and "#" comments are ignored.  Lines are read in order and the
     first bad one raises: a malformed line a ParseError, a self-loop,
     duplicate or cycle-creating edge a StructureError naming the edge, both
-    prefixed by "line N: ".  Bytes are decoded as UTF-8.  O(n log n) in the
-    input at worst, linear when every line brings in a vertex (see `_build`).
+    prefixed by "line N: ".  O(n log n) in the input at worst, linear when
+    every line brings in a vertex (see `_build`).
 
     Text in exactly `serialize`'s form, as every file `serialize` and
     `treesweep gen` write, takes a bulk route: a check of the whole text's
@@ -337,8 +337,6 @@ def parse_edge_list(text: str | bytes) -> Forest:
     with more digits than `sys.get_int_max_str_digits()`.  Only the line
     loop words errors, so they are the same whatever the route.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     start = _serialized_start(text)
     if start >= 0:
         try:
@@ -611,15 +609,8 @@ def _next_rooted_tree(predecessor, p=None):
 
 def _next_free_tree(candidate):
     left, rest = _split_layout(candidate)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest):
-            valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
-    if valid:
+    if max(rest) > max(left) or (max(rest) == max(left)
+                                 and (len(left), left) <= (len(rest), rest)):
         return candidate
     p = len(left)
     new_candidate = _next_rooted_tree(candidate, p)
@@ -631,18 +622,9 @@ def _next_free_tree(candidate):
 
 
 def _split_layout(layout):
-    one_found = False
-    m = None
-    for i in range(len(layout)):
-        if layout[i] == 1:
-            if one_found:
-                m = i
-                break
-            one_found = True
-    if m is None:
-        m = len(layout)
-    left = [layout[i] - 1 for i in range(1, m)]
-    rest = [0] + [layout[i] for i in range(m, len(layout))]
+    m = layout.index(1, 2) if 1 in layout[2:] else len(layout)
+    left = [level - 1 for level in layout[1:m]]
+    rest = [0] + layout[m:]
     return left, rest
 
 

@@ -12,6 +12,45 @@ from treesweep.hd import (ContractError, HDescriptor, ParamVariant, Vect,
                           evaluate, merge)
 
 
+# Every literal CLI error case, one row each: the argv, the files it reads
+# (name -> text, written into the directory the command runs in) and the one
+# line the command writes to stderr.  Each row must exit 2 with an empty
+# stdout: `test_cli.py` runs the rows through `cli.main`,
+# `test_reachability.py` traces them, and CI's "CLI error smoke" step runs
+# them through the installed `treesweep`.
+CLI_ERRORS = [
+    (["gen", "spider", "1", "2"], {},
+     "error: spider expects l1 l2 l3, got 2 argument(s)"),
+    (["compute", "empty.txt"], {"empty.txt": ""}, "error: empty tree"),
+    (["compute", "cycle.txt"], {"cycle.txt": "0 1\n1 2\n2 0\n"},
+     "error: line 3: edge (2, 0) would create a cycle"),
+    # in `serialize`'s form: the bulk parse gives up, the line loop words it
+    (["compute", "formcycle.txt"], {"formcycle.txt": "n 3\n0 1\n1 2\n0 2\n"},
+     "error: line 4: edge (0, 2) would create a cycle"),
+    (["compute", "duplicate.txt"], {"duplicate.txt": "0 1\n1 0\n"},
+     "error: line 2: duplicate edge (1, 0)"),
+    (["compute", "selfloop.txt"], {"selfloop.txt": "n 3\n2 2\n"},
+     "error: line 2: self-loop at vertex 2"),
+    (["compute", "negative.txt"], {"negative.txt": "0 -1\n"},
+     "error: line 1: negative vertex id in '0 -1'"),
+    (["compute", "twocounts.txt"], {"twocounts.txt": "n 2\nn 2\n"},
+     "error: line 2: bad vertex-count line 'n 2'"),
+    (["dynamic", "novertex.txt"], {"novertex.txt": "# no vertex\n"},
+     "error: script names no vertices"),
+    (["dynamic", "badcommand.txt"], {"badcommand.txt": "# no vertex\nfrob 1\n"},
+     "error: line 2: bad command 'frob 1'"),
+    (["dynamic", "badarity.txt"], {"badarity.txt": "add 0 1\nadd 2\n"},
+     "error: line 2: bad command 'add 2'"),
+    (["dynamic", "negativeid.txt"], {"negativeid.txt": "query -1\n"},
+     "error: line 1: negative vertex id in 'query -1'"),
+    (["compute", "edge.txt", "--param", "ns", "--strategy"], {"edge.txt": "0 1\n"},
+     "error: strategy extraction supports --param pn only"),
+    (["conformance", "--max-n", "0"], {}, "error: --max-n must be at least 1"),
+    (["conformance", "--max-n", "11", "--param", "es"], {},
+     "error: --max-n 11 exceeds the oracle cap of 10 for --param es"),
+]
+
+
 def hdesc(pn: int, pn_plus: int, cells: Sequence[int] = ()) -> HDescriptor:
     return HDescriptor(Vect(pn, pn_plus), tuple(cells))
 

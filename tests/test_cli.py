@@ -6,6 +6,8 @@ import pytest
 
 from treesweep.cli import main
 
+from helpers import CLI_ERRORS
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -70,12 +72,6 @@ def test_strategy_rejects_other_params_before_running(tmp_path, capsys, param):
     assert err == "error: strategy extraction supports --param pn only\n"
 
 
-def test_compute_rejects_cycle(tmp_path, capsys):
-    path = write(tmp_path, "bad.txt", "0 1\n1 2\n2 0\n")
-    code, _, err = run_cli(["compute", path], capsys)
-    assert code != 0 and "cycle" in err
-
-
 @pytest.mark.parametrize("text, error", [
     ("0 1\n1 2\n2 0\n", "line 3: edge (2, 0) would create a cycle"),
     ("", "empty tree"),
@@ -105,10 +101,13 @@ def test_compute_and_dynamic_read_utf8(tmp_path, capsys):
                        "invalid start byte\n")
 
 
-def test_gen_wrong_argument_count(capsys):
-    code, out, err = run_cli(["gen", "spider", "1", "2"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: spider expects l1 l2 l3, got 2 argument(s)\n"
+@pytest.mark.parametrize("argv, files, line", CLI_ERRORS,
+                         ids=[" ".join(argv) for argv, _, _ in CLI_ERRORS])
+def test_cli_error_is_one_clean_line(tmp_path, capsys, monkeypatch, argv, files, line):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(argv, capsys) == (2, "", line + "\n")
 
 
 def test_gen_lists_the_generator_kinds(capsys):

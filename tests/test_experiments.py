@@ -60,3 +60,13 @@ def _instance_digest(build, sizes):
 def test_instance_edge_lists_golden(build, sizes, digest):
     # sha256 over the "n: edge list" lines of each size
     assert _instance_digest(build, sizes) == digest
+
+
+def test_scaling_table_rejects_an_instance_left_in_two_trees(monkeypatch):
+    import treesweep.experiments as experiments
+    real = experiments.inc_build
+    monkeypatch.setattr(experiments, "inc_build", lambda edges, n: real(edges[:-1], n))
+    with pytest.raises(AssertionError) as err:
+        experiments.scaling_table([20], "best")
+    assert (type(err.value) is AssertionError
+            and str(err.value) == "instance did not assemble a single tree")

@@ -331,3 +331,33 @@ def test_end_at_rejects_a_budget_it_cannot_meet():
         ex.end_at(w, [])
     assert (type(err.value) is ContractError
             and str(err.value) == f"end_at({w}) cannot meet budget 0")
+
+
+def _extractor_with_a_carrier_path():
+    # random_tree(21, 10) has a pure (1,2) node, 6, and its value-2 piece
+    # under 2 runs down the carrier path 2, 10 to its fold at 15
+    t = random_tree(21, 10)
+    return _Extractor(t, run_static(t))
+
+
+@pytest.mark.parametrize("v, message", [
+    (6, "pure (1,2) node 6 should have one child"),
+    (2, "expected one carrier of the value-2 piece under 2"),
+    (15, "fold at 15 without two maximal branches"),
+], ids=["pure", "carrier", "fold"])
+def test_sweep_rejects_a_node_stripped_of_its_children(v, message):
+    ex = _extractor_with_a_carrier_path()
+    ex.children[v] = ()
+    with pytest.raises(ContractError) as err:
+        ex.sweep(v, [])
+    assert type(err.value) is ContractError and str(err.value) == message
+
+
+def test_sweep_rejects_a_remainder_that_keeps_the_piece_value():
+    # without the re-merge after the cut, 2 still reads the value-2 piece
+    ex = _extractor_with_a_carrier_path()
+    ex._remerge = lambda v: None
+    with pytest.raises(ContractError) as err:
+        ex.sweep(2, [])
+    assert (type(err.value) is ContractError
+            and str(err.value) == "remainder value 2 not below piece value 2")
