@@ -49,8 +49,10 @@ entry with the one it would store before anything is counted.
 A query walks no father chain.  Each tree of two or more vertices has one
 shared `TreeRecord`, holding its root alone, and `record_of` maps each of
 its vertices to it; an isolated vertex has no record and is its own root.
-So `root_of` reads the record, or finds none, and `value_of` reads the
-value held at that root in `roots`.  The records are local bookkeeping,
+So `value_of` reads the vertex's record and the value held at its root in
+`roots`, two dict reads; only a vertex with no record goes through
+`root_of`, which answers the vertex itself or, for an absent one, its
+error.  The records are local bookkeeping,
 not messages.  One rule relabels: the side that the lockstep search
 `Graph.exhausted_side` runs out of first moves (Even and Shiloach, "An
 on-line edge-deletion problem", J. ACM 1981).  `add_edge` moves the side
@@ -149,6 +151,12 @@ class DynamicForest:
         return v
 
     def value_of(self, v: int) -> int:
+        """The value held at the root of v's tree: one read of v's record
+        and one of `roots`, with no call; a vertex with no record, isolated
+        or absent, goes through `root_of`."""
+        record = self.record_of.get(v)
+        if record is not None:
+            return self.roots[record.root]
         return self.roots[self.root_of(v)]
 
     # -- messaging ---------------------------------------------------------

@@ -240,8 +240,25 @@ def test_query_on_a_deep_path_reads_constant_state():
     df = DynamicForest.from_tree(path_tree(n))
     df.change_root(0)
     df.father, df.record_of = _CountingDict(df.father), _CountingDict(df.record_of)
+    df.roots = _CountingDict(df.roots)
     assert df.value_of(n - 1) == 2  # a father chain of n - 1 links
-    assert df.father.reads + df.record_of.reads <= 2
+    assert (df.father.reads, df.record_of.reads, df.roots.reads) == (0, 1, 1)
+
+
+def test_a_query_on_a_vertex_with_a_record_calls_no_root_of(monkeypatch):
+    def no_root_of(self, v):
+        raise AssertionError(f"value_of({v}) called root_of")
+
+    for seed in range(3):
+        tree, rng = random_tree(200, seed), random.Random(seed)
+        want = run_static(tree).value
+        df = DynamicForest.from_tree(tree)
+        for _ in range(3):
+            df.change_root(rng.randrange(tree.n))
+        with monkeypatch.context() as patch:
+            patch.setattr(DynamicForest, "root_of", no_root_of)
+            assert {v: df.value_of(v) for v in tree.vertices} == dict.fromkeys(
+                tree.vertices, want)
 
 
 def test_deleting_an_edge_next_to_a_leaf_reads_constant_adjacency():
@@ -258,6 +275,7 @@ def test_deleting_an_edge_next_to_a_leaf_reads_constant_adjacency():
         assert leaf not in df.record_of
         assert all(df.record_of[v] is df.record_of[other] for v in df.forest.vertices
                    if v != leaf)
+        assert df.value_of(leaf) == 0  # the one-vertex value, read with no record
         df.check_invariants()
 
 
