@@ -151,9 +151,9 @@ class DynamicForest:
         return v
 
     def value_of(self, v: int) -> int:
-        """The value held at the root of v's tree: one read of v's record
-        and one of `roots`, with no call; a vertex with no record, isolated
-        or absent, goes through `root_of`."""
+        """The value held at the root of v's tree, read off v's record and
+        `roots` without calling `root_of`; only a vertex with no record,
+        isolated or absent, goes through it."""
         record = self.record_of.get(v)
         if record is not None:
             return self.roots[record.root]
