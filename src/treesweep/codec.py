@@ -31,9 +31,9 @@ builds the body.
 bounded by `hd.MEMO_SIZE` entries each.  Both are pure and return immutable
 values, so one cached frame or descriptor serves every caller.  Every
 static message still goes through `encode` and is counted.  The
-receiver's `decode` runs in `protocol.hop`, for static and dynamic
-messages alike, only on a miss of its memo, which keeps the frame and
-the receiver's entry (see `protocol`).  The decode memo still pays: a
+receiver's `decode` runs in the hop memo `protocol.hop`, for static and
+dynamic messages alike, only on a miss, since the memo keeps the frame
+and the receiver's entry (see `protocol`).  The decode memo still pays: a
 hop key is the sender's whole entry tuple, so the misses of a cold
 dynamic forest repeat a few dozen frames (1808 decodes of 32 frames in
 the first pass of the benchmark's dynamic-churn stream, seed 1), and

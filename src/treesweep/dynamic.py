@@ -32,19 +32,20 @@ first hop: w2 has no entry from w1 yet).  A root's value is read off the
 `MergeInfo` of its memoised merge, one step, without evaluating the
 descriptor again.
 
-A hop is one lookup.  It is the static run's message, `protocol.hop`: it
-maps the sender's ordered entries, the variant and the scheme to the
-frame of their merge and the receiver's entry, its decode of that frame,
-which a miss checks equals the merge.  So the receiver's decode and the
-round-trip check run once per distinct hop, while every replace message
-is counted from its frame.  The set-up run of `from_tree` is in the
-forest's scheme, so its hops fill the memo entries that the forest's
-later hops read.  The rule of `hd` holds: the hop takes its memo only when
-every entry carries the `hd._Minimal` tag; any other input is computed
-afresh and gets its exact result or error, and a failure is never
-cached.  A hit runs no merge, encode or decode: the hop is counted from
-its cached frame.  The early stop compares the receiver's
-entry with the one it would store before anything is counted.
+A hop is one lookup.  It is the static run's message, `protocol.hop`, a
+memo: it maps the sender's ordered entries, the variant and the scheme
+to the frame of their merge and the receiver's entry, its decode of that
+frame, which a miss checks equals the merge.  So the receiver's decode
+and the round-trip check run once per distinct hop, while every replace
+message is counted from its frame.  The set-up run of `from_tree` is in
+the forest's scheme, so its hops fill the memo entries that the forest's
+later hops read.  A hop reads no tag: the rule of `hd`, that only tagged
+input takes a memo, holds because every entry the forest stores is a
+decode of its set-up run or a hop's result, both tagged, and
+`check_invariants` reports any other entry.  A failure is never cached.
+A hit runs no merge, encode or decode: the hop is counted from its
+cached frame.  The early stop compares the receiver's entry with the one
+it would store before anything is counted.
 
 A query walks no father chain.  Each tree of two or more vertices has one
 shared `TreeRecord`, holding its root alone, and `record_of` maps each of
@@ -72,7 +73,8 @@ from __future__ import annotations
 from .codec import Scheme, empty_frame
 from .codec import decode, encode  # noqa: F401  (perfbench/tracer.py patches both)
 from .forest import ArgumentError, Forest, GraphError
-from .hd import HDescriptor, ParamVariant, evaluate, merge, merge_detailed
+from .hd import (HDescriptor, ParamVariant, _Minimal, evaluate, merge,
+                 merge_detailed)
 from .protocol import CostCounters, default_scheme, elect_root, hop, run_static
 
 
@@ -98,6 +100,12 @@ class DynamicForest:
                  received: dict[int, dict[int, HDescriptor]],
                  father: dict[int, int | None],
                  roots: dict[int, int] | None = None, early_stop: bool = False):
+        """Adopt `received` and `father` as they are.  Every entry of
+        `received` must be tagged (`hd._Minimal`): a decode of a static run
+        in `scheme` or the result of a hop, as `from_tree` and `isolated`
+        pass them, since each hop takes the memo of `protocol.hop` on its
+        sender's entries unchecked.  Nothing here scans them;
+        `check_invariants` reports any other entry."""
         self.forest = forest
         self.variant = variant
         self.scheme = scheme
@@ -313,6 +321,23 @@ class DynamicForest:
         if root_count != len(self.roots):
             raise AssertionError("root bookkeeping drift")
         self._check_records()
+        self._check_entries()
+
+    def _check_entries(self) -> None:
+        """Every stored entry is tagged, and the entry at each non-root
+        vertex's father is the merge of that vertex's own entries: one
+        merge per vertex.  It runs after the other checks, so that a drift
+        they name is reported as theirs."""
+        received, variant = self.received, self.variant
+        for v, father in self.father.items():
+            entries = received[v]
+            for u, entry in entries.items():
+                if type(entry) is not _Minimal:
+                    raise AssertionError(f"untagged entry from {u} at {v}")
+            if father is None:
+                continue
+            if received[father].get(v) != merge(entries.values(), variant):
+                raise AssertionError(f"stale entry from {v} at {father}")
 
     def _check_records(self) -> None:
         """Every record against the father chains, in O(n) in all: each

@@ -36,12 +36,12 @@ checks every descriptor read off the wire.  The merge does not
 re-check its own output: its minimality is pinned by the test suite, and on
 every protocol path the output is framed and decoded by the receiver in
 `protocol.hop`, whose decode validated that frame the first time it saw
-it.  The hop's memo runs that decode and its round-trip check once per
-distinct hop, in static runs and dynamic forests alike, while every
-message is still encoded and counted.  For the same reason the merge
-evaluates its output unvalidated, and records the result and the
-output's pn+ in its `MergeInfo`: `result` is `evaluate` of the output,
-and `pn_plus` is `pn_plus_from` of the output and that result.
+it.  That function is a memo: it runs the decode and its round-trip
+check once per distinct hop, in static runs and dynamic forests alike,
+while every message is still encoded and counted.  For the same reason
+the merge evaluates its output unvalidated, and records the result and
+the output's pn+ in its `MergeInfo`: `result` is `evaluate` of the
+output, and `pn_plus` is `pn_plus_from` of the output and that result.
 
 The merge is memoised.  A run draws its messages from a few dozen distinct
 minimal descriptors, so most merges repeat an earlier one.  The output and
@@ -65,7 +65,9 @@ that all carry the tag to the memo; any other input, a user-built
 result or error.  The tag, not equality, opens the memo because keys compare
 by value and 1.0 == 1: a hand-built child with a cell of 1.0 would otherwise
 hit the entry of an equal tagged one.  The tag never changes a result or an
-error, only how fast it comes.
+error, only how fast it comes.  The hop memo of `protocol` reads no tag:
+the entries it is given are decodes and hop results, tagged by
+construction, and `DynamicForest.check_invariants` reports any other.
 """
 
 from __future__ import annotations

@@ -37,26 +37,24 @@ send of the round gives a node an entry before it fires.
 
 The input must be connected.  A `Forest` is acyclic by construction, so it
 is connected exactly when it has n - 1 edges (`Forest.is_connected`); a
-plain `Graph`, which may hold cycles, is searched.  The entries a run
-stores are its receivers' decodes, so they carry the type tag of `hd`, and
-every hop and encode of the run takes its memo without re-checking its
-input (see `hd`).
+plain `Graph`, which may hold cycles, is searched.
 
 A message has one definition, `hop`, which the dynamic forest shares: it
 merges the sender's entries, frames the merge through the `codec` module,
 has the receiver decode the frame and checks that the receiver's entry
-equals the merge.  One memo, `_hop_memo`, keeps its frame and entry per
-sender's entries, variant and scheme, for this run, the dynamic forest
-and the forest's set-up run alike.  It holds at most `hd.MEMO_SIZE`
-entries, and a failure is never cached.  The rule of `hd` holds: `hop`
-takes the memo only when every entry carries the `hd._Minimal` tag, and
-computes any other input afresh, with its exact result or error.  This
-run calls the memo directly, since its entries are all decodes.  So the
-merge, the receiver's decode and the round-trip check run once per
-distinct hop, here and in `dynamic`.  Every message is still encoded
-and counted: the sender calls this module's `encode` once per message,
-from cold memos or warm ones, for the frame it counts, and a message
-costs that bit string's length.  A miss of the hop memo frames through
+equals the merge.  `hop` is itself a memo: it keeps the frame and entry
+per sender's entries, variant and scheme, for this run, the dynamic
+forest and the forest's set-up run alike.  It holds at most
+`hd.MEMO_SIZE` entries, and a failure is never cached.  It reads no tag:
+the rule of `hd`, that only tagged input takes a memo, holds for hops by
+construction.  A run stores only its receivers' decodes, which carry the
+tag, so its encodes take their memo too; a dynamic forest stores those of
+its set-up run and the results of its own hops, and
+`DynamicForest.check_invariants` reports any other entry.  So the merge, the receiver's decode and the round-trip check run
+once per distinct hop, here and in `dynamic`.  Every message is still
+encoded and counted: the sender calls this module's `encode` once per
+message, from cold memos or warm ones, for the frame it counts, and a
+message costs that bit string's length.  A miss of `hop` frames through
 `codec.encode`, not this module's name, so the frames of `encode` are
 exactly the run's messages.  The log3 bound is checked on every message.
 The run keeps no record per message beyond the stored descriptors.
@@ -82,7 +80,7 @@ from . import codec
 from .codec import KnownSize, Scheme, UnknownSize, decode, encode
 from .forest import ArgumentError, Forest
 from .hd import (MEMO_SIZE, ContractError, EvalResult, HDescriptor,
-                 ParamVariant, _Minimal, evaluate, merge)
+                 ParamVariant, evaluate, merge)
 
 
 def elect_root(u: int, v: int) -> int:
@@ -174,19 +172,11 @@ def default_scheme(n: int, variant: ParamVariant, encoding: str = "known") -> Sc
     raise ArgumentError(f"unknown encoding {encoding!r}")
 
 
-def hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
-        scheme: Scheme) -> tuple[str, HDescriptor]:
-    """One message: the frame of the merge of the sender's entries `kids`,
-    and the receiver's entry, its decode of that frame, checked equal to
-    the merge.  Tagged entries take the memo (see the module notes)."""
-    for kid in kids:
-        if type(kid) is not _Minimal:
-            return _hop(kids, variant, scheme)
-    return _hop_memo(kids, variant, scheme)
-
-
 def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
          scheme: Scheme) -> tuple[str, HDescriptor]:
+    """One message: the frame of the merge of the sender's entries `kids`,
+    and the receiver's entry, its decode of that frame, checked equal to
+    the merge.  `hop` is its memo (see the module notes)."""
     hd = merge(kids, variant)
     frame = codec.encode(hd, scheme)
     entry = decode(frame, scheme)
@@ -195,7 +185,7 @@ def _hop(kids: tuple[HDescriptor, ...], variant: ParamVariant,
     return frame, entry
 
 
-_hop_memo = lru_cache(maxsize=MEMO_SIZE)(_hop)
+hop = lru_cache(maxsize=MEMO_SIZE)(_hop)
 
 
 def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER,
@@ -234,7 +224,7 @@ def run_static(tree: Forest, variant: ParamVariant = ParamVariant.PROCESS_NUMBER
                     if f not in heard:
                         break
                 kids = tuple(heard.values())
-            entry = _hop_memo(kids, variant, scheme)[1]  # decodes: tagged
+            entry = hop(kids, variant, scheme)[1]
             if len(entry.table) > max_cells:
                 raise ContractError(
                     f"table length {len(entry.table)} breaks the log3 bound at node {v}")

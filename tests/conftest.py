@@ -11,15 +11,15 @@ def trees_up_to_8():
 @pytest.fixture
 def cold_memos():
     """Empties the memos of `hd.merge_detailed`, `codec.encode`,
-    `codec.decode` and `protocol.hop` before the test; returns a function
-    that empties them again."""
+    `codec.decode` and `protocol.hop` (itself a memo) before the test;
+    returns a function that empties them again."""
     import treesweep.codec as codec
     import treesweep.hd as hd
     import treesweep.protocol as protocol
 
     def clear():
         for memo in (hd._merge_memo, codec._encode_memo, codec.decode,
-                     protocol._hop_memo):
+                     protocol.hop):
             memo.cache_clear()
     clear()
     return clear

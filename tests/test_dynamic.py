@@ -10,7 +10,7 @@ from treesweep.experiments import worst_case_instance
 from treesweep.forest import (ArgumentError, Forest, StructureError,
                               enumerate_trees, path_tree, random_tree,
                               star_tree, theorem1_tree)
-from treesweep.hd import HDescriptor, NO_STABLE, ParamVariant
+from treesweep.hd import HDescriptor, NO_STABLE, ParamVariant, merge
 from treesweep.protocol import run_static
 
 from helpers import _balanced_joins, _dist
@@ -208,6 +208,34 @@ def test_check_invariants_sees_a_father_cycle():
     df.father[v] = father
     del entries[father]
     entries[u] = hd
+    df.check_invariants()
+
+
+def test_check_invariants_sees_an_untagged_entry():
+    df = DynamicForest.from_tree(random_tree(15, 2))
+    v = next(v for v, father in sorted(df.father.items()) if father is not None)
+    father = df.father[v]
+    entry = df.received[father][v]
+    df.received[father][v] = HDescriptor(*entry)  # equal, but untagged
+    with pytest.raises(AssertionError, match=f"^untagged entry from {v} at {father}$"):
+        df.check_invariants()
+    df.received[father][v] = entry
+    df.check_invariants()
+
+
+def test_check_invariants_sees_a_stale_interior_entry():
+    # a valid tagged descriptor that is not the merge of its sender's
+    # entries, held below the root, so no root value shows it; a sender
+    # comes before its father in `from_tree`'s father order, so the check
+    # names this entry before the stale one it makes at the father's father
+    df = DynamicForest.from_tree(random_tree(15, 2))
+    v, father = next((v, f) for v, f in df.father.items()
+                     if f is not None and df.received[v] and df.father[f] is not None)
+    entry = df.received[father][v]
+    df.received[father][v] = merge([], PN)  # a leaf's descriptor
+    with pytest.raises(AssertionError, match=f"^stale entry from {v} at {father}$"):
+        df.check_invariants()
+    df.received[father][v] = entry
     df.check_invariants()
 
 

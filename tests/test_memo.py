@@ -1,7 +1,9 @@
 """The memos of `hd.merge_detailed`, `codec.encode`, `codec.decode`
 and `protocol.hop`: a hit returns what the uncached code returns, a
 failure is never cached, and runs give the same results from a cold cache
-and a warm one."""
+and a warm one.  `protocol.hop` is a memo with no tag check: a dynamic
+forest's entries are tagged by construction, and `check_invariants`
+names any that is not."""
 
 import copy
 from decimal import Decimal
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 import treesweep.codec as codec
+import treesweep.dynamic as dynamic
 import treesweep.hd as hd
 import treesweep.protocol as protocol
 from treesweep.codec import (CapacityError, CodecError, FramingError,
@@ -114,32 +117,36 @@ def _hung_under_the_root():
     return df, v, kid
 
 
-def test_push_of_an_equal_untagged_entry_takes_no_hop_memo(cold_memos):
+def test_check_invariants_names_a_pushed_equal_untagged_entry(cold_memos):
+    # the hop memo reads no tag, so an untagged entry equal to a tagged one
+    # takes the tagged hop's result; the forest's own check names the entry
     tagged, v, kid = _hung_under_the_root()
     planted, _, _ = _hung_under_the_root()
     tagged._push(v, False)  # caches the hop of the tagged entries
     entry = planted.received[v][kid]
     planted.received[v][kid] = HDescriptor(*entry)
     kids = tuple(planted.received[v].values())
-    memo = protocol._hop_memo.cache_info()
     planted._push(v, False)
-    assert protocol._hop_memo.cache_info() == memo
     father = planted.father[v]
     assert planted.received[father][v] == protocol._hop(kids, PN, planted.scheme)[1]
     assert planted.counters == tagged.counters
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=f"^untagged entry from {kid} at {v}$"):
+            planted.check_invariants()
 
 
-def test_push_of_a_float_cell_raises_every_time(cold_memos):
+def test_check_invariants_names_a_pushed_float_cell_every_time(cold_memos):
     df, v, kid = _hung_under_the_root()
     df._push(v, False)  # caches the hop of the tagged entries
     entry = df.received[v][kid]
     df.received[v][kid] = HDescriptor(
         entry.vect, tuple(1.0 if c == 1 else c for c in entry.table))
-    size = protocol._hop_memo.cache_info().currsize
+    size = protocol.hop.cache_info().currsize
     for _ in range(2):
-        with pytest.raises(ContractError, match="non-negative ints"):
-            df._push(v, False)
-    assert protocol._hop_memo.cache_info().currsize == size
+        df._push(v, False)
+        with pytest.raises(AssertionError, match=f"^untagged entry from {kid} at {v}$"):
+            df.check_invariants()
+    assert protocol.hop.cache_info().currsize == size
 
 
 def test_a_broken_codec_roundtrip_raises_every_time(monkeypatch, cold_memos):
@@ -159,7 +166,12 @@ def test_a_broken_codec_roundtrip_raises_every_time(monkeypatch, cold_memos):
         for _ in range(2):
             with pytest.raises(ContractError, match="codec roundtrip broke"):
                 call()
-        assert protocol._hop_memo.cache_info().currsize == 0
+        assert protocol.hop.cache_info().currsize == 0
+
+
+def test_a_dynamic_hop_is_the_hop_memo_itself():
+    # no tag-checking wrapper stands between `_push` and the memo
+    assert dynamic.hop is protocol.hop and hasattr(dynamic.hop, "cache_info")
 
 
 def test_a_repeated_reroot_walk_hits_the_hop_memo_once_per_replace_message(cold_memos):
@@ -168,9 +180,9 @@ def test_a_repeated_reroot_walk_hits_the_hop_memo_once_per_replace_message(cold_
     df = DynamicForest.from_tree(tree, encoding="unknown")
     for target in (0, far, 0, far):  # the walk from far to 0 is cached
         df.change_root(target)
-    memo, before = protocol._hop_memo.cache_info(), copy.copy(df.counters)
+    memo, before = protocol.hop.cache_info(), copy.copy(df.counters)
     df.change_root(0)
-    after = protocol._hop_memo.cache_info()
+    after = protocol.hop.cache_info()
     replaces = (df.counters.messages - before.messages) // 2  # one notify per replace
     assert replaces > 1
     assert (after.hits - memo.hits, after.misses - memo.misses) == (replaces, 0)
@@ -182,7 +194,7 @@ def test_static_and_dynamic_hops_share_the_hop_memo(encoding, cold_memos):
     # reads: the forest's set-up run and its replace hops add no miss
     tree = random_tree(60, 1)
     run_static(tree, PN, default_scheme(tree.n, PN, encoding))
-    memo = protocol._hop_memo.cache_info()
+    memo = protocol.hop.cache_info()
     df = DynamicForest.from_tree(tree, encoding=encoding)
     v = max(v for v in tree.vertices if tree.degree(v) == 1)
     hops, node = 0, v
@@ -190,7 +202,7 @@ def test_static_and_dynamic_hops_share_the_hop_memo(encoding, cold_memos):
         hops, node = hops + 1, df.father[node]
     assert hops > 1
     assert df._push(v, False) == df.root_of(v)
-    after = protocol._hop_memo.cache_info()
+    after = protocol.hop.cache_info()
     assert (after.hits - memo.hits, after.misses - memo.misses) == (tree.n - 1 + hops, 0)
 
 
@@ -199,9 +211,9 @@ def test_trees_with_one_cell_budget_share_the_scheme_and_its_hops(cold_memos):
     # and 20 vertices both get 3 cells, and every hop of the longer path is
     # one the shorter path already made
     short = run_static(path_tree(10))
-    memo = protocol._hop_memo.cache_info()
+    memo = protocol.hop.cache_info()
     long = run_static(path_tree(20))
-    after = protocol._hop_memo.cache_info()
+    after = protocol.hop.cache_info()
     assert long.scheme is short.scheme is KnownSize(3)
     assert after.hits - memo.hits == long.counters.messages
     assert after.misses - memo.misses == 0

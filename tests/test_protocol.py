@@ -551,7 +551,7 @@ def test_rendering_wires_builds_no_frame(monkeypatch, encoding):
 def test_a_hop_entry_beyond_the_cell_budget_is_rejected(monkeypatch):
     import treesweep.protocol as protocol
     wide = hdesc(2, 3, (0, 0))  # two cells; a 3-vertex tree allows one
-    monkeypatch.setattr(protocol, "_hop_memo", lambda kids, variant, scheme: ("", wide))
+    monkeypatch.setattr(protocol, "hop", lambda kids, variant, scheme: ("", wide))
     with pytest.raises(ContractError) as err:
         run_static(path_tree(3), PN, UnknownSize())
     assert (type(err.value) is ContractError
