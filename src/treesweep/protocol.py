@@ -42,18 +42,18 @@ plain `Graph`, which may hold cycles, is searched.
 A message has one definition, `hop`, which the dynamic forest shares: it
 merges the sender's entries, frames the merge through the `codec` module,
 has the receiver decode the frame and checks that the receiver's entry
-equals the merge.  `hop` is itself a memo: it keeps the frame and entry
-per sender's entries, variant and scheme, for this run, the dynamic
-forest and the forest's set-up run alike.  It holds at most
-`hd.MEMO_SIZE` entries, and a failure is never cached.  It reads no tag:
-the rule of `hd`, that only tagged input takes a memo, holds for hops by
-construction.  A run stores only its receivers' decodes, which carry the
-tag, so its encodes take their memo too; a dynamic forest stores those of
-its set-up run and the results of its own hops, and
-`DynamicForest.check_invariants` reports any other entry.  So the merge, the receiver's decode and the round-trip check run
-once per distinct hop, here and in `dynamic`.  Every message is still
-encoded and counted: the sender calls this module's `encode` once per
-message, from cold memos or warm ones, for the frame it counts, and a
+equals the merge.  `hop` is itself a memo: it keeps the frame and entry per
+sender's entries, variant and scheme, for this run, the dynamic forest and
+the forest's set-up run alike.  It holds at most `hd.MEMO_SIZE` entries,
+and a failure is never cached.  It reads no tag: the rule of `hd`, that
+only tagged input takes a memo, holds for hops by construction.  A run
+stores only its receivers' decodes, which carry the tag, so its encodes
+take their memo too; a dynamic forest stores those of its set-up run and
+the results of its own hops, and `DynamicForest.check_invariants` reports
+any other entry.  So the merge, the receiver's decode and the round-trip
+check run once per distinct hop, here and in `dynamic`.  Every message is
+still encoded and counted: the sender calls this module's `encode` once
+per message, from cold memos or warm ones, for the frame it counts, and a
 message costs that bit string's length.  A miss of `hop` frames through
 `codec.encode`, not this module's name, so the frames of `encode` are
 exactly the run's messages.  The log3 bound is checked on every message.
