@@ -33,12 +33,12 @@ values, so one cached frame or descriptor serves every caller.  Every
 static message still goes through `encode` and is counted.  The
 receiver's `decode` runs in the hop memo `protocol.hop`, for static and
 dynamic messages alike, only on a miss, since the memo keeps the frame
-and the receiver's entry (see `protocol`).  The decode memo still pays: a
-hop key is the sender's whole entry tuple, so the misses of a cold
-dynamic forest repeat a few dozen frames (1808 decodes of 32 frames in
-the first pass of the benchmark's dynamic-churn stream, seed 1), and
-without the memo that workload's median update took 6-8 % longer
-(30 s runs, Python 3.11.7, shared 2-vCPU host).  The checks above run
+and the receiver's entry (see `protocol`).  The decode memo still pays:
+it hands out one object per distinct descriptor, so a forest's entries
+are a few dozen shared objects and a warm hop's memo lookup compares its
+key by identity (without it dynamic-churn's `update_p50_ms` was 11.9 %
+worse in 6 of 6 20 s pairs, a cold `from_tree` 15.1 ms against 12.6 ms;
+Python 3.11.7, shared 2-vCPU host).  The checks above run
 once per distinct input; a repeat reuses that result, and a failure is
 never cached, so a bad frame or descriptor raises on every call.  The
 rule of `hd` holds here too: tagged input takes the memo; anything else

@@ -315,28 +315,27 @@ class DynamicForest:
                 root_count += 1
                 if v not in self.roots:
                     raise AssertionError(f"untracked root {v}")
-                fresh = evaluate(merge(list(entries.values()), self.variant)).value
-                if self.roots[v] != fresh:
-                    raise AssertionError(f"stale value at root {v}")
         if root_count != len(self.roots):
             raise AssertionError("root bookkeeping drift")
         self._check_records()
         self._check_entries()
 
     def _check_entries(self) -> None:
-        """Every stored entry is tagged, and the entry at each non-root
-        vertex's father is the merge of that vertex's own entries: one
-        merge per vertex.  It runs after the other checks, so that a drift
-        they name is reported as theirs."""
-        received, variant = self.received, self.variant
+        """Every stored entry is tagged, and the merge of each vertex's own
+        entries gives the value stored for a root and the entry at any
+        other vertex's father: one merge per vertex.  It runs after the
+        other checks, so that a drift they name is reported as theirs."""
+        received, roots, variant = self.received, self.roots, self.variant
         for v, father in self.father.items():
             entries = received[v]
             for u, entry in entries.items():
                 if type(entry) is not _Minimal:
                     raise AssertionError(f"untagged entry from {u} at {v}")
+            merged = merge(entries.values(), variant)
             if father is None:
-                continue
-            if received[father].get(v) != merge(entries.values(), variant):
+                if roots[v] != evaluate(merged).value:
+                    raise AssertionError(f"stale value at root {v}")
+            elif received[father].get(v) != merged:
                 raise AssertionError(f"stale entry from {v} at {father}")
 
     def _check_records(self) -> None:

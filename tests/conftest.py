@@ -1,11 +1,11 @@
 import pytest
 
-from treesweep.forest import enumerate_trees
+from helpers import trees_up_to
 
 
 @pytest.fixture(scope="session")
 def trees_up_to_8():
-    return [t for n in range(1, 9) for t in enumerate_trees(n)]
+    return trees_up_to(8)
 
 
 @pytest.fixture

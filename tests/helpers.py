@@ -1,6 +1,5 @@
-"""Helpers shared by several test modules.  The tests directory is on the
-import path under pytest, and CI puts it there for the scripts that import
-a test module."""
+"""Helpers shared by several test modules, and by CI's scripts: the tests
+directory is on the import path under pytest, and CI puts it there."""
 
 import random
 from collections import deque
@@ -8,10 +7,13 @@ from functools import lru_cache, partial
 from hashlib import sha256
 from typing import NamedTuple, Sequence
 
+from treesweep.dynamic import DynamicForest, inc_build
 from treesweep.forest import (ArgumentError, Forest, Graph, StructureError,
-                              gen_tree, serialize)
+                              enumerate_trees, gen_tree, random_tree, serialize)
 from treesweep.hd import (ContractError, HDescriptor, ParamVariant, Vect,
                           evaluate, merge)
+from treesweep.protocol import run_static
+from treesweep.strategy import extract, validate
 
 
 class Digest(NamedTuple):
@@ -438,6 +440,124 @@ def _dist(tree, a, b):
                 seen[u] = seen[v] + 1
                 q.append(u)
     raise AssertionError("disconnected")
+
+
+def trees_up_to(max_n):
+    """One tree per isomorphism class, of 1 to max_n vertices."""
+    return [t for n in range(1, max_n + 1) for t in enumerate_trees(n)]
+
+
+def reroot_everywhere(max_n):
+    """Reroots a fresh forest of each tree up to max_n vertices at each of
+    its vertices: the target becomes the root, keeps the static value and
+    the invariants, in at most two messages per hop and one more.  Returns
+    the number of reroots."""
+    reroots = 0
+    for t in trees_up_to(max_n):
+        want = run_static(t).value
+        for target in t.vertices:
+            df = DynamicForest.from_tree(t)
+            r1 = df.root_of(target)
+            df.change_root(target)
+            df.check_invariants()
+            assert df.root_of(target) == target
+            assert df.value_of(target) == want
+            assert df.counters.messages <= 2 * _dist(t, r1, target) + 1
+            reroots += 1
+    return reroots
+
+
+def delete_everywhere(max_n):
+    """Deletes each edge of a fresh forest of each tree up to max_n
+    vertices: the invariants hold and each side's value is a static run's
+    on that side alone.  Returns the number of deletions."""
+    deletions = 0
+    for t in trees_up_to(max_n):
+        for u, v in t.edges():
+            df = DynamicForest.from_tree(t)
+            df.delete_edge(u, v)
+            df.check_invariants()
+            rest = t.copy()
+            rest.remove_edge(u, v)
+            for comp in rest.components():
+                sub = rest.induced(comp)
+                assert df.value_of(next(iter(comp))) == run_static(sub).value
+            deletions += 1
+    return deletions
+
+
+def build_in_shuffled_orders(tree, seeds):
+    """`inc_build`s the tree's edges in one shuffled order per seed: each
+    build is one tree with the static value and keeps the invariants."""
+    want = run_static(tree).value
+    edges = tree.edges()
+    for seed in seeds:
+        order = edges[:]
+        random.Random(seed).shuffle(order)
+        df = inc_build(order, tree.n)
+        assert len(df.roots) == 1 and set(df.roots.values()) == {want}
+        df.check_invariants()
+
+
+def extract_and_validate(max_n):
+    """Extracts a strategy from the static run of each tree up to max_n
+    vertices: its validated peak is the run's value, in at most 3n
+    actions.  Returns the number of trees."""
+    trees = trees_up_to(max_n)
+    for t in trees:
+        run = run_static(t)
+        s = extract(t, run)
+        assert validate(t, s) == run.value
+        assert len(s) <= 3 * t.n
+    return len(trees)
+
+
+def _static_disagreements(variant, encoding, early_stop, seed, n=200):
+    """Grow random_tree(n, seed) by a shuffled `inc_build`, then run four
+    rounds that each delete 10 edges, reroot, re-add them in another order
+    and reroot again.  After the deletions and at the end of each round the
+    invariants must hold; returns every (when, component, dynamic values,
+    static value) where a vertex's `value_of` differs from a static run on
+    its component alone."""
+    rng = random.Random(seed)
+    edges = random_tree(n, seed).edges()
+    rng.shuffle(edges)
+    df = inc_build(edges, n, variant, encoding, early_stop)
+    found = []
+
+    def check(when):
+        df.check_invariants()
+        for component in df.forest.components():
+            want = run_static(df.forest.induced(component), variant).value
+            got = {df.value_of(v) for v in component}
+            if got != {want}:
+                found.append((when, min(component), got, want))
+
+    check("build")
+    for i in range(4):
+        removed = rng.sample(df.forest.edges(), 10)
+        for u, v in removed:
+            df.delete_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+        df.change_root(rng.randrange(n))
+        check(f"round {i} cut")
+        rng.shuffle(removed)
+        for u, v in removed:
+            df.add_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+        df.change_root(rng.randrange(n))
+        check(f"round {i}")
+    return found
+
+
+def three_paths_on_a_junction():
+    """Three 4-paths, each joined by an end to the vertex 12: pathwidth 2
+    and process number 3, a gap inside the characterization's regime."""
+    f = Forest()
+    for b in range(3):
+        off = b * 4
+        for i in range(3):
+            f.add_edge(off + i, off + i + 1)
+        f.add_edge(12, off)
+    return f
 
 
 def _outcome(fn, *args):

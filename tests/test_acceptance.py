@@ -2,34 +2,30 @@
 
 The conformance sweeps are the substance: the protocol's values are checked
 against independent brute-force game searches on every non-isomorphic tree
-up to the stated sizes, with exact equality everywhere.  The impossibility
-bound on the bits any dynamic algorithm must transmit is pure theory with no
-experiment and is intentionally not covered here.
+up to the stated sizes, with exact equality everywhere.  Criteria 1, 4 and
+11 run the checkers of `treesweep conformance`; a sweep that a unit test
+also makes lives once, in `helpers`.  The impossibility bound on the bits
+any dynamic algorithm must transmit is pure theory with no experiment and
+is intentionally not covered here.
 """
 
 import math
-import random
 
 import pytest
 
+from treesweep.cli import _check_gap, _check_relations, _check_values
 from treesweep.codec import UnknownSize, decode, encode
-from treesweep.dynamic import DynamicForest, inc_build
+from treesweep.dynamic import DynamicForest
 from treesweep.experiments import loglog_slope, scaling_table
-from treesweep.forest import (Forest, enumerate_trees, path_tree, random_tree,
-                              serialize, star_tree, theorem1_tree)
+from treesweep.forest import (path_tree, random_tree, serialize, star_tree,
+                              theorem1_tree)
 from treesweep.hd import ParamVariant, ceil_log3, evaluate
-from treesweep.oracle import (es_exact, gap_characterization_check, ns_exact,
-                              pathwidth_exact, pn_exact, stable_exact)
+from treesweep.oracle import gap_characterization_check, pathwidth_exact, pn_exact
 from treesweep.protocol import default_scheme, run_static
-from treesweep.strategy import extract, validate
 
-from helpers import _dist, cycle_graph, grid_graph, hdesc
-
-PN = ParamVariant.PROCESS_NUMBER
-NS = ParamVariant.NODE_SEARCH
-ES = ParamVariant.EDGE_SEARCH
-
-ORACLES = {PN: pn_exact, NS: ns_exact, ES: es_exact}
+from helpers import (_dist, build_in_shuffled_orders, cycle_graph, delete_everywhere,
+                     extract_and_validate, grid_graph, hdesc, reroot_everywhere,
+                     three_paths_on_a_junction, trees_up_to)
 
 
 def _report(k: int, name: str, detail: str) -> None:
@@ -40,30 +36,21 @@ def _report(k: int, name: str, detail: str) -> None:
 def sweep_n10():
     """Static runs for every tree with at most 10 vertices, all variants,
     both encodings, with the emitted wire messages retained."""
-    records = []
-    for n in range(1, 11):
-        for tree in enumerate_trees(n):
-            oracle = {v: ORACLES[v](tree) for v in ParamVariant}
-            runs = {}
-            for variant in ParamVariant:
-                for encoding in ("known", "unknown"):
-                    scheme = default_scheme(tree.n, variant, encoding)
-                    runs[(variant, encoding)] = run_static(tree, variant, scheme)
-            records.append((tree, oracle, runs))
-    return records
+    return [{(variant, encoding): run_static(tree, variant,
+                                             default_scheme(tree.n, variant, encoding))
+             for variant in ParamVariant for encoding in ("known", "unknown")}
+            for tree in trees_up_to(10)]
 
 
-def test_criterion_1_oracle_conformance(sweep_n10):
-    failures = []
-    checks = 0
-    for tree, oracle, runs in sweep_n10:
-        for (variant, encoding), run in runs.items():
-            checks += 1
-            if run.value != oracle[variant]:
-                failures.append((variant, encoding, serialize(tree)))
+def test_criterion_1_oracle_conformance():
+    # `treesweep conformance --param all`'s checker: the value of each
+    # variant's set-up run, then at every root, and the forest's invariants
+    trees = trees_up_to(10)
+    failures = [(bad, serialize(tree)) for tree in trees
+                for bad in _check_values(tree, "all")]
     assert not failures, failures[:3]
     _report(1, "oracle conformance n<=10, pn/ns/es",
-            f"{len(sweep_n10)} trees, {checks} runs, 0 mismatches")
+            f"{len(trees)} trees, {3 * len(trees)} runs, every root, 0 mismatches")
 
 
 def test_criterion_2_textbook_examples_via_oracle():
@@ -85,20 +72,10 @@ def test_criterion_3_growth_tower():
 
 
 def test_criterion_4_relations_n9():
-    checks = 0
-    for n in range(1, 10):
-        for tree in enumerate_trees(n):
-            pw = pathwidth_exact(tree)
-            pn = pn_exact(tree)
-            ns = ns_exact(tree)
-            es = es_exact(tree)
-            assert ns == pw + 1
-            assert pw <= pn <= pw + 1
-            assert es in (ns - 1, ns)
-            run = run_static(tree)
-            assert run.evaluation.stable == stable_exact(tree, run.root)
-            checks += 1
-    _report(4, "relations and stability n<=9", f"{checks} trees, 0 exceptions")
+    trees = trees_up_to(9)
+    for tree in trees:
+        assert list(_check_relations(tree, "relations")) == [], serialize(tree)
+    _report(4, "relations and stability n<=9", f"{len(trees)} trees, 0 exceptions")
 
 
 def test_criterion_5_message_accounting(record_frames):
@@ -138,37 +115,9 @@ def test_criterion_6_evaluator_on_worked_tables():
 
 
 def test_criterion_7_dynamics():
-    reroots = deletions = 0
-    for n in range(1, 10):
-        for tree in enumerate_trees(n):
-            want = run_static(tree).value
-            for target in tree.vertices:
-                df = DynamicForest.from_tree(tree)
-                r1 = df.root_of(target)
-                d = _dist(tree, r1, target)
-                df.change_root(target)
-                assert df.value_of(target) == want
-                assert df.counters.messages <= 2 * d + 1
-                reroots += 1
-            for u, v in tree.edges():
-                df = DynamicForest.from_tree(tree)
-                df.delete_edge(u, v)
-                rest = tree.copy()
-                rest.remove_edge(u, v)
-                for comp in rest.components():
-                    sub = rest.induced(comp)
-                    assert df.value_of(next(iter(comp))) == run_static(sub).value
-                deletions += 1
-
-    tree = random_tree(50, 11)
-    want = run_static(tree).value
-    edges = tree.edges()
-    for seed in range(100):
-        rng = random.Random(seed)
-        order = edges[:]
-        rng.shuffle(order)
-        df = inc_build(order, 50)
-        assert set(df.roots.values()) == {want}
+    reroots = reroot_everywhere(9)
+    deletions = delete_everywhere(9)
+    build_in_shuffled_orders(random_tree(50, 11), range(100))
     _report(7, "dynamics", f"{reroots} reroots, {deletions} deletions, "
             "100 insertion orders on n=50, all values match static reruns")
 
@@ -187,8 +136,10 @@ def test_criterion_8_incremental_scaling():
 
 def test_criterion_9_codec_roundtrips(sweep_n10):
     messages = 0
-    for _, _, runs in sweep_n10:
-        for run in runs.values():
+    for runs in sweep_n10:
+        for (variant, encoding), run in runs.items():
+            # the unknown-size codec changes the frames, never the value
+            assert run.value == runs[(variant, "known")].value
             for _, _, hd, bits in run.wires:
                 assert decode(bits, run.scheme) == hd
                 assert encode(hd, run.scheme) == bits
@@ -199,30 +150,17 @@ def test_criterion_9_codec_roundtrips(sweep_n10):
 
 
 def test_criterion_10_strategy_extraction():
-    trees = 0
-    for n in range(1, 11):
-        for tree in enumerate_trees(n):
-            run = run_static(tree)
-            strategy = extract(tree, run)
-            assert validate(tree, strategy) == run.value
-            trees += 1
+    trees = extract_and_validate(10)
     _report(10, "strategy extraction n<=10", f"{trees} trees, peak == value everywhere")
 
 
 def test_criterion_11_gap_characterization():
-    checked = 0
-    for n in range(1, 10):
-        for tree in enumerate_trees(n):
-            assert gap_characterization_check(tree)
-            checked += 1
-    # an in-regime witness beyond the sweep: three 4-paths on a junction
-    f = Forest()
-    for b in range(3):
-        off = b * 4
-        for i in range(3):
-            f.add_edge(off + i, off + i + 1)
-        f.add_edge(12, off)
+    trees = trees_up_to(9)
+    for tree in trees:
+        assert list(_check_gap(tree, "gap")) == [], serialize(tree)
+    # an in-regime witness beyond the sweep
+    f = three_paths_on_a_junction()
     assert pn_exact(f) == pathwidth_exact(f) + 1
     assert gap_characterization_check(f)
-    _report(11, "gap characterization", f"{checked} trees n<=9 agree, plus the "
+    _report(11, "gap characterization", f"{len(trees)} trees n<=9 agree, plus the "
             "pathwidth-2 witness with a genuine gap")

@@ -7,13 +7,13 @@ import pytest
 
 from treesweep.dynamic import DynamicForest, TreeRecord, inc_build, run_script
 from treesweep.experiments import worst_case_instance
-from treesweep.forest import (ArgumentError, Forest, StructureError,
-                              enumerate_trees, path_tree, random_tree,
-                              star_tree, theorem1_tree)
+from treesweep.forest import (ArgumentError, StructureError, path_tree,
+                              random_tree, star_tree, theorem1_tree)
 from treesweep.hd import HDescriptor, NO_STABLE, ParamVariant, merge
 from treesweep.protocol import run_static
 
-from helpers import _balanced_joins, _dist
+from helpers import (_balanced_joins, _dist, _static_disagreements,
+                     build_in_shuffled_orders, delete_everywhere, reroot_everywhere)
 
 PN = ParamVariant.PROCESS_NUMBER
 NS = ParamVariant.NODE_SEARCH
@@ -28,17 +28,7 @@ def test_change_root_identity():
 
 
 def test_change_root_preserves_value_exhaustive():
-    for n in range(1, 9):
-        for t in enumerate_trees(n):
-            want = run_static(t).value
-            for target in t.vertices:
-                df = DynamicForest.from_tree(t)
-                r1 = df.root_of(target)
-                df.change_root(target)
-                df.check_invariants()
-                assert df.root_of(target) == target
-                assert df.value_of(target) == want
-                assert df.counters.messages <= 2 * _dist(t, r1, target) + 1
+    reroot_everywhere(8)
 
 
 def test_change_root_path_bound():
@@ -50,17 +40,7 @@ def test_change_root_path_bound():
 
 
 def test_delete_edge_matches_static_reruns():
-    for n in range(2, 9):
-        for t in enumerate_trees(n):
-            for u, v in t.edges():
-                df = DynamicForest.from_tree(t)
-                df.delete_edge(u, v)
-                df.check_invariants()
-                rest = t.copy()
-                rest.remove_edge(u, v)
-                for comp in rest.components():
-                    sub = rest.induced(comp)
-                    assert df.value_of(next(iter(comp))) == run_static(sub).value
+    delete_everywhere(8)
 
 
 def test_delete_leaf_edge_gives_zero():
@@ -390,16 +370,7 @@ def test_growth_by_joining_stars():
 
 
 def test_inc_build_random_orders():
-    t = random_tree(50, 11)
-    want = run_static(t).value
-    edges = t.edges()
-    for seed in range(100):
-        rng = random.Random(seed)
-        order = edges[:]
-        rng.shuffle(order)
-        df = inc_build(order, 50)
-        assert len(df.roots) == 1 and set(df.roots.values()) == {want}
-    df.check_invariants()
+    build_in_shuffled_orders(random_tree(50, 11), range(100))
 
 
 def test_inc_build_variants_agree_with_static():
@@ -638,42 +609,6 @@ SEQUENCE_DIGESTS = {  # (early_stop, variant, encoding) -> digest prefix
     (True, "EDGE_SEARCH", "known"): "687f7821083f26b7",
     (True, "EDGE_SEARCH", "unknown"): "ce8053811f67c1bf",
 }
-
-
-def _static_disagreements(variant, encoding, early_stop, seed, n=200):
-    """Grow random_tree(n, seed) by a shuffled `inc_build`, then run four
-    rounds that each delete 10 edges, reroot, re-add them in another order
-    and reroot again.  After the deletions and at the end of each round the
-    invariants must hold; returns every (when, component, dynamic values,
-    static value) where a vertex's `value_of` differs from a static run on
-    its component alone."""
-    rng = random.Random(seed)
-    edges = random_tree(n, seed).edges()
-    rng.shuffle(edges)
-    df = inc_build(edges, n, variant, encoding, early_stop)
-    found = []
-
-    def check(when):
-        df.check_invariants()
-        for component in df.forest.components():
-            want = run_static(df.forest.induced(component), variant).value
-            got = {df.value_of(v) for v in component}
-            if got != {want}:
-                found.append((when, min(component), got, want))
-
-    check("build")
-    for i in range(4):
-        removed = rng.sample(df.forest.edges(), 10)
-        for u, v in removed:
-            df.delete_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
-        df.change_root(rng.randrange(n))
-        check(f"round {i} cut")
-        rng.shuffle(removed)
-        for u, v in removed:
-            df.add_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
-        df.change_root(rng.randrange(n))
-        check(f"round {i}")
-    return found
 
 
 @pytest.mark.parametrize("variant,encoding,early_stop,seed", [

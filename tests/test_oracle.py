@@ -10,7 +10,7 @@ from treesweep.oracle import (CapacityError, es_exact,
                               pathwidth_exact, pn_exact, pn_plus_exact,
                               stable_exact)
 
-from helpers import cycle_graph, grid_graph
+from helpers import cycle_graph, grid_graph, three_paths_on_a_junction
 
 
 def test_process_number_examples():
@@ -169,14 +169,7 @@ def test_gap_characterization_takes_pn_or_es_only(param):
 
 
 def test_gap_characterization_in_regime():
-    # three 4-paths joined through a fresh vertex: pathwidth 2, process number 3
-    from treesweep.forest import Forest
-    f = Forest()
-    for b in range(3):
-        off = b * 4
-        for i in range(3):
-            f.add_edge(off + i, off + i + 1)
-        f.add_edge(12, off)
+    f = three_paths_on_a_junction()
     assert pathwidth_exact(f) == 2 and pn_exact(f) == 3
     assert gap_characterization_check(f)
     # the growth construction at level 2 has no gap and still agrees

@@ -14,7 +14,7 @@ from treesweep.protocol import Schedule, run_static
 from treesweep.strategy import (Action, Strategy, StrategyError, _Extractor,
                                 extract, validate)
 
-from helpers import hdesc
+from helpers import extract_and_validate, hdesc
 
 P, R, S = "P", "R", "S"
 
@@ -82,12 +82,8 @@ def test_theorem1_level2_two_agents():
     assert validate(t, s) == 2
 
 
-def test_extraction_exhaustive(trees_up_to_8):
-    for t in trees_up_to_8:
-        run = run_static(t)
-        s = extract(t, run)
-        assert validate(t, s) == run.value
-        assert len(s) <= 3 * t.n
+def test_extraction_exhaustive():
+    extract_and_validate(8)
 
 
 def test_extraction_seed_stable():
